@@ -11,7 +11,7 @@ discrete-time backward recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,9 @@ def discrete_value_recursion_raw(rho: float, mu: float, sigma: float,
             y[k] = yp * e_g
             continue
         den = yp * (e_ginv_2rho - 2.0 * e_rho + e_g) + 0.5 * (1.0 - e_ginv_2rho)
-        assert den > 0.0, "denominator must stay positive for y in (0, 1/2]"
+        if not den > 0.0:
+            raise ValueError(f"recursion denominator {den} is not positive "
+                             f"at t={times[k]}")
         y[k] = yp * e_g - num * num / den
     return DiscreteValue(h=h, times=times, y_h=y)
 
@@ -298,6 +300,8 @@ def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue
             y[k] = yp * e_g
             continue
         den = yp * (e_ginv_2rho - 2.0 * e_rho + e_g) + 0.5 * (1.0 - e_ginv_2rho)
-        assert den > 0.0, "denominator must stay positive for y in (0, 1/2]"
+        if not den > 0.0:
+            raise ValueError(f"recursion denominator {den} is not positive "
+                             f"at t={times[k]}")
         y[k] = yp * e_g - num * num / den
     return DiscreteValue(h=h, times=times, y_h=y)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (DiscreteValue, ValueSolution, discrete_value_recursion,
-                   ode_residual, solve_y_lambert, solve_y_ode, solve_y_ow)
+from .bsde import (ValueSolution, discrete_value_recursion, ode_residual,
+                   solve_y_lambert, solve_y_ode, solve_y_ow)
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
                            model_from_config, simulate_path)
 from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
@@ -48,15 +48,6 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join("%.17g" % c[i] for c in columns) + "\n")
-
-
-def value_solution_to_csv(solution: ValueSolution, path) -> None:
-    write_csv(path, ["t", "y", "beta_tilde"],
-              [solution.grid.times, solution.y, solution.beta_tilde])
-
-
-def discrete_value_to_csv(dv: DiscreteValue, path) -> None:
-    write_csv(path, ["t", "y_h"], [dv.times, dv.y_h])
 
 
 def plan_to_csv(plan: OptimalPlan, path) -> None:

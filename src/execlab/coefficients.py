@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +36,9 @@ class PiecewiseConstant:
             raise ModelError("first breakpoint must be 0")
         if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
             raise ModelError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(self.breaks))
+                and np.all(np.isfinite(self.values))):
+            raise ModelError("breakpoints and values must be finite")
 
     @staticmethod
     def constant(value: float) -> "PiecewiseConstant":
@@ -62,8 +65,12 @@ class PiecewiseConstant:
         return total
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, times, side="right") - 1
-        return np.asarray(self.values)[idx]
+        """Values at ``times`` (any shape, all >= 0)."""
+        times = np.asarray(times)
+        out = np.full(times.shape, self.values[0], dtype=float)
+        for b, v in zip(self.breaks[1:], self.values[1:]):
+            out[times >= b] = v
+        return out
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,10 @@ class CoefficientModel:
     sigma: PiecewiseConstant
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ModelError("horizon T must be positive")
-        if self.gamma0 <= 0:
-            raise ModelError("gamma0 must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ModelError("horizon T must be finite and positive")
+        if not (np.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ModelError("gamma0 must be finite and positive")
         if self.condition_report().epsilon <= 0.0:
             raise ModelError(
                 "model violates the positivity condition: "
@@ -214,21 +221,25 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MarketPath:
-    """One realization of the Brownian driver and the impact factor on a grid."""
+    """Realizations of the Brownian driver and the impact factor on a grid.
+
+    One path has 1-D arrays and an integer ``path_id``; a chunk of paths has
+    a leading path axis and ``path_id`` is the ``range`` of its paths.
+    """
 
     grid: TimeGrid
-    w: np.ndarray        # Brownian increments per step, length n_steps
-    gamma: np.ndarray    # impact per grid point, length n_steps + 1
+    w: np.ndarray        # Brownian increments per step, n_steps on the last axis
+    gamma: np.ndarray    # impact per grid point, n_steps + 1 on the last axis
     alpha: np.ndarray    # 1/gamma per grid point
-    path_id: int
+    path_id: int | range
     master_seed: int
 
     def tail(self, k: int) -> "MarketPath":
         """Sub-path on the grid starting at grid index k."""
         g = self.grid
         sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
-        return MarketPath(sub, self.w[k:], self.gamma[k:], self.alpha[k:],
-                          self.path_id, self.master_seed)
+        return MarketPath(sub, self.w[..., k:], self.gamma[..., k:],
+                          self.alpha[..., k:], self.path_id, self.master_seed)
 
 
 def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
@@ -237,9 +248,21 @@ def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(path_id))))
 
 
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, starting from 0 (one longer)."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
 def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
-                  path_id: int) -> MarketPath:
-    """Simulate one impact path with exact lognormal stepping."""
+                  path_id: int | range) -> MarketPath:
+    """Simulate impact paths with exact lognormal stepping.
+
+    An integer ``path_id`` gives one path; a ``range`` gives one row per
+    path id.  Each row is drawn from its own ``(master_seed, path_id)``
+    stream, so a row equals the single-path call bit for bit.
+    """
     grid.validate_model(model)
     n = grid.n_steps
     h = grid.h
@@ -248,10 +271,16 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     sig = model.sigma.sample(t_left)
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)
-    dw = _path_rng(master_seed, path_id).standard_normal(n) * np.sqrt(h)
+    chunk = isinstance(path_id, range)
+    ids = path_id if chunk else (path_id,)
+    z = np.empty((len(ids), n))
+    for row, i in zip(z, ids):
+        _path_rng(master_seed, i).standard_normal(out=row)
+    dw = (z if chunk else z[0]) * np.sqrt(h)
     log_incr = (mu - 0.5 * sig**2) * h + sig * dw
-    log_gamma = np.concatenate(([0.0], np.cumsum(log_incr)))
-    # grid may start at t0 > 0; gamma0 is the level at grid start
+    log_gamma = _cumsum0(log_incr)
+    # gamma0 is the level at time 0: a grid starting at t0 > 0 starts from
+    # gamma0 carried forward by the drift alone, gamma0 * exp(int_0^t0 mu)
     gamma = model.gamma0 * np.exp(log_gamma) if grid.t0 == 0.0 else \
         model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0)) * np.exp(log_gamma)
     return MarketPath(grid=grid, w=dw, gamma=gamma, alpha=1.0 / gamma,
@@ -277,13 +306,13 @@ def stochastic_exponential(q_increments: np.ndarray,
                            q_quadratic: np.ndarray) -> np.ndarray:
     """Doleans-Dade exponential of a continuous semimartingale on a grid.
 
-    Given per-step increments of Q and of its quadratic variation, returns the
-    path exp(sum dQ - 0.5 * sum d[Q]) of length ``len(q_increments) + 1``,
-    starting at 1.
+    Given per-step increments of Q and of its quadratic variation on the
+    last axis (leading path axes broadcast), returns the path
+    exp(sum dQ - 0.5 * sum d[Q]), one longer on the last axis and starting
+    at 1.
     """
     dq = np.asarray(q_increments, dtype=float)
     dqv = np.asarray(q_quadratic, dtype=float)
-    if dq.shape != dqv.shape:
+    if dq.shape[-1:] != dqv.shape[-1:]:
         raise ValueError("increment arrays must share a grid")
-    expo = np.concatenate(([0.0], np.cumsum(dq - 0.5 * dqv)))
-    return np.exp(expo)
+    return np.exp(_cumsum0(dq - 0.5 * dqv))

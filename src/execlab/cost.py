@@ -15,10 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
-                           iter_market_paths)
+from .coefficients import CoefficientModel, MarketPath, TimeGrid, simulate_path
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
+
+# Bound on the path x grid-point values of one array in estimate_cost's
+# chunks.  2^13 doubles are 64 KiB, so a chunk's dozen live arrays stay
+# under a megabyte, and blocks this size are reused from the heap instead
+# of being paged in afresh for every chunk.  It bounds memory; it is not a
+# speed knob.
+CHUNK_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,22 @@ class ValueQuote:
     d: float
 
 
+def _per_path(total: np.ndarray) -> float | np.ndarray:
+    """A float for one path, an array with one cost per row for a chunk."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def pathwise_cost(strategy: Strategy, deviation: DeviationPath,
-                  market: MarketPath) -> float:
-    """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on one path."""
+                  market: MarketPath) -> float | np.ndarray:
+    """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path."""
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
-    return float(np.sum((deviation.pre_trade + 0.5 * market.gamma * xi) * xi))
+    return _per_path(np.sum((deviation.pre_trade + 0.5 * market.gamma * xi) * xi,
+                            axis=-1))
 
 
 def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
-                        market: MarketPath) -> float:
+                        market: MarketPath) -> float | np.ndarray:
     """Uncorrected cost: the gamma/2 * xi^2 charge applies to block trades only.
 
     For pure-jump (finite-variation) grid strategies every trade is a block,
@@ -69,9 +81,10 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
     blocks = strategy.block_mask()
-    linear = np.sum(deviation.pre_trade * xi)
-    quadratic = 0.5 * np.sum(market.gamma[blocks] * xi[blocks] ** 2)
-    return float(linear + quadratic)
+    linear = np.sum(deviation.pre_trade * xi, axis=-1)
+    quadratic = 0.5 * np.sum(market.gamma[..., blocks] * xi[..., blocks] ** 2,
+                             axis=-1)
+    return _per_path(linear + quadratic)
 
 
 def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
@@ -83,16 +96,26 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
 
     ``naive`` switches the cost functional, ``naive_dynamics`` the deviation
     dynamics (no covariation term); both default to the corrected model.
+
+    Paths are simulated in chunks of at most ``CHUNK_ELEMENTS`` grid-point
+    values per array.  ``strategy_factory`` receives a :class:`MarketPath`
+    whose arrays carry a leading path axis, and must return a
+    :class:`Strategy` that broadcasts against it (1-D values are shared by
+    every path); its block flags stay 1-D.  Path i always uses the stream
+    ``(seed, i)``, so the costs do not depend on the chunking.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     costs = np.empty(n_paths)
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
     cost_fn = pathwise_cost_naive if naive else pathwise_cost
-    for i, market in enumerate(iter_market_paths(model, grid, n_paths, seed)):
+    chunk = max(1, CHUNK_ELEMENTS // (grid.n_steps + 1))
+    for lo in range(0, n_paths, chunk):
+        ids = range(lo, min(lo + chunk, n_paths))
+        market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
         dev = dev_fn(model, market, strat, d_pre)
-        costs[i] = cost_fn(strat, dev, market)
+        costs[lo:ids.stop] = cost_fn(strat, dev, market)
     mean = float(np.sum(costs) / n_paths)  # numpy pairwise sum: reproducible
     var = float(np.sum((costs - mean) ** 2) / (n_paths - 1))
     return CostEstimate(mean=mean, std_error=float(np.sqrt(var / n_paths)),

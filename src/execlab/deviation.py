@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, TimeGrid
+from .coefficients import CoefficientModel, MarketPath, TimeGrid, _cumsum0
 
 
 class GridMismatch(ValueError):
@@ -28,6 +28,10 @@ class Strategy:
     ``is_block[k]`` marks grid trades that are genuine block trades (jumps);
     unmarked trades are samples of a continuous trading path.  The flag only
     matters for the uncorrected cost functional.
+
+    ``values`` may carry leading path axes (one row per path of a market
+    chunk); ``x_pre`` and ``is_block`` are shared by all rows, so the block
+    flags stay 1-D.
     """
 
     grid: TimeGrid
@@ -36,11 +40,13 @@ class Strategy:
     is_block: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.values) != self.grid.n_steps + 1:
+        n_points = self.grid.n_steps + 1
+        values = np.asarray(self.values)
+        if values.shape[-1:] != (n_points,):
             raise GridMismatch("strategy values must cover every grid point")
-        if self.values[-1] != 0.0:
+        if np.any(values[..., -1] != 0.0):
             raise ValueError("terminal position must be 0 (liquidation constraint)")
-        if self.is_block is not None and len(self.is_block) != len(self.values):
+        if self.is_block is not None and np.shape(self.is_block) != (n_points,):
             raise GridMismatch("block flags must cover every grid point")
 
     @property
@@ -50,13 +56,16 @@ class Strategy:
 
     def block_mask(self) -> np.ndarray:
         if self.is_block is None:
-            return np.ones(len(self.values), dtype=bool)
+            return np.ones(self.grid.n_steps + 1, dtype=bool)
         return self.is_block
 
 
 @dataclass(frozen=True)
 class DeviationPath:
-    """Deviation along a strategy: values after and before each grid trade."""
+    """Deviation along a strategy: values after and before each grid trade.
+
+    The arrays carry the leading path axis of the market or strategy, if any.
+    """
 
     grid: TimeGrid
     d_pre: float
@@ -72,32 +81,44 @@ def _check_shared_grid(*grids: TimeGrid) -> None:
             raise GridMismatch("operands are defined on different grids")
 
 
-def deviation_path(model: CoefficientModel, market: MarketPath,
-                   strategy: Strategy, d_pre: float = 0.0) -> DeviationPath:
-    """Deviation process of a grid strategy.
+def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
+               d_pre: float, naive: bool) -> DeviationPath:
+    """Deviation when the trade at grid point k is charged at gamma_eff_k.
 
     Between grid points the deviation decays by the exact factor
-    exp(-integral of rho); at grid point k it jumps by gamma_k * xi_k.
+    exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
+    gamma_eff is gamma itself, or with ``naive`` the previous grid point's
+    gamma on trades that are not block trades.  The resilience factors do
+    not depend on the path and are computed once for all rows.
     """
     _check_shared_grid(market.grid, strategy.grid)
     grid = strategy.grid
-    h = grid.h
-    t_left = grid.times[:-1]
+    gamma_eff = market.gamma
+    if naive:
+        gamma_left = np.concatenate((gamma_eff[..., :1], gamma_eff[..., :-1]),
+                                    axis=-1)
+        gamma_eff = np.where(strategy.block_mask(), gamma_eff, gamma_left)
     # exact per-step resilience integrals (rho is constant on each step)
-    r_steps = model.rho.sample(t_left) * h
-    r_cum = np.concatenate(([0.0], np.cumsum(r_steps)))
+    r_cum = _cumsum0(model.rho.sample(grid.times[:-1]) * grid.h)
     eta = np.exp(-r_cum)
-
     xi = strategy.trades
-    weighted = market.gamma * np.exp(r_cum) * xi
-    cum = d_pre + np.cumsum(weighted)
+    cum = d_pre + np.cumsum(gamma_eff * np.exp(r_cum) * xi, axis=-1)
     pre_trade = np.empty_like(cum)
-    pre_trade[0] = d_pre
-    pre_trade[1:] = eta[1:] * cum[:-1]
-    values = pre_trade + market.gamma * xi
+    pre_trade[..., 0] = d_pre
+    pre_trade[..., 1:] = eta[1:] * cum[..., :-1]
+    values = pre_trade + gamma_eff * xi
     impact_state = strategy.values - market.alpha * values
     return DeviationPath(grid=grid, d_pre=d_pre, values=values,
                          pre_trade=pre_trade, impact_state=impact_state)
+
+
+def deviation_path(model: CoefficientModel, market: MarketPath,
+                   strategy: Strategy, d_pre: float = 0.0) -> DeviationPath:
+    """Deviation process of a grid strategy, for one path or a chunk.
+
+    Every trade is charged at the current impact level gamma_k.
+    """
+    return _deviation(model, market, strategy, d_pre, naive=False)
 
 
 def naive_deviation_path(model: CoefficientModel, market: MarketPath,
@@ -109,25 +130,7 @@ def naive_deviation_path(model: CoefficientModel, market: MarketPath,
     (Ito convention), so no covariation term appears in the limit.  Only used
     to reproduce the geometric-Brownian ill-posedness construction.
     """
-    _check_shared_grid(market.grid, strategy.grid)
-    grid = strategy.grid
-    h = grid.h
-    r_steps = model.rho.sample(grid.times[:-1]) * h
-    r_cum = np.concatenate(([0.0], np.cumsum(r_steps)))
-    eta = np.exp(-r_cum)
-    xi = strategy.trades
-    blocks = strategy.block_mask()
-    gamma_eff = np.where(blocks, market.gamma,
-                         np.concatenate(([market.gamma[0]], market.gamma[:-1])))
-
-    cum = d_pre + np.cumsum(gamma_eff * np.exp(r_cum) * xi)
-    pre_trade = np.empty_like(cum)
-    pre_trade[0] = d_pre
-    pre_trade[1:] = eta[1:] * cum[:-1]
-    values = pre_trade + gamma_eff * xi
-    impact_state = strategy.values - market.alpha * values
-    return DeviationPath(grid=grid, d_pre=d_pre, values=values,
-                         pre_trade=pre_trade, impact_state=impact_state)
+    return _deviation(model, market, strategy, d_pre, naive=True)
 
 
 def impact_state(strategy: Strategy, deviation: DeviationPath,

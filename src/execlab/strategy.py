@@ -16,18 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import ValueSolution
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _cumsum0,
                            stochastic_exponential)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
 @dataclass(frozen=True)
 class OptimalPlan:
-    """Optimal position/deviation pair on [t, T] for one market path.
+    """Optimal position/deviation pair on [t, T] for a market path or chunk.
 
     ``exp_q`` is the stochastic exponential of Q on the grid; ``beta`` the
     cadlag feedback ratio and ``beta_pre`` its left limits.  The inputs
-    needed to rebuild the plan from an interior time are retained.
+    needed to rebuild the plan from an interior time are retained.  Path
+    arrays carry the market's leading path axis, if any; ``scale`` has one
+    entry per path, and ``beta``, ``beta_pre`` and ``q_quadratic`` are
+    shared by all paths.
     """
 
     grid: TimeGrid
@@ -38,7 +41,7 @@ class OptimalPlan:
     d_star: DeviationPath
     beta: np.ndarray
     beta_pre: np.ndarray
-    scale: float            # x - d/gamma_t
+    scale: float | np.ndarray  # x - d/gamma_t
     model: CoefficientModel
     value_solution: ValueSolution
     market: MarketPath
@@ -65,11 +68,12 @@ def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
 
 def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
                  market: MarketPath, t: float, x: float, d: float) -> OptimalPlan:
-    """Construct the cost-minimizing plan started at (t, x, d) on one path.
+    """Construct the cost-minimizing plan started at (t, x, d).
 
-    ``t`` must be a grid point of the market's grid; the plan lives on the
-    sub-grid [t, T].  With zero resilience the feedback ratio is identically
-    1, so the plan closes the position immediately.
+    ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
+    of the market's grid; the plan lives on the sub-grid [t, T].  With zero
+    resilience the feedback ratio is identically 1, so the plan closes the
+    position immediately.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -100,19 +104,19 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     q_quad = beta[:-1] ** 2 * sig**2 * h
     exp_q = stochastic_exponential(q_inc, q_quad)
 
-    gamma_t = market.gamma[0]
-    scale = x - d / gamma_t
-    xs = scale * exp_q * (1.0 - beta)
-    xs[-1] = 0.0
+    scale = x - d / market.gamma[..., 0]
+    scale_col = np.expand_dims(scale, -1)
+    xs = scale_col * exp_q * (1.0 - beta)
+    xs[..., -1] = 0.0
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
     x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=blocks)
 
-    d_values = scale * exp_q * (-market.gamma * beta)
-    d_values[-1] = scale * exp_q[-1] * (-market.gamma[-1])
-    d_pre = scale * exp_q * (-market.gamma * beta_pre)
-    d_pre[0] = d
+    d_values = scale_col * exp_q * (-market.gamma * beta)
+    d_values[..., -1] = scale * exp_q[..., -1] * (-market.gamma[..., -1])
+    d_pre = scale_col * exp_q * (-market.gamma * beta_pre)
+    d_pre[..., 0] = d
     d_star = DeviationPath(grid=grid, d_pre=d, values=d_values,
                            pre_trade=d_pre,
                            impact_state=xs - market.alpha * d_values)
@@ -147,9 +151,8 @@ def counterexample_brownian(nu: float, market: MarketPath) -> Strategy:
     only the terminal trade is a block.
     """
     grid = market.grid
-    w_path = np.concatenate(([0.0], np.cumsum(market.w)))
-    values = nu * w_path
-    values[-1] = 0.0
+    values = nu * _cumsum0(market.w)
+    values[..., -1] = 0.0
     blocks = np.zeros(grid.n_steps + 1, dtype=bool)
     blocks[-1] = True
     return Strategy(grid=grid, x_pre=0.0, values=values, is_block=blocks)
@@ -167,8 +170,8 @@ def counterexample_gbm(nu: float, x: float, market: MarketPath) -> Strategy:
     grid = market.grid
     h = grid.h
     log_incr = nu * market.w - 0.5 * nu**2 * h
-    values = x * np.exp(np.concatenate(([0.0], np.cumsum(log_incr))))
-    values[-1] = 0.0
+    values = x * np.exp(_cumsum0(log_incr))
+    values[..., -1] = 0.0
     blocks = np.zeros(grid.n_steps + 1, dtype=bool)
     blocks[-1] = True
     return Strategy(grid=grid, x_pre=x, values=values, is_block=blocks)

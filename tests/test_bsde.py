@@ -229,3 +229,9 @@ class TestDiscreteRecursion:
         assert np.all((dv.y_h > 0.0) & (dv.y_h <= 0.5))
         with pytest.raises(ValueError):
             discrete_value_recursion(model, 0.3)
+
+    def test_nonpositive_denominator_raises(self):
+        # rho = -1 with a constant impact drives the denominator below zero
+        # at the first backward step; the check must survive python -O
+        with pytest.raises(ValueError, match="denominator"):
+            discrete_value_recursion_raw(-1.0, 0.0, 0.0, 1.0, 0.1)

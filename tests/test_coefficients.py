@@ -1,5 +1,7 @@
 """Market model, path simulation and stochastic exponential tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
                      constant_model, iter_market_paths, model_from_config,
                      simulate_market, simulate_path, stochastic_exponential)
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestPiecewiseConstant:
@@ -29,6 +33,32 @@ class TestPiecewiseConstant:
         f = PiecewiseConstant((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
         ts = np.array([0.0, 0.5, 1.0, 1.7, 2.0, 9.0])
         assert np.array_equal(f.sample(ts), [f(t) for t in ts])
+
+    @given(st.lists(st.floats(0.01, 10.0), max_size=4, unique=True),
+           st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+           st.lists(st.floats(0.0, 12.0), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_sample_matches_searchsorted(self, interior, values, extra):
+        breaks = (0.0,) + tuple(sorted(interior))
+        f = PiecewiseConstant(breaks, tuple(values[:len(breaks)]))
+        # every breakpoint itself is sampled, plus arbitrary times
+        times = np.array(list(breaks) + extra)
+        idx = np.searchsorted(breaks, times, side="right") - 1
+        assert np.array_equal(f.sample(times), np.asarray(f.values)[idx])
+        assert [f(t) for t in times] == [f.values[i] for i in idx]
+        grid2d = np.stack([times, times[::-1]])
+        assert np.array_equal(f.sample(grid2d),
+                              np.stack([f.sample(times),
+                                        f.sample(times[::-1])]))
+
+    @given(NON_FINITE, st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_rejects_non_finite_entries(self, bad, in_breaks):
+        with pytest.raises(ModelError):
+            if in_breaks:
+                PiecewiseConstant((0.0, bad), (1.0, 2.0))
+            else:
+                PiecewiseConstant((0.0, 1.0), (1.0, bad))
 
     def test_rejects_bad_breaks(self):
         with pytest.raises(ModelError):
@@ -72,6 +102,28 @@ class TestModelValidation:
             constant_model(0.0, 1.0, 0.5)
         with pytest.raises(ModelError):
             constant_model(1.0, -1.0, 0.5)
+
+    @given(NON_FINITE)
+    @settings(max_examples=10, deadline=None)
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ModelError):
+            constant_model(T, 1.0, 0.5)
+
+    @given(NON_FINITE)
+    @settings(max_examples=10, deadline=None)
+    def test_non_finite_gamma0_rejected(self, gamma0):
+        with pytest.raises(ModelError):
+            constant_model(1.0, gamma0, 0.5)
+
+    @given(NON_FINITE, st.sampled_from(["rho", "mu", "sigma"]),
+           st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_coefficient_rejected(self, bad, name, piece):
+        pieces = [{"t_from": t, "rho": 0.5, "mu": 0.0, "sigma": 0.2}
+                  for t in (0.0, 0.5)]
+        pieces[piece][name] = bad
+        with pytest.raises(ModelError):
+            build_model(1.0, 1.0, pieces)
 
     def test_piece_ordering(self):
         with pytest.raises(ModelError):
@@ -156,6 +208,32 @@ class TestSimulatePath:
         assert np.array_equal(tail.gamma, p.gamma[4:])
         assert np.array_equal(tail.w, p.w[4:])
 
+    @pytest.mark.parametrize("t0, sigma", [(0.0, 0.4), (0.0, 0.0), (0.3, 0.4)])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 7), (5, 12)])
+    def test_chunk_rows_equal_single_paths(self, lo, hi, t0, sigma):
+        m = build_model(1.0, 1.5, [
+            {"t_from": 0.0, "rho": 0.5, "mu": 0.1, "sigma": sigma},
+            {"t_from": 0.5, "rho": 0.7, "mu": -0.2, "sigma": 2 * sigma}])
+        g = TimeGrid(t0, 1.0, 70)
+        chunk = simulate_path(m, g, 13, range(lo, hi))
+        assert chunk.w.shape == (hi - lo, 70)
+        assert chunk.gamma.shape == chunk.alpha.shape == (hi - lo, 71)
+        assert chunk.path_id == range(lo, hi)
+        for row, i in enumerate(range(lo, hi)):
+            p = simulate_path(m, g, 13, i)
+            assert np.array_equal(chunk.w[row], p.w)
+            assert np.array_equal(chunk.gamma[row], p.gamma)
+            assert np.array_equal(chunk.alpha[row], p.alpha)
+
+    def test_chunk_tail_slices_the_last_axis(self):
+        m = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+        g = TimeGrid(0.0, 1.0, 10)
+        chunk = simulate_path(m, g, 1, range(3))
+        tail = chunk.tail(4)
+        assert tail.grid == TimeGrid(0.4, 1.0, 6)
+        assert np.array_equal(tail.gamma, chunk.gamma[:, 4:])
+        assert np.array_equal(tail.w, chunk.w[:, 4:])
+
     def test_started_grid_scales_initial_level_by_drift(self):
         m = constant_model(1.0, 2.0, 0.5, mu=0.4)
         sub = TimeGrid(0.5, 1.0, 10)
@@ -178,6 +256,15 @@ class TestStochasticExponential:
                                    + 0.25 * dw**2 * 0.0 + 0.25 * 1e-4)
         manual = np.exp(np.cumsum(dq - 0.5 * 0.25 * 1e-4))
         assert np.allclose(e[1:], manual, rtol=1e-13)
+
+    def test_path_axis_broadcasts_against_shared_quadratic(self):
+        rng = np.random.default_rng(4)
+        dq = rng.standard_normal((3, 50)) * 0.1
+        dqv = np.full(50, 0.01)
+        e = stochastic_exponential(dq, dqv)
+        assert e.shape == (3, 51)
+        for row in range(3):
+            assert np.array_equal(e[row], stochastic_exponential(dq[row], dqv))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

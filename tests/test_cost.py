@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      closed_form_naive_brownian, constant_model,
-                     counterexample_brownian, deviation_path, estimate_cost,
-                     immediate_close, optimal_plan, pathwise_cost,
+                     counterexample_brownian, counterexample_gbm,
+                     deviation_path, estimate_cost, immediate_close,
+                     naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
-                     simulate_path, solve_y_ow, value_function)
+                     simulate_path, solve_y_lambert, solve_y_ow,
+                     value_function)
+from execlab.cost import CHUNK_ELEMENTS
 
 
 def make_setup(n=50, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
@@ -109,6 +112,74 @@ class TestEstimateCost:
         vs = solve_y_ow(0.5, 1.0, grid)
         v = value_function(vs.y[0], 1.0, x, d).v
         assert v <= est.mean + 3.0 * est.std_error
+
+
+def chunk_size(grid):
+    return max(1, CHUNK_ELEMENTS // (grid.n_steps + 1))
+
+
+def per_path_estimate(model, grid, n_paths, seed, factory, d_pre=0.0,
+                      naive=False, naive_dynamics=False):
+    """Plain loop over single paths with estimate_cost's reduction."""
+    dev_fn = naive_deviation_path if naive_dynamics else deviation_path
+    cost_fn = pathwise_cost_naive if naive else pathwise_cost
+    costs = np.empty(n_paths)
+    for i in range(n_paths):
+        market = simulate_path(model, grid, seed, i)
+        strat = factory(market)
+        costs[i] = cost_fn(strat, dev_fn(model, market, strat, d_pre), market)
+    mean = float(np.sum(costs) / n_paths)
+    var = float(np.sum((costs - mean) ** 2) / (n_paths - 1))
+    return mean, float(np.sqrt(var / n_paths))
+
+
+class TestChunkedEstimate:
+    """estimate_cost over chunks equals the per-path loop bit for bit."""
+
+    MODEL = constant_model(2.0, 1.0, 0.5, sigma=0.8)
+
+    @pytest.fixture(params=["many_per_chunk", "one_per_chunk"])
+    def sized_grid(self, request):
+        if request.param == "many_per_chunk":
+            grid = TimeGrid(0.0, 2.0, 50)
+            chunk = chunk_size(grid)
+            assert chunk > 3
+            n_paths = 2 * chunk + 3  # two full chunks and a partial one
+        else:
+            grid = TimeGrid(0.0, 2.0, CHUNK_ELEMENTS)
+            assert chunk_size(grid) == 1
+            n_paths = 3
+        return grid, n_paths
+
+    def check(self, grid, n_paths, factory, **kw):
+        est = estimate_cost(self.MODEL, grid, n_paths, 17, factory, **kw)
+        ref = per_path_estimate(self.MODEL, grid, n_paths, 17, factory, **kw)
+        assert (est.mean, est.std_error) == ref
+        assert est.std_error > 0.0
+
+    def test_optimal_plan(self, sized_grid):
+        grid, n_paths = sized_grid
+        vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+        self.check(grid, n_paths,
+                   lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
+                                          0.5).x_star,
+                   d_pre=0.5)
+
+    def test_counterexample_brownian(self, sized_grid):
+        grid, n_paths = sized_grid
+        self.check(grid, n_paths, lambda m: counterexample_brownian(2.0, m),
+                   naive=True)
+
+    def test_counterexample_gbm(self, sized_grid):
+        grid, n_paths = sized_grid
+        self.check(grid, n_paths, lambda m: counterexample_gbm(-1.0, 1.0, m),
+                   naive_dynamics=True)
+
+    def test_immediate_close(self, sized_grid):
+        grid, n_paths = sized_grid
+        self.check(grid, n_paths,
+                   lambda m: immediate_close(grid, 1.0, 2.0, 0.3), d_pre=0.3,
+                   naive=True)
 
 
 class TestValueFunction:

@@ -29,6 +29,21 @@ class TestStrategyType:
         s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]))
         assert np.allclose(s.trades, [-0.5, -0.5, -1.0])
 
+    def test_rows_validated_and_blocks_stay_one_dimensional(self):
+        g = TimeGrid(0.0, 1.0, 4)
+        values = np.zeros((3, 5))
+        values[:, 1] = 1.0
+        s = Strategy(grid=g, x_pre=2.0, values=values)
+        assert s.trades.shape == (3, 5)
+        assert np.array_equal(s.trades[1], [-2.0, 1.0, -1.0, 0.0, 0.0])
+        assert s.block_mask().shape == (5,)
+        values[2, -1] = 0.5
+        with pytest.raises(ValueError):
+            Strategy(grid=g, x_pre=2.0, values=values)
+        with pytest.raises(GridMismatch):
+            Strategy(grid=g, x_pre=0.0, values=np.zeros((3, 5)),
+                     is_block=np.ones((3, 5), dtype=bool))
+
     def test_length_checked(self):
         g = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(GridMismatch):
@@ -104,6 +119,38 @@ class TestDeviationPath:
         errs = [abs(e - exact) for e in ends]
         assert 1.5 <= errs[0] / errs[1] <= 2.5
         assert 1.5 <= errs[1] / errs[2] <= 2.5
+
+
+class TestChunkedDeviation:
+    @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
+    def test_rows_equal_single_paths(self, fn):
+        model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+        grid = TimeGrid(0.0, 1.0, 30)
+        chunk = simulate_path(model, grid, 6, range(4))
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((4, 31))
+        values[:, -1] = 0.0
+        blocks = rng.random(31) < 0.5
+        dev = fn(model, chunk, Strategy(grid, 0.3, values, blocks), 0.7)
+        for i in range(4):
+            market = simulate_path(model, grid, 6, i)
+            ref = fn(model, market, Strategy(grid, 0.3, values[i], blocks),
+                     0.7)
+            assert np.array_equal(dev.values[i], ref.values)
+            assert np.array_equal(dev.pre_trade[i], ref.pre_trade)
+            assert np.array_equal(dev.impact_state[i], ref.impact_state)
+
+    def test_shared_strategy_broadcasts_over_paths(self):
+        model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+        grid = TimeGrid(0.0, 1.0, 20)
+        chunk = simulate_path(model, grid, 2, range(3))
+        s = immediate_close(grid, 0.5, 1.0, 0.2)
+        dev = deviation_path(model, chunk, s, 0.2)
+        assert dev.values.shape == (3, 21)
+        for i in range(3):
+            ref = deviation_path(model, simulate_path(model, grid, 2, i), s,
+                                 0.2)
+            assert np.array_equal(dev.values[i], ref.values)
 
 
 class TestImpactState:

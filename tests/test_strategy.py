@@ -107,6 +107,49 @@ class TestPlanInvariants:
         assert np.max(steps) <= 1e-10 * ref
 
 
+class TestChunkedPlans:
+    """A plan on a chunk of paths equals the single-path plans row by row."""
+
+    @pytest.mark.parametrize("regime", ["lambert", "jump"])
+    def test_optimal_plan_rows(self, regime):
+        if regime == "lambert":
+            model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
+            grid = TimeGrid(0.0, 10.0, 200)
+            vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+        else:
+            model = jump_example_model(0.3, 4.0, 5.0)
+            grid = TimeGrid(0.0, 5.0, 200)
+            vs = solve_y_deterministic(model, grid)
+        chunk = simulate_path(model, grid, 4, range(2, 6))
+        plan = optimal_plan(model, vs, chunk, 0.0, 100.0, 0.5)
+        assert plan.x_star.block_mask().shape == (201,)
+        assert plan.scale.shape == (4,)
+        for row, i in enumerate(range(2, 6)):
+            ref = optimal_plan(model, vs, simulate_path(model, grid, 4, i),
+                               0.0, 100.0, 0.5)
+            assert plan.scale[row] == ref.scale
+            assert np.array_equal(plan.exp_q[row], ref.exp_q)
+            assert np.array_equal(plan.x_star.values[row], ref.x_star.values)
+            assert np.array_equal(plan.d_star.values[row], ref.d_star.values)
+            assert np.array_equal(plan.d_star.pre_trade[row],
+                                  ref.d_star.pre_trade)
+            assert np.array_equal(plan.x_star.block_mask(),
+                                  ref.x_star.block_mask())
+
+    def test_counterexample_rows(self):
+        model = constant_model(1.0, 1.0, 0.5, sigma=0.8)
+        grid = TimeGrid(0.0, 1.0, 50)
+        chunk = simulate_path(model, grid, 8, range(3))
+        brown = counterexample_brownian(2.0, chunk)
+        gbm = counterexample_gbm(-1.0, 3.0, chunk)
+        for i in range(3):
+            market = simulate_path(model, grid, 8, i)
+            assert np.array_equal(brown.values[i],
+                                  counterexample_brownian(2.0, market).values)
+            assert np.array_equal(gbm.values[i],
+                                  counterexample_gbm(-1.0, 3.0, market).values)
+
+
 class TestJumpExample:
     def setup_method(self):
         self.rho, self.t0, self.T = 0.3, 4.0, 5.0
