@@ -49,6 +49,8 @@ class PiecewiseConstant:
         return int(np.searchsorted(self.breaks, t, side="right") - 1)
 
     def __call__(self, t: float) -> float:
+        if len(self.values) == 1:  # constant: the solvers' per-step hot path
+            return self.values[0]
         return self.values[self.piece_index(t)]
 
     def integral(self, a: float, b: float) -> float:
