@@ -26,7 +26,7 @@ from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
                    value_function)
 from .deviation import (AdmissibilityReport, DeviationPath, GridMismatch,
                         Strategy, admissibility_diagnostics, deviation_path,
-                        impact_state, naive_deviation_path)
+                        naive_deviation_path)
 from .strategy import (JumpExample, NegResExample, OptimalPlan,
                        counterexample_brownian, counterexample_gbm,
                        dynamic_consistency_check, example_beta_path,

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (ValueSolution, discrete_value_recursion, ode_residual,
+from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
                    solve_y_lambert, solve_y_ode, solve_y_ow)
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
                            model_from_config, simulate_path)
 from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
-                   estimate_cost, pathwise_cost, pathwise_cost_naive,
-                   quadratic_representation_rhs, value_function)
+                   estimate_cost, path_chunks, pathwise_cost,
+                   pathwise_cost_naive, quadratic_representation_rhs,
+                   value_function)
 from .deviation import deviation_path
 from .strategy import (JumpExample, NegResExample, OptimalPlan,
                        counterexample_brownian, counterexample_gbm,
@@ -50,12 +51,6 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(",".join("%.17g" % c[i] for c in columns) + "\n")
 
 
-def plan_to_csv(plan: OptimalPlan, path) -> None:
-    write_csv(path, ["t", "X_star", "D_star", "gamma", "beta", "exp_q"],
-              [plan.grid.times, plan.x_star.values, plan.d_star.values,
-               plan.market.gamma, plan.beta, plan.exp_q])
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: tag, market model, grid/sampling sizes, start state."""
@@ -78,6 +73,9 @@ class ExperimentConfig:
                              f"known: {sorted(EXPERIMENTS)}")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be positive")
+        if self.t != 0.0 or self.t0 is not None:
+            raise ValueError("experiments start at time 0: t must be 0 and "
+                             "t0 unset")
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
@@ -86,84 +84,90 @@ class ExperimentConfig:
         return ExperimentConfig(**raw)
 
 
-def _deterministic_plan_cost(model: CoefficientModel, vs: ValueSolution,
-                             grid: TimeGrid, x: float, d: float,
-                             seed: int) -> float:
-    """Grid cost of the optimal plan, read as a finite-variation strategy.
+def _plan_cost_convergence(model: CoefficientModel, x: float, d: float,
+                           seed: int, steps) -> tuple:
+    """Value, grid costs of the optimal plan, their errors and error ratios.
 
-    The plan trades continuously between its block trades, so the grid
-    evaluation of its cost must not charge the quadratic term on the O(h)
+    For mu = sigma = 0.  The plan trades continuously between its block
+    trades, so the grid cost must not charge the quadratic term on the O(h)
     sampled increments; that reading converges to the value at first order.
     """
-    market = simulate_path(model, grid, seed, 0)
-    plan = optimal_plan(model, vs, market, grid.t0, x, d)
-    dev = deviation_path(model, market, plan.x_star, d)
-    return pathwise_cost_naive(plan.x_star, dev, market)
+    rho = model.rho.values[0]
+    v = value_function(1.0 / (2.0 + model.T * rho), model.gamma0, x, d).v
+    costs = []
+    for n in steps:
+        grid = TimeGrid(0.0, model.T, n)
+        market = simulate_path(model, grid, seed, 0)
+        plan = optimal_plan(model, solve_y_ow(rho, model.T, grid), market,
+                            0.0, x, d)
+        dev = deviation_path(model, market, plan.x_star, d)
+        costs.append(pathwise_cost_naive(plan.x_star, dev, market))
+    errors = [abs(c - v) for c in costs]
+    return v, costs, errors, [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
+
+
+def _regime_model(cfg: ExperimentConfig, *zero: str) -> CoefficientModel:
+    """The config's model if it is one piece with the ``zero`` coefficients 0;
+    runners refuse other models rather than price them from their first piece."""
+    model = model_from_config(cfg.model)
+    if model.breakpoints:
+        raise ValueError(f"{cfg.tag} needs a single-piece model")
+    if any(getattr(model, c).values[0] != 0.0 for c in zero):
+        raise ValueError(f"{cfg.tag} needs {' = '.join(zero)} = 0")
+    return model
+
+
+def _mc_result(ref_name: str, ref: float, est) -> dict:
+    """An estimate and its reference; it passes within 3 standard errors."""
+    return {ref_name: ref, "estimate": json.loads(est.to_json()),
+            "pass": bool(abs(est.mean - ref) <= 3.0 * est.std_error)}
 
 
 def _run_ow_value(cfg: ExperimentConfig) -> dict:
-    model = model_from_config(cfg.model)
-    rho = model.rho.values[0]
-    y0 = 1.0 / (2.0 + model.T * rho)
-    v = value_function(y0, model.gamma0, cfg.x, cfg.d).v
-    costs, errors = [], []
-    for mult in (1, 2, 4):
-        grid = TimeGrid(0.0, model.T, cfg.n_steps * mult)
-        vs = solve_y_ow(rho, model.T, grid)
-        c = _deterministic_plan_cost(model, vs, grid, cfg.x, cfg.d, cfg.seed)
-        costs.append(c)
-        errors.append(abs(c - v))
-    ratios = [errors[i] / errors[i + 1] for i in range(2)]
-    ok = all(1.5 <= r <= 2.5 for r in ratios)
+    v, costs, errors, ratios = _plan_cost_convergence(
+        _regime_model(cfg, "mu", "sigma"), cfg.x, cfg.d, cfg.seed,
+        [cfg.n_steps * mult for mult in (1, 2, 4)])
     return {"value": v, "costs": costs, "errors": errors,
-            "error_ratios": ratios, "pass": ok}
+            "error_ratios": ratios,
+            "pass": all(1.5 <= r <= 2.5 for r in ratios)}
 
 
 def _run_lambertw_value(cfg: ExperimentConfig) -> dict:
-    model = model_from_config(cfg.model)
-    rho = model.rho.values[0]
-    sigma = model.sigma.values[0]
+    model = _regime_model(cfg, "mu")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
-    vs = solve_y_lambert(rho, sigma, model.T, grid)
-    v = value_function(vs.y[0], model.gamma0, cfg.x, cfg.d).v
+    vs = solve_y_lambert(model.rho.values[0], model.sigma.values[0], model.T,
+                         grid)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: optimal_plan(model, vs, m, 0.0,
                                                cfg.x, cfg.d).x_star,
                         d_pre=cfg.d)
-    ok = bool(abs(est.mean - v) <= 3.0 * est.std_error)
-    return {"value": v, "estimate": json.loads(est.to_json()), "pass": ok}
+    return _mc_result("value", value_function(vs.y[0], model.gamma0, cfg.x,
+                                              cfg.d).v, est)
 
 
 def _run_naive_brownian(cfg: ExperimentConfig) -> dict:
     if cfg.nu is None:
         raise ValueError("naive_brownian needs the scale parameter nu")
-    model = model_from_config(cfg.model)
-    rho = model.rho.values[0]
-    ref = closed_form_naive_brownian(model.gamma0, rho, model.T, cfg.nu)
+    model = _regime_model(cfg, "mu", "sigma")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: counterexample_brownian(cfg.nu, m),
                         naive=True)
-    ok = bool(abs(est.mean - ref) <= 3.0 * est.std_error)
-    return {"closed_form": ref, "estimate": json.loads(est.to_json()),
-            "pass": ok}
+    return _mc_result("closed_form", closed_form_naive_brownian(
+        model.gamma0, model.rho.values[0], model.T, cfg.nu), est)
 
 
 def _run_naive_gbm(cfg: ExperimentConfig) -> dict:
     if cfg.nu is None:
         raise ValueError("naive_gbm needs the exponent parameter nu")
-    model = model_from_config(cfg.model)
-    rho = model.rho.values[0]
-    sigma = model.sigma.values[0]
-    ref = closed_form_cost_gbm(model.gamma0, cfg.x, sigma, rho, model.T,
-                               cfg.nu)
+    model = _regime_model(cfg, "mu")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: counterexample_gbm(cfg.nu, cfg.x, m),
                         naive_dynamics=True)
-    ok = bool(abs(est.mean - ref) <= 3.0 * est.std_error)
-    return {"closed_form": ref, "estimate": json.loads(est.to_json()),
-            "pass": ok}
+    return _mc_result("closed_form", closed_form_cost_gbm(
+        model.gamma0, cfg.x, model.sigma.values[0], model.rho.values[0],
+        model.T, cfg.nu), est)
 
 
 def _run_figure(cfg: ExperimentConfig) -> dict:
@@ -225,19 +229,17 @@ def figure_plan(name: str, seed: int = 0, n_steps: int = 2000) -> OptimalPlan:
         raise ValueError(f"unknown figure {name!r}; known: "
                          f"{sorted(FIGURE_PARAMS)}")
     p = FIGURE_PARAMS[name]
+    grid = TimeGrid(0.0, p["T"], n_steps)
     if name == "lambertw":
         model = constant_model(p["T"], p["gamma0"], p["rho"], 0.0, p["sigma"])
-        grid = TimeGrid(0.0, p["T"], n_steps)
         vs = solve_y_lambert(p["rho"], p["sigma"], p["T"], grid)
     elif name == "jump":
         if (n_steps * p["t0"]) % p["T"] != 0.0:
             raise ValueError("n_steps must place t0 on the grid")
         model = jump_example_model(p["rho"], p["t0"], p["T"], p["gamma0"])
-        grid = TimeGrid(0.0, p["T"], n_steps)
         vs = example_beta_path(JumpExample(p["rho"], p["t0"]), p["T"], grid)
     else:
         model = negres_example_model(p["rho"], p["mu"], p["T"], p["gamma0"])
-        grid = TimeGrid(0.0, p["T"], n_steps)
         vs = example_beta_path(NegResExample(p["rho"], p["mu"]), p["T"], grid)
     market = simulate_path(model, grid, seed, 0)
     return optimal_plan(model, vs, market, 0.0, p["x"], p["d"])
@@ -250,13 +252,18 @@ def reproduce_figure(name: str, out_dir=None, seed: int = 0,
     out = Path(out_dir if out_dir is not None else default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"figure_{name}.csv"
-    plan_to_csv(plan, path)
+    write_csv(path, ["t", "X_star", "D_star", "gamma", "beta", "exp_q"],
+              [plan.grid.times, plan.x_star.values, plan.d_star.values,
+               plan.market.gamma, plan.beta, plan.exp_q])
     return path
 
 
-# --- selftest ---------------------------------------------------------------
+# --- verification battery ----------------------------------------------------
+# A check takes the path and Monte Carlo step counts (fixed-size checks ignore
+# both) and returns a _check; SHOWCASE is the stochastic-impact regime.
 
 SELFTEST_SEED = 20240811
+SHOWCASE = constant_model(10.0, 1.0, 0.5, sigma=0.8)
 
 
 def _py(v):
@@ -273,196 +280,220 @@ def _check(name: str, passed: bool, **detail) -> dict:
             "detail": {k: _py(v) for k, v in detail.items()}}
 
 
-def _selftest_checks(tmp_dir: Path, n_paths: int = 20000,
-                     mc_steps: int = 5000) -> list[dict]:
-    checks = []
-    seed = SELFTEST_SEED
+def _mc_experiment(tag: str, model: CoefficientModel, n_paths: int,
+                   mc_steps: int, **inputs) -> tuple[bool, dict]:
+    """Run one Monte Carlo experiment; its verdict, and its reference value,
+    mean and standard error as check detail."""
+    r = EXPERIMENTS[tag](ExperimentConfig(
+        tag=tag, model=model.to_dict(), n_steps=mc_steps, n_paths=n_paths,
+        seed=SELFTEST_SEED, **inputs))
+    est = r.pop("estimate")
+    return r.pop("pass"), dict(r, mean=est["mean"], std_error=est["std_error"])
 
-    # 1. first-order convergence of the grid cost to the constant-impact value
-    cfg = ExperimentConfig(tag="ow_value",
-                           model={"T": 10.0, "gamma0": 1.0, "pieces": [
-                               {"t_from": 0.0, "rho": 0.5, "mu": 0.0,
-                                "sigma": 0.0}]},
-                           n_steps=1000, x=1.0, d=0.0, out_dir=str(tmp_dir))
-    r = _run_ow_value(cfg)
-    checks.append(_check("constant_impact_value_convergence", r["pass"],
-                         ratios=r["error_ratios"], value=r["value"]))
 
-    # 2. Lambert-W closed form: residual and agreement with the integrator
-    T, rho, sigma = 10.0, 0.5, 0.8
-    grid = TimeGrid(0.0, T, 10000)
-    model52 = constant_model(T, 1.0, rho, 0.0, sigma)
-    vs_lw = solve_y_lambert(rho, sigma, T, grid)
-    res = ode_residual(vs_lw, model52)
-    vs_ode = solve_y_ode(model52, grid)
-    gap = float(np.max(np.abs(vs_lw.y - vs_ode.y)))
-    checks.append(_check("lambertw_solution_residual",
-                         res <= 1e-5 and vs_lw.y[-1] == 0.5 and gap <= 1e-8,
-                         residual=res, integrator_gap=gap))
+def constant_impact_value_convergence(n_paths: int, mc_steps: int) -> dict:
+    """Grid cost of the optimal plan converges to the value 1/7 at first order."""
+    *_, ratios = _plan_cost_convergence(constant_model(10.0, 1.0, 0.5), 1.0,
+                                        0.0, SELFTEST_SEED,
+                                        (1000, 2000, 4000, 8000))
+    return _check("constant_impact_value_convergence",
+                  all(1.7 <= r <= 2.3 for r in ratios), ratios=ratios)
 
-    # 3. Monte Carlo cost of the optimal plan vs the value formula
-    x = 100.0
-    mc_grid = TimeGrid(0.0, T, mc_steps)
-    vs_mc = solve_y_lambert(rho, sigma, T, mc_grid)
-    v = value_function(vs_mc.y[0], 1.0, x, 0.0).v
-    est = estimate_cost(model52, mc_grid, n_paths, seed,
-                        lambda m: optimal_plan(model52, vs_mc, m, 0.0,
-                                               x, 0.0).x_star)
-    checks.append(_check("stochastic_value_match",
-                         abs(est.mean - v) <= 3.0 * est.std_error,
-                         value=v, mean=est.mean, std_error=est.std_error))
 
-    # 4. scaled-Brownian round trip: naive cost matches its closed form
-    model41 = constant_model(T, 1.0, 0.05)
-    nu = 2.0
-    ref = closed_form_naive_brownian(1.0, 0.05, T, nu)
-    est = estimate_cost(model41, mc_grid, n_paths, seed,
-                        lambda m: counterexample_brownian(nu, m), naive=True)
-    checks.append(_check("brownian_roundtrip_cost",
-                         abs(est.mean - ref) <= 3.0 * est.std_error,
-                         closed_form=ref, mean=est.mean,
-                         std_error=est.std_error))
+def lambertw_solution_residual(n_paths: int, mc_steps: int) -> dict:
+    """Lambert-W closed form: residual and agreement with the integrator."""
+    grid = TimeGrid(0.0, 10.0, 10000)   # h = 1e-3
+    vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+    residual = ode_residual(vs, SHOWCASE)
+    gap = float(np.max(np.abs(vs.y - solve_y_ode(SHOWCASE, grid).y)))
+    return _check("lambertw_solution_residual",
+                  residual <= 1e-5 and vs.y[-1] == 0.5 and gap <= 1e-8,
+                  residual=residual, integrator_gap=gap)
 
-    # 5. geometric round trip under uncorrected dynamics + divergence trend
-    ref = closed_form_cost_gbm(1.0, 1.0, sigma, rho, T, -1.0)
-    est = estimate_cost(model52, mc_grid, n_paths, seed,
-                        lambda m: counterexample_gbm(-1.0, 1.0, m),
-                        naive_dynamics=True)
-    trend = [closed_form_cost_gbm(1.0, 1.0, sigma, rho, T, nu_)
-             for nu_ in (-2.0, -4.0, -6.0)]
-    checks.append(_check("geometric_roundtrip_cost",
-                         abs(est.mean - ref) <= 3.0 * est.std_error
-                         and trend[0] > trend[1] > trend[2],
-                         closed_form=ref, mean=est.mean,
-                         std_error=est.std_error, trend=trend))
 
-    # 6. discrete backward recursion converges to the continuous value in
-    # both regimes: first order with stochastic impact, second order with
-    # constant impact (there the recursion solves in closed form and its
-    # error halves twice per halved step)
+def stochastic_value_match(n_paths: int, mc_steps: int) -> dict:
+    """Monte Carlo cost of the optimal plan against the value formula."""
+    ok, detail = _mc_experiment("lambertw_value", SHOWCASE, n_paths, mc_steps,
+                                x=100.0)
+    return _check("stochastic_value_match", ok, **detail)
+
+
+def brownian_roundtrip_cost(n_paths: int, mc_steps: int) -> dict:
+    """Scaled-Brownian round trip: a negative naive cost, quadratic in nu.
+
+    The naive cost and its closed form are exactly quadratic in nu, so one
+    estimate at nu = 2 is held against the closed form, and on one chunk
+    the costs at nu = 1 and 4 must be (nu/2)^2 times the nu = 2 cost.
+    """
+    model = constant_model(10.0, 1.0, 0.05)
+    ok, detail = _mc_experiment("naive_brownian", model, n_paths, mc_steps,
+                                nu=2.0)
+    grid = TimeGrid(0.0, 10.0, mc_steps)
+    market = simulate_path(model, grid, SELFTEST_SEED,
+                           next(path_chunks(n_paths, grid)))
+
+    def cost(nu):
+        s = counterexample_brownian(nu, market)
+        return pathwise_cost_naive(s, deviation_path(model, market, s), market)
+
+    c2 = cost(2.0)
+    scaling = max(float(np.max(np.abs(cost(nu) / ((nu / 2.0) ** 2 * c2) - 1.0)))
+                  for nu in (1.0, 4.0))
+    return _check("brownian_roundtrip_cost",
+                  ok and detail["mean"] < 0.0 and scaling <= 1e-12,
+                  **detail, scaling_gap=scaling)
+
+
+def geometric_roundtrip_cost(n_paths: int, mc_steps: int) -> dict:
+    """Geometric round trip under uncorrected dynamics, and its divergence."""
+    ok, detail = _mc_experiment("naive_gbm", SHOWCASE, n_paths, mc_steps,
+                                x=1.0, nu=-1.0)
+    trend = [closed_form_cost_gbm(1.0, 1.0, 0.8, 0.5, 10.0, nu)
+             for nu in (-2.0, -4.0, -6.0)]
+    return _check("geometric_roundtrip_cost",
+                  ok and trend[0] > trend[1] > trend[2], **detail, trend=trend)
+
+
+def discrete_recursion_convergence(n_paths: int, mc_steps: int) -> dict:
+    """Discrete backward recursion converges to the continuous value: first
+    order with stochastic impact, second with constant impact (closed form)."""
+    lambert_y0 = solve_y_lambert(0.5, 0.8, 10.0, TimeGrid(0.0, 10.0, 10)).y[0]
     ratios = {}
     for tag, model, target in (
-            ("constant", constant_model(T, 1.0, rho), 1.0 / 7.0),
-            ("stochastic", model52, vs_lw.y[0])):
+            ("constant", constant_model(10.0, 1.0, 0.5), 1.0 / 7.0),
+            ("stochastic", SHOWCASE, lambert_y0)):
         errs = [abs(discrete_value_recursion(model, h).y_h[0] - target)
                 for h in (1e-1, 5e-2, 2.5e-2)]
         ratios[tag] = [errs[0] / errs[1], errs[1] / errs[2]]
-    ok6 = (all(1.7 <= r <= 2.3 for r in ratios["stochastic"])
-           and all(3.6 <= r <= 4.4 for r in ratios["constant"]))
-    checks.append(_check("discrete_recursion_convergence", ok6, **ratios))
+    return _check("discrete_recursion_convergence",
+                  all(1.7 <= r <= 2.3 for r in ratios["stochastic"])
+                  and all(3.6 <= r <= 4.4 for r in ratios["constant"]),
+                  **ratios)
 
-    # 7. quadratic representation: deterministic and stochastic regimes
-    ow1 = constant_model(1.0, 1.0, 0.5)
-    g_fine = TimeGrid(0.0, 1.0, 100000)
-    vs_ow1 = solve_y_ow(0.5, 1.0, g_fine)
-    mkt = simulate_path(ow1, g_fine, seed, 0)
-    hold = immediate_close(g_fine, 1.0, 1.0, 0.0)
-    dev = deviation_path(ow1, mkt, hold)
-    lhs = pathwise_cost(hold, dev, mkt)
-    rhs = quadratic_representation_rhs(ow1, vs_ow1, mkt, hold, dev, 1.0, 0.0)
-    det_gap = abs(lhs - rhs)
 
-    def rep_pair(m):
-        s = immediate_close(mc_grid, T, 1.0, 0.0)
-        dv = deviation_path(model52, m, s)
-        return (pathwise_cost(s, dv, m),
-                quadratic_representation_rhs(model52, vs_mc, m, s, dv,
-                                             1.0, 0.0))
+def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
+    """Quadratic cost representation of a hold-then-close strategy: pathwise
+    with deterministic impact, in the mean with stochastic impact."""
+    model = constant_model(1.0, 1.0, 0.5)
+    grid = TimeGrid(0.0, 1.0, 100_000)
+    market = simulate_path(model, grid, SELFTEST_SEED, 0)
+    hold = immediate_close(grid, 1.0, 1.0, 0.0)
+    dev = deviation_path(model, market, hold)
+    vs = solve_y_ow(0.5, 1.0, grid)
+    det_gap = abs(pathwise_cost(hold, dev, market) - quadratic_representation_rhs(
+        model, vs, market, hold, dev, 1.0, 0.0))
 
-    pairs = np.array([rep_pair(simulate_path(model52, mc_grid, seed, i))
-                      for i in range(n_paths)])
-    m_l, m_r = pairs.mean(axis=0)
-    se = np.sqrt((pairs.var(axis=0, ddof=1) / n_paths).sum())
-    checks.append(_check("quadratic_representation",
-                         det_gap <= 1e-6 and abs(m_l - m_r) <= 3.0 * se,
-                         deterministic_gap=det_gap, mc_gap=float(m_l - m_r),
-                         combined_se=float(se)))
+    grid = TimeGrid(0.0, 10.0, mc_steps)
+    vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+    hold = immediate_close(grid, 10.0, 1.0, 0.0)
+    lhs, rhs = np.empty(n_paths), np.empty(n_paths)
+    for ids in path_chunks(n_paths, grid):
+        m = simulate_path(SHOWCASE, grid, SELFTEST_SEED, ids)
+        dv = deviation_path(SHOWCASE, m, hold)
+        lhs[ids.start:ids.stop] = pathwise_cost(hold, dv, m)
+        rhs[ids.start:ids.stop] = quadratic_representation_rhs(
+            SHOWCASE, vs, m, hold, dv, 1.0, 0.0)
+    gap = lhs.mean() - rhs.mean()
+    se = np.sqrt(lhs.var(ddof=1) / n_paths + rhs.var(ddof=1) / n_paths)
+    return _check("quadratic_representation",
+                  det_gap <= 1e-6 and abs(gap) <= 3.0 * se,
+                  deterministic_gap=det_gap, mc_gap=gap, combined_se=se)
 
-    # 8. structural invariants across the plan matrix
-    worst = {"y_range": 0.0, "impact_state": 0.0, "d_const": 0.0,
-             "dyn_consistency": 0.0}
-    t0 = 4.0
-    plans = []
-    g10 = TimeGrid(0.0, 10.0, 4000)
-    ow10 = constant_model(10.0, 1.0, 0.5)
-    plans.append((ow10, solve_y_ow(0.5, 10.0, g10), g10, True))
-    g5 = TimeGrid(0.0, 5.0, 4000)
-    jm = jump_example_model(0.3, t0, 5.0)
-    plans.append((jm, example_beta_path(JumpExample(0.3, t0), 5.0, g5), g5,
-                  True))
-    nr = negres_example_model(-0.1, 0.5, 5.0)
-    plans.append((nr, example_beta_path(NegResExample(-0.1, 0.5), 5.0, g5),
-                  g5, True))
-    plans.append((model52, solve_y_lambert(rho, sigma, T,
-                                           TimeGrid(0.0, T, 4000)),
-                  TimeGrid(0.0, T, 4000), False))
-    for model, vs, g, d_const in plans:
-        worst["y_range"] = max(worst["y_range"], float(np.max(vs.y)) - 0.5,
-                               -float(np.min(vs.y)))
-        m = simulate_path(model, g, seed, 0)
-        plan = optimal_plan(model, vs, m, 0.0, 2.0, 0.0)
-        const = (plan.x_star.values - m.alpha * plan.d_star.values) / plan.exp_q
-        worst["impact_state"] = max(worst["impact_state"],
-                                    float(np.max(np.abs(const - plan.scale)))
-                                    / abs(plan.scale))
-        if d_const:
-            dv = plan.d_star.values[:-1]
-            pre = plan.d_star.pre_trade[1:-1]
-            worst["d_const"] = max(worst["d_const"],
-                                   float(np.max(np.abs(pre - dv[:-1])))
-                                   / float(np.max(np.abs(dv))))
-        u = g.times[g.n_steps // 2]
-        worst["dyn_consistency"] = max(worst["dyn_consistency"],
-                                       dynamic_consistency_check(plan, u))
+
+def structural_invariants(n_paths: int, mc_steps: int) -> dict:
+    """Plan invariants in four regimes, and exact zero-resilience closing.
+
+    y stays in [0, 1/2] and ends at exactly 1/2; the impact state is the
+    scaled stochastic exponential; with deterministic impact the deviation
+    is flat between block trades; replanning midway reproduces the plan.
+    """
+    g10, g5 = TimeGrid(0.0, 10.0, 4000), TimeGrid(0.0, 5.0, 4000)
+    cases = (   # model, value solution, grid, deterministic impact
+        (constant_model(10.0, 1.0, 0.5), solve_y_ow(0.5, 10.0, g10), g10,
+         True),
+        (jump_example_model(0.3, 4.0, 5.0),
+         example_beta_path(JumpExample(0.3, 4.0), 5.0, g5), g5, True),
+        (negres_example_model(-0.1, 0.5, 5.0),
+         example_beta_path(NegResExample(-0.1, 0.5), 5.0, g5), g5, True),
+        (SHOWCASE, solve_y_lambert(0.5, 0.8, 10.0, g10), g10, False))
+    rows = []
+    for model, vs, g, deterministic in cases:
+        market = simulate_path(model, g, SELFTEST_SEED, 0)
+        plan = optimal_plan(model, vs, market, 0.0, 2.0, 0.5)
+        state = (plan.x_star.values
+                 - market.alpha * plan.d_star.values) / plan.exp_q
+        dv = plan.d_star.values[:-1]
+        d_const = np.max(np.abs(plan.d_star.pre_trade[1:-1] - dv[:-1]))
+        rows.append((max(np.max(vs.y) - 0.5, -np.min(vs.y)),
+                     np.max(np.abs(state - plan.scale)) / abs(plan.scale),
+                     d_const / np.max(np.abs(dv)) if deterministic else 0.0,
+                     dynamic_consistency_check(plan, g.times[g.n_steps // 2])))
+    y_range, *tol = np.max(rows, axis=0)
+    worst = dict(zip(("impact_state", "d_const", "dyn_consistency"), tol))
+    terminal_exact = all(case[1].y[-1] == 0.5 for case in cases)
+
     zero_rho = constant_model(5.0, 1.0, 0.0, mu=0.3, sigma=0.4)
-    vs0 = solve_y_ode(zero_rho, g5)
-    m0 = simulate_path(zero_rho, g5, seed, 0)
-    plan0 = optimal_plan(zero_rho, vs0, m0, 0.0, 2.0, 1.0)
-    ic = immediate_close(g5, 0.0, 2.0, 1.0)
-    zero_rho_exact = bool(np.all(plan0.x_star.values == ic.values))
-    ok8 = (worst["y_range"] <= 1e-12 and worst["impact_state"] <= 1e-10
-           and worst["d_const"] <= 1e-10
-           and worst["dyn_consistency"] <= 1e-10 and zero_rho_exact)
-    checks.append(_check("structural_invariants", ok8,
-                         zero_rho_exact=zero_rho_exact, **worst))
+    plan0 = optimal_plan(zero_rho, solve_y_ode(zero_rho, g5),
+                         simulate_path(zero_rho, g5, SELFTEST_SEED, 0),
+                         0.0, 2.0, 1.0)
+    zero_rho_exact = bool(np.all(plan0.x_star.values
+                                 == immediate_close(g5, 0.0, 2.0, 1.0).values))
+    return _check("structural_invariants",
+                  y_range <= 0.0 and terminal_exact and max(tol) <= 1e-10
+                  and zero_rho_exact, y_range=y_range,
+                  terminal_exact=terminal_exact,
+                  zero_rho_exact=zero_rho_exact, **worst)
 
-    # 9. interior block trade: ratio jump size and block locations
-    plan_j = figure_plan("jump", seed=seed, n_steps=2000)
-    gj = plan_j.grid
-    kj = gj.index_of(t0)
-    vs_j = plan_j.value_solution
-    jump_gap = abs((vs_j.beta_tilde[kj] - vs_j.beta_left[kj])
-                   - vs_j.y[kj] / (2.0 * 0.3 + 1.0))
-    trades = plan_j.x_star.trades
-    # block trades stay O(1) as the grid refines; samples of the continuous
-    # trading path are O(h) (< 0.1 here), so 1.0 separates them cleanly
-    nonzero = set(np.nonzero(np.abs(trades) > 1.0)[0])
-    blocks_ok = nonzero == {0, kj, gj.n_steps}
-    checks.append(_check("interior_block_trade",
-                         jump_gap <= 1e-10 and blocks_ok,
-                         jump_gap=jump_gap,
-                         nonzero_trades=sorted(int(i) for i in nonzero)))
 
-    # 10. byte-identical figure artifacts across two runs
-    d1, d2 = tmp_dir / "rep1", tmp_dir / "rep2"
+def interior_block_trade(n_paths: int, mc_steps: int) -> dict:
+    """Drift switching on at t0 = 4: ratio jump size and block trade times."""
+    model = jump_example_model(0.3, 4.0, 5.0)
+    jump_gaps, nonzero_trades, expected = [], [], []
+    for n in (1000, 2000):
+        grid = TimeGrid(0.0, 5.0, n)
+        vs = solve_y_deterministic(model, grid)
+        k = grid.index_of(4.0)
+        jump_gaps.append(abs((vs.beta_tilde[k] - vs.beta_left[k])
+                             - vs.y[k] / (2.0 * 0.3 + 1.0)))
+        market = simulate_path(model, grid, SELFTEST_SEED, 0)
+        trades = optimal_plan(model, vs, market, 0.0, 100.0, 0.0).x_star.trades
+        # block trades stay O(1) as the grid refines; samples of the
+        # continuous trading path are O(h) (< 0.1 here), so 1.0 separates them
+        nonzero_trades.append(np.flatnonzero(np.abs(trades) > 1.0).tolist())
+        expected.append([0, k, n])
+    return _check("interior_block_trade",
+                  max(jump_gaps) <= 1e-10 and nonzero_trades == expected,
+                  jump_gap=max(jump_gaps), nonzero_trades=nonzero_trades)
+
+
+def reproducible_artifacts(n_paths: int, mc_steps: int, out_dir: Path) -> dict:
+    """Figure CSVs written twice under out_dir are byte-identical."""
     blobs = []
-    for dd in (d1, d2):
-        for name in ("lambertw", "jump", "negres"):
-            reproduce_figure(name, dd, seed=seed)
+    for dd in (out_dir / "rep1", out_dir / "rep2"):
+        for name in FIGURE_PARAMS:
+            reproduce_figure(name, dd, seed=SELFTEST_SEED)
         blobs.append(b"".join(sorted(p.read_bytes()
                                      for p in dd.glob("*.csv"))))
-    checks.append(_check("reproducible_artifacts", blobs[0] == blobs[1]))
-    return checks
+    return _check("reproducible_artifacts", blobs[0] == blobs[1])
+
+
+# The one registry of checks: selftest runs them all at reduced size and
+# tests/test_acceptance.py each one at full size.
+CHECKS = (constant_impact_value_convergence, lambertw_solution_residual,
+          stochastic_value_match, brownian_roundtrip_cost,
+          geometric_roundtrip_cost, discrete_recursion_convergence,
+          quadratic_representation, structural_invariants,
+          interior_block_trade, reproducible_artifacts)
 
 
 def selftest(out_dir=None, n_paths: int = 20000, mc_steps: int = 5000) -> int:
-    """Run the reduced deterministic battery; 0 exit iff every check passes."""
+    """Run every check at reduced size; 0 exit iff every check passes."""
     out = Path(out_dir if out_dir is not None else default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
-    checks = _selftest_checks(out, n_paths=n_paths, mc_steps=mc_steps)
+    checks = [fn(n_paths, mc_steps, out) if fn is reproducible_artifacts
+              else fn(n_paths, mc_steps) for fn in CHECKS]
     summary = {"schema_version": SCHEMA_VERSION, "seed": SELFTEST_SEED,
-               "checks": checks,
-               "pass": all(c["pass"] for c in checks)}
+               "checks": checks, "pass": all(c["pass"] for c in checks)}
     with open(out / "selftest_summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -77,11 +77,10 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Which positivity/boundedness conditions the model satisfies."""
+    """Whether the model satisfies the positivity condition, and its bounds."""
 
     positive: bool          # 2*rho + mu - sigma^2 > 0 on every piece
     epsilon: float          # attained min of 2*rho + mu - sigma^2
-    bounded: bool           # always true for piecewise-constant coefficients
     rho_bound: float
     mu_bound: float
     sigma_bound: float
@@ -120,7 +119,6 @@ class CoefficientModel:
         return ConditionReport(
             positive=eps > 0.0,
             epsilon=eps,
-            bounded=True,
             rho_bound=max(abs(v) for v in self.rho.values),
             mu_bound=max(abs(v) for v in self.mu.values),
             sigma_bound=max(abs(v) for v in self.sigma.values),

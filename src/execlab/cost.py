@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class ValueQuote:
     gamma_t: float
     x: float
     d: float
+
+
+def path_chunks(n_paths: int, grid: TimeGrid) -> Iterator[range]:
+    """Ranges of path ids whose arrays hold at most CHUNK_ELEMENTS values."""
+    chunk = max(1, CHUNK_ELEMENTS // (grid.n_steps + 1))
+    return (range(lo, min(lo + chunk, n_paths))
+            for lo in range(0, n_paths, chunk))
 
 
 def _per_path(total: np.ndarray) -> float | np.ndarray:
@@ -109,13 +116,11 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     costs = np.empty(n_paths)
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
     cost_fn = pathwise_cost_naive if naive else pathwise_cost
-    chunk = max(1, CHUNK_ELEMENTS // (grid.n_steps + 1))
-    for lo in range(0, n_paths, chunk):
-        ids = range(lo, min(lo + chunk, n_paths))
+    for ids in path_chunks(n_paths, grid):
         market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
         dev = dev_fn(model, market, strat, d_pre)
-        costs[lo:ids.stop] = cost_fn(strat, dev, market)
+        costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
     mean = float(np.sum(costs) / n_paths)  # numpy pairwise sum: reproducible
     var = float(np.sum((costs - mean) ** 2) / (n_paths - 1))
     return CostEstimate(mean=mean, std_error=float(np.sqrt(var / n_paths)),
@@ -123,23 +128,30 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
                         model_hash=model.content_hash())
 
 
+def _value(y_t, gamma_t, x, d):
+    """V = (y/gamma)(d - gamma x)^2 - d^2/(2 gamma), elementwise."""
+    return (y_t / gamma_t) * (d - gamma_t * x) ** 2 - d**2 / (2.0 * gamma_t)
+
+
 def value_function(y_t: float, gamma_t: float, x: float, d: float) -> ValueQuote:
     """Closed-form minimal expected cost given the value factor y_t."""
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
-    v = (y_t / gamma_t) * (d - gamma_t * x) ** 2 - d**2 / (2.0 * gamma_t)
-    return ValueQuote(v=float(v), y_t=y_t, gamma_t=gamma_t, x=x, d=d)
+    return ValueQuote(v=float(_value(y_t, gamma_t, x, d)), y_t=y_t,
+                      gamma_t=gamma_t, x=x, d=d)
 
 
 def quadratic_representation_rhs(model: CoefficientModel, value_solution,
                                  market: MarketPath, strategy: Strategy,
                                  deviation: DeviationPath,
-                                 x: float, d: float) -> float:
+                                 x: float, d: float) -> float | np.ndarray:
     """Pathwise right-hand side of the quadratic cost representation.
 
     Closed first part V(t, x, d) plus the left-endpoint Riemann sum of
     (1/gamma) (beta~ (gamma X - D) + D)^2 (sigma^2 Y + (2 rho + mu - sigma^2)/2).
     Averaged over paths this reproduces the expected cost of the strategy.
+    Works over the last axis like :func:`pathwise_cost`: a float for one
+    path, one value per row for a chunk.
     """
     _check_shared_grid(strategy.grid, market.grid, deviation.grid,
                        value_solution.grid)
@@ -151,12 +163,13 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     sig = model.sigma.sample(t[:-1])
     y = value_solution.y[:-1]
     beta = value_solution.beta_tilde[:-1]
-    gx = market.gamma[:-1] * strategy.values[:-1]
-    dv = deviation.values[:-1]
-    integrand = (1.0 / market.gamma[:-1]) * (beta * (gx - dv) + dv) ** 2 \
+    gamma = market.gamma[..., :-1]
+    gx = gamma * strategy.values[..., :-1]
+    dv = deviation.values[..., :-1]
+    integrand = (1.0 / gamma) * (beta * (gx - dv) + dv) ** 2 \
         * (sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2))
-    head = value_function(value_solution.y[0], market.gamma[0], x, d).v
-    return float(head + np.sum(integrand) * h)
+    head = _value(value_solution.y[0], market.gamma[..., 0], x, d)
+    return _per_path(head + np.sum(integrand, axis=-1) * h)
 
 
 def closed_form_naive_brownian(gamma: float, rho: float, T: float,

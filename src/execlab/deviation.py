@@ -133,13 +133,6 @@ def naive_deviation_path(model: CoefficientModel, market: MarketPath,
     return _deviation(model, market, strategy, d_pre, naive=True)
 
 
-def impact_state(strategy: Strategy, deviation: DeviationPath,
-                 market: MarketPath) -> np.ndarray:
-    """A = X - alpha * D per grid point (continuous across block trades)."""
-    _check_shared_grid(strategy.grid, deviation.grid, market.grid)
-    return strategy.values - market.alpha * deviation.values
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Monte Carlo estimates of the three admissibility integrals at t = 0.

@@ -1,12 +1,15 @@
 """Command line layer: configs, artifacts, figures, reproducibility."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from execlab.cli import (ExperimentConfig, default_out_dir, main,
-                         reproduce_figure, run, write_csv, OUTPUT_DIR_ENV)
+from execlab.cli import (CHECKS, ExperimentConfig, default_out_dir, main,
+                         reproduce_figure, reproducible_artifacts, run,
+                         selftest, write_csv, OUTPUT_DIR_ENV)
 
 
 class TestWriteCsv:
@@ -49,6 +52,12 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_file(cfg_path)
         assert cfg.tag == "ow_value" and cfg.n_steps == 100
 
+    def test_start_time_fields_rejected(self):
+        # the runners always start at time 0; t and t0 must not be ignored
+        for extra in ({"t": 3.0}, {"t0": 2.0}, {"t": 3.0, "t0": 2.0}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(tag="ow_value", model={}, n_steps=10, **extra)
+
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
         assert default_out_dir() == str(tmp_path)
@@ -87,6 +96,63 @@ class TestRun:
         summary = run(cfg)
         assert summary["pass"] is True
         assert summary["results"]["closed_form"] < 0.0
+
+
+class TestRunnerRegimes:
+    """Each runner refuses models outside the regime of its closed form."""
+
+    def config(self, tmp_path, tag, pieces, **kw):
+        return ExperimentConfig(
+            tag=tag, model={"T": 1.0, "gamma0": 1.0, "pieces": pieces},
+            n_steps=20, n_paths=4, x=1.0, out_dir=str(tmp_path), **kw)
+
+    @pytest.mark.parametrize("tag, nu", [
+        ("ow_value", None), ("naive_brownian", 2.0),
+        ("lambertw_value", None), ("naive_gbm", -1.0)])
+    def test_two_pieces_rejected(self, tmp_path, tag, nu):
+        pieces = [{"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0},
+                  {"t_from": 0.5, "rho": 0.5, "mu": 0.0, "sigma": 0.6}]
+        with pytest.raises(ValueError, match="single-piece"):
+            run(self.config(tmp_path, tag, pieces, nu=nu))
+        assert not (tmp_path / f"{tag}_summary.json").exists()
+
+    @pytest.mark.parametrize("tag, nu, coef", [
+        ("ow_value", None, "mu"), ("ow_value", None, "sigma"),
+        ("naive_brownian", 2.0, "mu"), ("naive_brownian", 2.0, "sigma"),
+        ("lambertw_value", None, "mu"), ("naive_gbm", -1.0, "mu")])
+    def test_nonzero_coefficient_rejected(self, tmp_path, tag, nu, coef):
+        piece = {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.3}
+        if tag in ("ow_value", "naive_brownian"):
+            piece["sigma"] = 0.0
+        piece[coef] = 0.2
+        with pytest.raises(ValueError, match="= 0"):
+            run(self.config(tmp_path, tag, [piece], nu=nu))
+
+
+class TestVerificationBattery:
+    """selftest and tests/test_acceptance.py run one registry of checks."""
+
+    def test_selftest_writes_the_registry(self, tmp_path):
+        selftest(tmp_path, 40, 100)
+        summary = json.loads((tmp_path / "selftest_summary.json").read_text())
+        checks = {c["name"]: c for c in summary["checks"]}
+        assert list(checks) == [fn.__name__ for fn in CHECKS]
+        # benchmarks/workloads.py reads this standard error
+        assert checks["stochastic_value_match"]["detail"]["std_error"] > 0.0
+
+    def test_every_check_has_one_acceptance_test(self):
+        # criterion 10 runs the artifacts check through two selftests
+        names = ["selftest" if fn is reproducible_artifacts else fn.__name__
+                 for fn in CHECKS]
+        source = Path(__file__).with_name("test_acceptance.py").read_text()
+        called = []
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("test_criterion_")):
+                used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                called += [name for name in names if name in used]
+                assert len(used & set(names)) == 1, node.name
+        assert sorted(called) == sorted(names)
 
 
 class TestFigures:

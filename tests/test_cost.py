@@ -229,6 +229,31 @@ class TestQuadraticRepresentation:
         assert rhs == pytest.approx(cost, abs=5.0 / 500)
 
 
+class TestChunkedQuadraticRepresentation:
+    """Rows of the representation on a chunk equal the single-path calls."""
+
+    MODEL = constant_model(2.0, 1.0, 0.5, sigma=0.8)
+
+    @pytest.mark.parametrize("n_steps", [50, CHUNK_ELEMENTS],
+                             ids=["many_per_chunk", "one_per_chunk"])
+    def test_rows_equal_single_paths(self, n_steps):
+        grid = TimeGrid(0.0, 2.0, n_steps)
+        ids = range(5, 5 + chunk_size(grid))
+        vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+        s = immediate_close(grid, 1.0, 1.5, 0.2)
+
+        def rhs(market):
+            dev = deviation_path(self.MODEL, market, s, 0.2)
+            return quadratic_representation_rhs(self.MODEL, vs, market, s,
+                                                dev, 1.5, 0.2)
+
+        rows = rhs(simulate_path(self.MODEL, grid, 11, ids))
+        assert rows.shape == (len(ids),)
+        for row, i in zip(rows, ids):
+            single = rhs(simulate_path(self.MODEL, grid, 11, i))
+            assert isinstance(single, float) and row == single
+
+
 class TestClosedFormNaiveBrownian:
     def test_zero_speed_costs_nothing(self):
         assert closed_form_naive_brownian(1.0, 0.5, 1.0, 0.0) == 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from execlab import (GridMismatch, Strategy, TimeGrid,
                      admissibility_diagnostics, constant_model,
-                     deviation_path, immediate_close, impact_state,
+                     deviation_path, immediate_close,
                      naive_deviation_path, simulate_market, simulate_path)
 
 
@@ -161,18 +161,11 @@ class TestImpactState:
         values[-1] = 0.0
         s = Strategy(grid=grid, x_pre=1.0, values=values)
         dev = deviation_path(model, market, s)
-        a = impact_state(s, dev, market)
+        a = dev.impact_state
         # pre-trade impact state at the block equals the post-trade value
         a_pre = values[19] - market.alpha[20] * dev.pre_trade[20]
         # both contain the same decay evolution; the block itself cancels
         assert a[20] - a_pre == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_deviation_field(self):
-        model, grid, market = make_setup(n=10, sigma=0.2, seed=1)
-        values = np.linspace(1, 0, 11)
-        s = Strategy(grid=grid, x_pre=1.0, values=values)
-        dev = deviation_path(model, market, s)
-        assert np.array_equal(impact_state(s, dev, market), dev.impact_state)
 
 
 class TestNaiveDeviation:
