@@ -16,7 +16,7 @@ from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
                    ode_residual, solve_y_deterministic, solve_y_lambert,
                    solve_y_ode, solve_y_ow)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
-                           PiecewiseConstant, TimeGrid, build_model,
+                           PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, iter_market_paths,
                            model_from_config, simulate_market, simulate_path,
                            stochastic_exponential)

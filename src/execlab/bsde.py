@@ -11,7 +11,7 @@ discrete-time backward recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,9 @@ class ValueSolution:
     """Value factor y, volatility loading z and feedback ratio on a grid.
 
     ``beta_pre`` holds the left limits of the feedback ratio; it differs from
-    ``beta_tilde`` only when the drift (and hence the ratio) jumps.
+    ``beta_tilde`` only when the drift (and hence the ratio) jumps.  The
+    arrays must not change once the solution is used: optimal plans keep
+    arrays derived from them (see :func:`execlab.strategy.optimal_plan`).
     """
 
     grid: TimeGrid
@@ -32,6 +34,10 @@ class ValueSolution:
     beta_tilde: np.ndarray
     source: str
     beta_pre: np.ndarray | None = None
+    # the path-independent arrays of optimal_plan for the last (model, k0)
+    # it was called with; they must never refer back to this solution
+    _plan_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if np.any(self.y < -1e-12) or np.any(self.y > 0.5 + 1e-12):
@@ -56,13 +62,22 @@ class DiscreteValue:
 
 
 _INV_E = -math.exp(-1.0)
+_HALLEY_STEPS = 50
 
 
 def lambert_w0(z: float) -> float:
     """Principal branch of the Lambert W function via Halley iteration.
 
-    Converges to relative residual 1e-14 from a logarithmic initial guess.
+    Starts from a logarithmic initial guess and stops at relative residual
+    1e-14, or once a Halley step is stationary: it lands on the current or
+    the previous iterate, a fixed point or a two-cycle of rounding.  For z
+    above about 5e57 rounding keeps the residual above 1e-14 |z|, so the
+    second stop ends the iteration there.  Raises ``ArithmeticError`` if
+    neither happens within ``_HALLEY_STEPS`` steps, and ``ValueError`` for
+    z below -1/e or not finite.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"lambert_w0 requires a finite z, got {z}")
     if z < _INV_E:
         if z > _INV_E * (1.0 + 1e-12):  # fp slack at the branch point
             z = _INV_E
@@ -79,14 +94,19 @@ def lambert_w0(z: float) -> float:
         # series near the branch point -1/e
         p = math.sqrt(2.0 * (math.e * z + 1.0))
         w = -1.0 + p - p * p / 3.0
-    for _ in range(50):
+    w_prev = None
+    for _ in range(_HALLEY_STEPS):
         ew = math.exp(w)
         f = w * ew - z
         if abs(f) <= 1e-14 * max(abs(z), 1e-300):
             return w
         w1 = w + 1.0
-        w -= f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-    return w
+        w_next = w - f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+        if w_next == w or w_next == w_prev:
+            return w_next
+        w_prev, w = w, w_next
+    raise ArithmeticError(f"lambert_w0 did not converge for z={z} in "
+                          f"{_HALLEY_STEPS} Halley steps")
 
 
 def driver(model: CoefficientModel, t: float, y: float, z: float) -> float:

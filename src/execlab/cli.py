@@ -11,15 +11,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
                    solve_y_lambert, solve_y_ode, solve_y_ow)
-from .coefficients import (CoefficientModel, TimeGrid, constant_model,
-                           model_from_config, simulate_path)
+from .coefficients import (CoefficientModel, StepTerms, TimeGrid,
+                           constant_model, model_from_config, simulate_path)
 from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
                    estimate_cost, path_chunks, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
@@ -117,6 +117,22 @@ def _regime_model(cfg: ExperimentConfig, *zero: str) -> CoefficientModel:
     return model
 
 
+def _refuse_unread(cfg: ExperimentConfig, *read: str) -> None:
+    """Refuse a config that sets a field its runner does not ``read``.
+
+    Each runner reads ``tag``, ``n_steps``, ``seed`` and ``out_dir``; of the
+    other fields, one left at its default (``{}`` for ``model``) is unset.
+    """
+    unset = {f.name: f.default for f in fields(cfg)
+             if f.name in ("n_paths", "x", "d", "nu")}
+    unset["model"] = {}
+    given = [k for k, v in unset.items()
+             if k not in read and getattr(cfg, k) != v]
+    if given:
+        raise ValueError(f"{cfg.tag} does not read {', '.join(given)}; "
+                         "leave them unset")
+
+
 def _mc_result(ref_name: str, ref: float, est) -> dict:
     """An estimate and its reference; it passes within 3 standard errors."""
     return {ref_name: ref, "estimate": json.loads(est.to_json()),
@@ -124,8 +140,10 @@ def _mc_result(ref_name: str, ref: float, est) -> dict:
 
 
 def _run_ow_value(cfg: ExperimentConfig) -> dict:
+    model = _regime_model(cfg, "mu", "sigma")
+    _refuse_unread(cfg, "model", "x", "d")
     v, costs, errors, ratios = _plan_cost_convergence(
-        _regime_model(cfg, "mu", "sigma"), cfg.x, cfg.d, cfg.seed,
+        model, cfg.x, cfg.d, cfg.seed,
         [cfg.n_steps * mult for mult in (1, 2, 4)])
     return {"value": v, "costs": costs, "errors": errors,
             "error_ratios": ratios,
@@ -134,6 +152,7 @@ def _run_ow_value(cfg: ExperimentConfig) -> dict:
 
 def _run_lambertw_value(cfg: ExperimentConfig) -> dict:
     model = _regime_model(cfg, "mu")
+    _refuse_unread(cfg, "model", "n_paths", "x", "d")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
     vs = solve_y_lambert(model.rho.values[0], model.sigma.values[0], model.T,
                          grid)
@@ -149,6 +168,7 @@ def _run_naive_brownian(cfg: ExperimentConfig) -> dict:
     if cfg.nu is None:
         raise ValueError("naive_brownian needs the scale parameter nu")
     model = _regime_model(cfg, "mu", "sigma")
+    _refuse_unread(cfg, "model", "n_paths", "nu")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: counterexample_brownian(cfg.nu, m),
@@ -161,6 +181,7 @@ def _run_naive_gbm(cfg: ExperimentConfig) -> dict:
     if cfg.nu is None:
         raise ValueError("naive_gbm needs the exponent parameter nu")
     model = _regime_model(cfg, "mu")
+    _refuse_unread(cfg, "model", "n_paths", "x", "nu")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: counterexample_gbm(cfg.nu, cfg.x, m),
@@ -171,6 +192,8 @@ def _run_naive_gbm(cfg: ExperimentConfig) -> dict:
 
 
 def _run_figure(cfg: ExperimentConfig) -> dict:
+    # a figure's model and start state are fixed in FIGURE_PARAMS
+    _refuse_unread(cfg)
     name = cfg.tag.removeprefix("figure_")
     path = reproduce_figure(name, cfg.out_dir, seed=cfg.seed,
                             n_steps=cfg.n_steps)
@@ -387,8 +410,9 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
     hold = immediate_close(grid, 10.0, 1.0, 0.0)
     lhs, rhs = np.empty(n_paths), np.empty(n_paths)
+    terms = StepTerms(SHOWCASE, grid)
     for ids in path_chunks(n_paths, grid):
-        m = simulate_path(SHOWCASE, grid, SELFTEST_SEED, ids)
+        m = terms.simulate(SELFTEST_SEED, ids)
         dv = deviation_path(SHOWCASE, m, hold)
         lhs[ids.start:ids.stop] = pathwise_cost(hold, dv, m)
         rhs[ids.start:ids.stop] = quadratic_representation_rhs(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -220,11 +221,69 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
+class StepTerms:
+    """Arrays of a model on a grid that are the same for every path.
+
+    The coefficients at the left end of each step, the deterministic part
+    ``(mu - sigma^2/2) h`` of each log-impact increment, and the cumulative
+    resilience ``r_cum`` (the integral of rho from the grid start to each
+    grid point) with ``exp(-r_cum)`` and ``exp(r_cum)``.  Each array is
+    computed on first use and then kept, so a Monte Carlo loop that builds
+    one ``StepTerms`` and simulates every chunk through :meth:`simulate`
+    computes them once instead of once per chunk.  The arrays are shared:
+    do not write to them.
+    """
+
+    model: CoefficientModel
+    grid: TimeGrid
+
+    @cached_property
+    def _t_left(self) -> np.ndarray:
+        return self.grid.times[:-1]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.model.rho.sample(self._t_left)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return self.model.mu.sample(self._t_left)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return self.model.sigma.sample(self._t_left)
+
+    @cached_property
+    def log_drift(self) -> np.ndarray:
+        return (self.mu - 0.5 * self.sigma**2) * self.grid.h
+
+    @cached_property
+    def r_cum(self) -> np.ndarray:
+        # exact per-step resilience integrals (rho is constant on each step)
+        return _cumsum0(self.rho * self.grid.h)
+
+    @cached_property
+    def decay(self) -> np.ndarray:
+        return np.exp(-self.r_cum)
+
+    @cached_property
+    def growth(self) -> np.ndarray:
+        return np.exp(self.r_cum)
+
+    def simulate(self, master_seed: int, path_id: int | range) -> "MarketPath":
+        """:func:`simulate_path` on this model and grid; the market carries
+        these terms, so the layers that read them do not recompute them."""
+        return _simulate(self, master_seed, path_id, keep_terms=True)
+
+
+@dataclass(frozen=True)
 class MarketPath:
     """Realizations of the Brownian driver and the impact factor on a grid.
 
     One path has 1-D arrays and an integer ``path_id``; a chunk of paths has
     a leading path axis and ``path_id`` is the ``range`` of its paths.
+    ``terms`` holds the :class:`StepTerms` the path was simulated with, when
+    a Monte Carlo loop shares them; :func:`simulate_path` leaves it unset.
     """
 
     grid: TimeGrid
@@ -233,6 +292,7 @@ class MarketPath:
     alpha: np.ndarray    # 1/gamma per grid point
     path_id: int | range
     master_seed: int
+    terms: StepTerms | None = field(default=None, repr=False, compare=False)
 
     def tail(self, k: int) -> "MarketPath":
         """Sub-path on the grid starting at grid index k."""
@@ -240,6 +300,14 @@ class MarketPath:
         sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
         return MarketPath(sub, self.w[..., k:], self.gamma[..., k:],
                           self.alpha[..., k:], self.path_id, self.master_seed)
+
+    def step_terms(self, model: CoefficientModel) -> StepTerms:
+        """The carried terms if they are ``model``'s on this path's grid,
+        else fresh ones."""
+        t = self.terms
+        if t is not None and t.model == model and t.grid == self.grid:
+            return t
+        return StepTerms(model, self.grid)
 
 
 def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
@@ -263,12 +331,15 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
     stream, so a row equals the single-path call bit for bit.
     """
+    return _simulate(StepTerms(model, grid), master_seed, path_id,
+                     keep_terms=False)
+
+
+def _simulate(terms: StepTerms, master_seed: int, path_id: int | range,
+              keep_terms: bool) -> MarketPath:
+    model, grid = terms.model, terms.grid
     grid.validate_model(model)
     n = grid.n_steps
-    h = grid.h
-    t_left = grid.times[:-1]
-    mu = model.mu.sample(t_left)
-    sig = model.sigma.sample(t_left)
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)
     chunk = isinstance(path_id, range)
@@ -276,15 +347,16 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     z = np.empty((len(ids), n))
     for row, i in zip(z, ids):
         _path_rng(master_seed, i).standard_normal(out=row)
-    dw = (z if chunk else z[0]) * np.sqrt(h)
-    log_incr = (mu - 0.5 * sig**2) * h + sig * dw
+    dw = (z if chunk else z[0]) * np.sqrt(grid.h)
+    log_incr = terms.log_drift + terms.sigma * dw
     log_gamma = _cumsum0(log_incr)
     # gamma0 is the level at time 0: a grid starting at t0 > 0 starts from
     # gamma0 carried forward by the drift alone, gamma0 * exp(int_0^t0 mu)
     gamma = model.gamma0 * np.exp(log_gamma) if grid.t0 == 0.0 else \
         model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0)) * np.exp(log_gamma)
     return MarketPath(grid=grid, w=dw, gamma=gamma, alpha=1.0 / gamma,
-                      path_id=path_id, master_seed=master_seed)
+                      path_id=path_id, master_seed=master_seed,
+                      terms=terms if keep_terms else None)
 
 
 def iter_market_paths(model: CoefficientModel, grid: TimeGrid, n_paths: int,

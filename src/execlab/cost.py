@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, TimeGrid, simulate_path
+from .coefficients import CoefficientModel, MarketPath, StepTerms, TimeGrid
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
@@ -109,15 +109,18 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     whose arrays carry a leading path axis, and must return a
     :class:`Strategy` that broadcasts against it (1-D values are shared by
     every path); its block flags stay 1-D.  Path i always uses the stream
-    ``(seed, i)``, so the costs do not depend on the chunking.
+    ``(seed, i)``, so the costs do not depend on the chunking.  Every
+    chunk's market carries one shared :class:`StepTerms`, so the arrays that
+    no path changes are computed once per call, not once per chunk.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     costs = np.empty(n_paths)
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
     cost_fn = pathwise_cost_naive if naive else pathwise_cost
+    terms = StepTerms(model, grid)
     for ids in path_chunks(n_paths, grid):
-        market = simulate_path(model, grid, seed, ids)
+        market = terms.simulate(seed, ids)
         strat = strategy_factory(market)
         dev = dev_fn(model, market, strat, d_pre)
         costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
@@ -155,12 +158,9 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     """
     _check_shared_grid(strategy.grid, market.grid, deviation.grid,
                        value_solution.grid)
-    grid = strategy.grid
-    h = grid.h
-    t = grid.times
-    rho = model.rho.sample(t[:-1])
-    mu = model.mu.sample(t[:-1])
-    sig = model.sigma.sample(t[:-1])
+    terms = market.step_terms(model)
+    rho, mu, sig = terms.rho, terms.mu, terms.sigma
+    h = strategy.grid.h
     y = value_solution.y[:-1]
     beta = value_solution.beta_tilde[:-1]
     gamma = market.gamma[..., :-1]

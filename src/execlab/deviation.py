@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, TimeGrid, _cumsum0
+from .coefficients import CoefficientModel, MarketPath, TimeGrid
 
 
 class GridMismatch(ValueError):
@@ -89,7 +89,7 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
     gamma on trades that are not block trades.  The resilience factors do
-    not depend on the path and are computed once for all rows.
+    not depend on the path: they come from the market's step terms.
     """
     _check_shared_grid(market.grid, strategy.grid)
     grid = strategy.grid
@@ -98,14 +98,12 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
         gamma_left = np.concatenate((gamma_eff[..., :1], gamma_eff[..., :-1]),
                                     axis=-1)
         gamma_eff = np.where(strategy.block_mask(), gamma_eff, gamma_left)
-    # exact per-step resilience integrals (rho is constant on each step)
-    r_cum = _cumsum0(model.rho.sample(grid.times[:-1]) * grid.h)
-    eta = np.exp(-r_cum)
+    terms = market.step_terms(model)
     xi = strategy.trades
-    cum = d_pre + np.cumsum(gamma_eff * np.exp(r_cum) * xi, axis=-1)
+    cum = d_pre + np.cumsum(gamma_eff * terms.growth * xi, axis=-1)
     pre_trade = np.empty_like(cum)
     pre_trade[..., 0] = d_pre
-    pre_trade[..., 1:] = eta[1:] * cum[..., :-1]
+    pre_trade[..., 1:] = terms.decay[1:] * cum[..., :-1]
     values = pre_trade + gamma_eff * xi
     impact_state = strategy.values - market.alpha * values
     return DeviationPath(grid=grid, d_pre=d_pre, values=values,

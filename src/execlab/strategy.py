@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +31,14 @@ class OptimalPlan:
     cadlag feedback ratio and ``beta_pre`` its left limits.  The inputs
     needed to rebuild the plan from an interior time are retained.  Path
     arrays carry the market's leading path axis, if any; ``scale`` has one
-    entry per path, and ``beta``, ``beta_pre`` and ``q_quadratic`` are
-    shared by all paths.
+    entry per path.
+
+    ``beta``, ``beta_pre``, ``q_quadratic`` and the block flags of
+    ``x_star`` do not depend on the path.  They are computed once per
+    value solution, model and start index, and every plan built from that
+    value solution shares them read-only.  ``d_star`` is computed on first
+    access, because a cost estimate needs only ``x_star``; it is the same
+    deviation path either way.
     """
 
     grid: TimeGrid
@@ -38,7 +46,6 @@ class OptimalPlan:
     q_quadratic: np.ndarray
     exp_q: np.ndarray
     x_star: Strategy
-    d_star: DeviationPath
     beta: np.ndarray
     beta_pre: np.ndarray
     scale: float | np.ndarray  # x - d/gamma_t
@@ -48,6 +55,20 @@ class OptimalPlan:
     t: float
     x: float
     d: float
+
+    @cached_property
+    def d_star(self) -> DeviationPath:
+        """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d."""
+        scale_col = np.expand_dims(self.scale, -1)
+        gamma = self.market.gamma
+        d_values = scale_col * self.exp_q * (-gamma * self.beta)
+        d_values[..., -1] = self.scale * self.exp_q[..., -1] * (-gamma[..., -1])
+        d_pre = scale_col * self.exp_q * (-gamma * self.beta_pre)
+        d_pre[..., 0] = self.d
+        return DeviationPath(grid=self.grid, d_pre=self.d, values=d_values,
+                             pre_trade=d_pre,
+                             impact_state=self.x_star.values
+                             - self.market.alpha * d_values)
 
 
 def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
@@ -66,29 +87,35 @@ def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
     return out
 
 
-def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
-                 market: MarketPath, t: float, x: float, d: float) -> OptimalPlan:
-    """Construct the cost-minimizing plan started at (t, x, d).
+class _PlanTerms(NamedTuple):
+    """The arrays of an optimal plan that no path changes (all read-only)."""
 
-    ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
-    of the market's grid; the plan lives on the sub-grid [t, T].  With zero
-    resilience the feedback ratio is identically 1, so the plan closes the
-    position immediately.
+    beta: np.ndarray
+    beta_pre: np.ndarray
+    neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
+    drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
+    q_quadratic: np.ndarray
+    blocks: np.ndarray
+
+
+def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
+                market: MarketPath, k0: int) -> _PlanTerms:
+    """The path-independent plan arrays on ``market``'s grid, which starts
+    at index ``k0`` of the value solution's grid.
+
+    They are kept on the value solution for the last (model, k0) it was
+    used with.  They hold views of its arrays but never the solution
+    itself, so no reference cycle keeps it alive.
     """
-    if value_solution.grid != market.grid:
-        raise GridMismatch("value solution and market live on different grids")
-    full_grid = market.grid
-    k0 = full_grid.index_of(t)
-    if k0 > 0:
-        market = market.tail(k0)
+    key = (model, k0)
+    cache = value_solution._plan_cache
+    terms = cache.get(key)
+    if terms is not None:
+        return terms
     grid = market.grid
     h = grid.h
-    t_left = grid.times[:-1]
-    rho = model.rho.sample(t_left)
-    mu = model.mu.sample(t_left)
-    sig = model.sigma.sample(t_left)
-
-    y = value_solution.y[k0:]
+    step = market.step_terms(model)
+    rho, mu, sig = step.rho, step.mu, step.sigma
     if all(v == 0.0 for v in model.rho.values):
         # zero resilience: the ratio is exactly 1 and the position is closed
         # at once; enforcing this exactly avoids spurious round-off trades
@@ -98,38 +125,59 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     else:
         beta = value_solution.beta_tilde[k0:]
         beta_pre = value_solution.beta_left[k0:]
-        int_beta = _beta_ds_integrals(y, rho, mu, h)
-
-    q_inc = -beta[:-1] * sig * market.w - int_beta * (mu + rho - sig**2)
-    q_quad = beta[:-1] ** 2 * sig**2 * h
-    exp_q = stochastic_exponential(q_inc, q_quad)
-
-    scale = x - d / market.gamma[..., 0]
-    scale_col = np.expand_dims(scale, -1)
-    xs = scale_col * exp_q * (1.0 - beta)
-    xs[..., -1] = 0.0
+        int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
-    x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=blocks)
+    terms = _PlanTerms(beta=beta, beta_pre=np.asarray(beta_pre),
+                       neg_beta_sigma=-beta[:-1] * sig,
+                       drift=int_beta * (mu + rho - sig**2),
+                       q_quadratic=beta[:-1] ** 2 * sig**2 * h, blocks=blocks)
+    for a in terms:
+        a.flags.writeable = False
+    cache.clear()
+    cache[key] = terms
+    return terms
 
-    d_values = scale_col * exp_q * (-market.gamma * beta)
-    d_values[..., -1] = scale * exp_q[..., -1] * (-market.gamma[..., -1])
-    d_pre = scale_col * exp_q * (-market.gamma * beta_pre)
-    d_pre[..., 0] = d
-    d_star = DeviationPath(grid=grid, d_pre=d, values=d_values,
-                           pre_trade=d_pre,
-                           impact_state=xs - market.alpha * d_values)
 
-    vs_tail = ValueSolution(grid=grid, y=y, z=value_solution.z[k0:],
-                            beta_tilde=value_solution.beta_tilde[k0:],
-                            source=value_solution.source,
-                            beta_pre=None if value_solution.beta_pre is None
-                            else value_solution.beta_pre[k0:])
-    return OptimalPlan(grid=grid, q_increments=q_inc, q_quadratic=q_quad,
-                       exp_q=exp_q, x_star=x_star, d_star=d_star, beta=beta,
-                       beta_pre=np.asarray(beta_pre), scale=scale, model=model,
-                       value_solution=vs_tail, market=market, t=t, x=x, d=d)
+def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
+                 market: MarketPath, t: float, x: float, d: float) -> OptimalPlan:
+    """Construct the cost-minimizing plan started at (t, x, d).
+
+    ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
+    of the market's grid; the plan lives on the sub-grid [t, T].  With zero
+    resilience the feedback ratio is identically 1, so the plan closes the
+    position immediately.  The arrays that do not depend on the path are
+    computed once and kept on ``value_solution`` (see :class:`OptimalPlan`).
+    """
+    if value_solution.grid != market.grid:
+        raise GridMismatch("value solution and market live on different grids")
+    k0 = market.grid.index_of(t)
+    if k0 > 0:
+        market = market.tail(k0)
+    grid = market.grid
+    pt = _plan_terms(model, value_solution, market, k0)
+
+    q_inc = pt.neg_beta_sigma * market.w - pt.drift
+    exp_q = stochastic_exponential(q_inc, pt.q_quadratic)
+
+    scale = x - d / market.gamma[..., 0]
+    xs = np.expand_dims(scale, -1) * exp_q * (1.0 - pt.beta)
+    xs[..., -1] = 0.0
+    x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=pt.blocks)
+
+    if k0 > 0:
+        value_solution = ValueSolution(
+            grid=grid, y=value_solution.y[k0:], z=value_solution.z[k0:],
+            beta_tilde=value_solution.beta_tilde[k0:],
+            source=value_solution.source,
+            beta_pre=None if value_solution.beta_pre is None
+            else value_solution.beta_pre[k0:])
+    return OptimalPlan(grid=grid, q_increments=q_inc,
+                       q_quadratic=pt.q_quadratic, exp_q=exp_q, x_star=x_star,
+                       beta=pt.beta, beta_pre=pt.beta_pre, scale=scale,
+                       model=model, value_solution=value_solution,
+                       market=market, t=t, x=x, d=d)
 
 
 def immediate_close(grid: TimeGrid, t: float, x: float, d: float) -> Strategy:

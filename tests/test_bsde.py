@@ -11,6 +11,7 @@ from execlab import (TimeGrid, beta_tilde_at, build_model, constant_model,
                      discrete_value_recursion, driver, lambert_w0,
                      ode_residual, solve_y_deterministic, solve_y_lambert,
                      solve_y_ode, solve_y_ow)
+from execlab import bsde
 from execlab.bsde import discrete_value_recursion_raw
 
 
@@ -46,6 +47,27 @@ class TestLambertW:
     def test_below_branch_point_rejected(self):
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError):
+            lambert_w0(z)
+
+    def test_converges_across_the_float_range(self):
+        # above z ~ 5e57 the 1e-14 |z| residual is below rounding, so the
+        # iteration must stop on a stationary Halley step instead; the two
+        # listed z end in a two-cycle between neighbouring floats
+        for z in np.concatenate((np.logspace(-300, 300, 2001),
+                                 -np.logspace(-300, math.log10(-bsde._INV_E),
+                                              501),
+                                 [6.895915475091384e71, 1.519529323675763e134])):
+            w = lambert_w0(float(z))
+            assert w * math.exp(w) == pytest.approx(float(z), rel=1e-13)
+
+    def test_runs_out_of_steps(self, monkeypatch):
+        monkeypatch.setattr(bsde, "_HALLEY_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            lambert_w0(1e6)
 
 
 class TestConstantResilienceClosedForm:

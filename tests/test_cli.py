@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from execlab.cli import (CHECKS, ExperimentConfig, default_out_dir, main,
-                         reproduce_figure, reproducible_artifacts, run,
-                         selftest, write_csv, OUTPUT_DIR_ENV)
+from execlab.cli import (CHECKS, EXPERIMENTS, ExperimentConfig,
+                         default_out_dir, main, reproduce_figure,
+                         reproducible_artifacts, run, selftest, write_csv,
+                         OUTPUT_DIR_ENV)
 
 
 class TestWriteCsv:
@@ -127,6 +130,114 @@ class TestRunnerRegimes:
         piece[coef] = 0.2
         with pytest.raises(ValueError, match="= 0"):
             run(self.config(tmp_path, tag, [piece], nu=nu))
+
+
+# the optional config fields each runner reads, and the coefficients its
+# closed form needs to be 0
+READS = {"ow_value": ("model", "x", "d"),
+         "lambertw_value": ("model", "n_paths", "x", "d"),
+         "naive_brownian": ("model", "n_paths", "nu"),
+         "naive_gbm": ("model", "n_paths", "x", "nu"),
+         "figure_lambertw": (), "figure_jump": (), "figure_negres": ()}
+ZERO = {"ow_value": ("mu", "sigma"), "naive_brownian": ("mu", "sigma"),
+        "lambertw_value": ("mu",), "naive_gbm": ("mu",)}
+
+
+def model_dict(pieces, T=1.0):
+    return {"T": T, "gamma0": 1.0, "pieces": pieces}
+
+
+def regime_config(tag, out_dir, **kw):
+    """A config the runner accepts, with ``kw`` overriding its fields."""
+    fields = {"tag": tag, "model": {}, "n_steps": 20, "out_dir": str(out_dir)}
+    if tag in ZERO:
+        sigma = 0.0 if "sigma" in ZERO[tag] else 0.8
+        fields["model"] = model_dict([{"t_from": 0.0, "rho": 0.5, "mu": 0.0,
+                                       "sigma": sigma}])
+    if "nu" in READS[tag]:
+        fields["nu"] = -1.0
+    fields.update(kw)
+    return ExperimentConfig(**fields)
+
+
+coefficient = st.floats(-0.3, 0.3, allow_subnormal=False)
+piece = st.fixed_dictionaries({"rho": st.floats(0.2, 1.0), "mu": coefficient,
+                               "sigma": coefficient})
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("refused")
+
+
+class TestRunnerInputsProperty:
+    """Hypothesis: every runner refuses what it cannot price or does not read."""
+
+    def refused(self, cfg, match):
+        with pytest.raises(ValueError, match=match):
+            run(cfg)
+        assert not (Path(cfg.out_dir) / f"{cfg.tag}_summary.json").exists()
+
+    def test_tables_cover_every_tag(self):
+        assert set(READS) == set(EXPERIMENTS)
+
+    @given(st.lists(piece, min_size=2, max_size=4),
+           st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3,
+                    unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_multi_piece_models(self, out_dir, pieces, starts):
+        starts = [0.0] + sorted(starts)[:len(pieces) - 1]
+        for p, t in zip(pieces, starts):
+            p["t_from"] = t
+        assume(all(2.0 * p["rho"] + p["mu"] - p["sigma"] ** 2 > 0.0
+                   for p in pieces))
+        for tag in EXPERIMENTS:
+            cfg = regime_config(tag, out_dir, model=model_dict(pieces))
+            self.refused(cfg, "single-piece" if tag in ZERO else "model")
+
+    @given(st.sampled_from(sorted(ZERO)), piece)
+    @settings(max_examples=60, deadline=None)
+    def test_coefficients_outside_the_closed_form(self, out_dir, tag, p):
+        assume(any(p[c] != 0.0 for c in ZERO[tag]))
+        assume(2.0 * p["rho"] + p["mu"] - p["sigma"] ** 2 > 0.0)
+        cfg = regime_config(tag, out_dir, model=model_dict([dict(
+            p, t_from=0.0)]))
+        self.refused(cfg, "= 0")
+
+    @given(st.sampled_from(sorted(READS)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unread_fields(self, out_dir, tag, data):
+        unread = [f for f in ("model", "n_paths", "x", "d", "nu")
+                  if f not in READS[tag]]
+        name = data.draw(st.sampled_from(unread))
+        value = data.draw({
+            "model": st.just(model_dict([{"t_from": 0.0, "rho": 0.5,
+                                          "mu": 0.0, "sigma": 0.0}])),
+            "n_paths": st.integers(3, 10**6),
+            "x": st.floats(-1e3, 1e3).filter(bool),
+            "d": st.floats(-1e3, 1e3).filter(bool),
+            "nu": st.floats(-5.0, 5.0)}[name])
+        self.refused(regime_config(tag, out_dir, **{name: value}),
+                     f"does not read {name}")
+
+
+class TestUnreadFields:
+    @pytest.mark.parametrize("tag, extra", [
+        ("figure_jump", {"model": {"T": 99, "pieces": "junk"}, "x": 7.0,
+                         "nu": 3.0}),
+        ("ow_value", {"n_paths": 500}),
+        ("ow_value", {"nu": 2.0}),
+        ("naive_brownian", {"x": 1.0}),
+        ("naive_brownian", {"d": 0.5})])
+    def test_refused(self, tmp_path, tag, extra):
+        with pytest.raises(ValueError, match="does not read"):
+            run(regime_config(tag, tmp_path, **extra))
+        assert not (tmp_path / f"{tag}_summary.json").exists()
+
+    def test_figure_runs_with_every_field_unset(self, tmp_path):
+        summary = run(regime_config("figure_jump", tmp_path, n_steps=500))
+        assert summary["pass"] is True
+        assert (tmp_path / "figure_jump.csv").exists()
 
 
 class TestVerificationBattery:

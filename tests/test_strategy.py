@@ -1,15 +1,18 @@
 """Optimal plans, counterexample strategies and consistency checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from execlab import (JumpExample, NegResExample, TimeGrid, constant_model,
-                     counterexample_brownian, counterexample_gbm,
-                     deviation_path, dynamic_consistency_check,
-                     example_beta_path, immediate_close,
-                     initial_block_classification, jump_example_model,
+from execlab import (JumpExample, NegResExample, StepTerms, TimeGrid,
+                     constant_model, counterexample_brownian,
+                     counterexample_gbm, deviation_path,
+                     dynamic_consistency_check, example_beta_path,
+                     immediate_close, initial_block_classification,
+                     jump_example_model, naive_deviation_path,
                      negres_example_model, ode_residual, optimal_plan,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, solve_y_lambert, solve_y_ode,
@@ -251,6 +254,124 @@ class TestCounterexamples:
         expected = 3.0 * np.exp(np.concatenate(([0.0], np.cumsum(log_incr))))
         assert np.allclose(s.values[:-1], expected[:-1], rtol=1e-14)
         assert s.values[-1] == 0.0
+
+
+def plan_arrays(plan):
+    """Every array of a plan, its lazy deviation included."""
+    return (plan.q_increments, plan.q_quadratic, plan.exp_q,
+            plan.x_star.values, plan.x_star.block_mask(), plan.beta,
+            plan.beta_pre, plan.scale, plan.d_star.values,
+            plan.d_star.pre_trade, plan.d_star.impact_state,
+            plan.value_solution.y, plan.value_solution.beta_left)
+
+
+def assert_same_plan(a, b):
+    assert a.grid == b.grid
+    for u, v in zip(plan_arrays(a), plan_arrays(b), strict=True):
+        assert np.array_equal(u, v)
+
+
+class TestHoistedTerms:
+    """Arrays shared across paths and plans give the fresh results bit for bit."""
+
+    @pytest.fixture(params=["lambert", "jump"])
+    def setting(self, request):
+        """Model, value-solution factory, grid and a replanning time."""
+        if request.param == "lambert":
+            model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
+            grid = TimeGrid(0.0, 10.0, 300)
+            return (model, lambda: solve_y_lambert(0.5, 0.8, 10.0, grid),
+                    grid, 10.0 / 3.0)
+        model = jump_example_model(0.3, 4.0, 5.0)
+        grid = TimeGrid(0.0, 5.0, 300)
+        return model, lambda: solve_y_deterministic(model, grid), grid, 2.0
+
+    def test_replan_on_a_used_value_solution(self, setting):
+        model, solve, grid, u = setting
+        market = simulate_path(model, grid, 3, range(4))
+        vs = solve()
+        plan = optimal_plan(model, vs, market, 0.0, 100.0, 0.5)
+        k = grid.index_of(u)
+        x_u = plan.scale[:, None] * plan.exp_q[:, k:k + 1] \
+            * (1.0 - plan.beta_pre[k])
+        d_u = plan.d_star.pre_trade[:, k:k + 1]
+        # the replan starts from one state per path: take path 1's
+        x_u, d_u = float(x_u[1, 0]), float(d_u[1, 0])
+        replan = optimal_plan(model, vs, market, u, x_u, d_u)
+        assert_same_plan(replan, optimal_plan(model, solve(), market, u,
+                                              x_u, d_u))
+        # and the solution still plans from the start as a fresh one does
+        assert_same_plan(optimal_plan(model, vs, market, 0.0, 100.0, 0.5),
+                         optimal_plan(model, solve(), market, 0.0, 100.0,
+                                      0.5))
+        one = simulate_path(model, grid, 3, 1)
+        assert dynamic_consistency_check(
+            optimal_plan(model, vs, one, 0.0, 100.0, 0.5), u) == \
+            dynamic_consistency_check(
+                optimal_plan(model, solve(), one, 0.0, 100.0, 0.5), u)
+
+    def test_other_models_terms_are_not_used(self, setting):
+        model, solve, grid, _ = setting
+        other = constant_model(grid.T, 1.0, 0.9, mu=0.1, sigma=0.3)
+        other_vs = lambda: solve_y_ode(other, grid)  # noqa: E731
+        carried = StepTerms(model, grid).simulate(3, range(4))
+        fresh = simulate_path(model, grid, 3, range(4))
+        assert carried.terms is not None and fresh.terms is None
+        assert np.array_equal(carried.gamma, fresh.gamma)
+        for m, solve_m in ((other, other_vs), (model, solve)):
+            plan = optimal_plan(m, solve_m(), carried, 0.0, 100.0, 0.5)
+            ref = optimal_plan(m, solve_m(), fresh, 0.0, 100.0, 0.5)
+            assert_same_plan(plan, ref)
+            for dev in (deviation_path, naive_deviation_path):
+                a = dev(m, carried, plan.x_star, 0.5)
+                b = dev(m, fresh, ref.x_star, 0.5)
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.pre_trade, b.pre_trade)
+
+    def test_value_solution_is_freed_without_the_collector(self, setting):
+        model, solve, grid, u = setting
+        market = simulate_path(model, grid, 3, 0)
+        gc.disable()
+        try:
+            vs = solve()
+            ref = weakref.ref(vs)
+            plan = optimal_plan(model, vs, market, 0.0, 100.0, 0.5)
+            dynamic_consistency_check(plan, u)
+            del plan, vs
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_lazy_deviation_equals_the_eager_arrays(self, setting):
+        model, solve, grid, _ = setting
+        market = simulate_path(model, grid, 3, range(4))
+        plan = optimal_plan(model, solve(), market, 0.0, 100.0, 0.5)
+        assert "d_star" not in vars(plan)
+        # the arrays optimal_plan built before d_star became lazy
+        scale = plan.scale[:, None]
+        gamma = market.gamma
+        values = scale * plan.exp_q * (-gamma * plan.beta)
+        values[:, -1] = plan.scale * plan.exp_q[:, -1] * (-gamma[:, -1])
+        pre = scale * plan.exp_q * (-gamma * plan.beta_pre)
+        pre[:, 0] = 0.5
+        d_star = plan.d_star
+        assert d_star is plan.d_star and d_star.d_pre == 0.5
+        assert np.array_equal(d_star.values, values)
+        assert np.array_equal(d_star.pre_trade, pre)
+        assert np.array_equal(d_star.impact_state,
+                              plan.x_star.values - market.alpha * values)
+
+    def test_shared_arrays_are_read_only(self, setting):
+        model, solve, grid, _ = setting
+        vs = solve()
+        a = optimal_plan(model, vs, simulate_path(model, grid, 3, 0), 0.0,
+                         100.0, 0.5)
+        b = optimal_plan(model, vs, simulate_path(model, grid, 3, 1), 0.0,
+                         100.0, 0.5)
+        assert a.q_quadratic is b.q_quadratic
+        for arr in (a.beta, a.beta_pre, a.q_quadratic, a.x_star.is_block):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestDynamicConsistency:
