@@ -14,7 +14,7 @@ cli          : experiment runner, figure data, selftest
 from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
                    discrete_value_recursion, driver, lambert_w0,
                    ode_residual, solve_y_deterministic, solve_y_lambert,
-                   solve_y_ode, solve_y_ow)
+                   solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, iter_market_paths,
@@ -27,10 +27,10 @@ from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
 from .deviation import (AdmissibilityReport, DeviationPath, GridMismatch,
                         Strategy, admissibility_diagnostics, deviation_path,
                         naive_deviation_path)
-from .strategy import (JumpExample, NegResExample, OptimalPlan,
-                       counterexample_brownian, counterexample_gbm,
-                       dynamic_consistency_check, example_beta_path,
-                       immediate_close, initial_block_classification,
-                       jump_example_model, negres_example_model, optimal_plan)
+from .strategy import (JumpExample, OptimalPlan, counterexample_brownian,
+                       counterexample_gbm, dynamic_consistency_check,
+                       example_beta_path, immediate_close,
+                       initial_block_classification, jump_example_model,
+                       optimal_plan)
 
 __version__ = "0.1.0"

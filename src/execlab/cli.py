@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
-                   solve_y_lambert, solve_y_ode, solve_y_ow)
+                   solve_y_lambert, solve_y_ode)
 from .coefficients import (CoefficientModel, StepTerms, TimeGrid,
                            constant_model, model_from_config, simulate_path)
 from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
@@ -25,11 +25,9 @@ from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
                    pathwise_cost_naive, quadratic_representation_rhs,
                    value_function)
 from .deviation import deviation_path
-from .strategy import (JumpExample, NegResExample, OptimalPlan,
-                       counterexample_brownian, counterexample_gbm,
-                       dynamic_consistency_check, example_beta_path,
-                       immediate_close, jump_example_model,
-                       negres_example_model, optimal_plan)
+from .strategy import (OptimalPlan, counterexample_brownian,
+                       counterexample_gbm, dynamic_consistency_check,
+                       immediate_close, jump_example_model, optimal_plan)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "EXEC_LAB_OUT"
@@ -92,13 +90,13 @@ def _plan_cost_convergence(model: CoefficientModel, x: float, d: float,
     trades, so the grid cost must not charge the quadratic term on the O(h)
     sampled increments; that reading converges to the value at first order.
     """
-    rho = model.rho.values[0]
-    v = value_function(1.0 / (2.0 + model.T * rho), model.gamma0, x, d).v
+    v = value_function(1.0 / (2.0 + model.T * model.rho.values[0]),
+                       model.gamma0, x, d).v
     costs = []
     for n in steps:
         grid = TimeGrid(0.0, model.T, n)
         market = simulate_path(model, grid, seed, 0)
-        plan = optimal_plan(model, solve_y_ow(rho, model.T, grid), market,
+        plan = optimal_plan(model, solve_y_deterministic(model, grid), market,
                             0.0, x, d)
         dev = deviation_path(model, market, plan.x_star, d)
         costs.append(pathwise_cost_naive(plan.x_star, dev, market))
@@ -233,16 +231,13 @@ def run(cfg: ExperimentConfig) -> dict:
 
 # --- figure data -----------------------------------------------------------
 
-FIGURE_PARAMS = {
+FIGURE_PARAMS = {   # model, start position x, start deviation d
     # stochastic-impact plan on one seeded path
-    "lambertw": {"T": 10.0, "x": 100.0, "d": 0.0, "gamma0": 1.0,
-                 "rho": 0.5, "sigma": 0.8},
-    # drift switches on at t0: interior block trade
-    "jump": {"T": 5.0, "x": 100.0, "d": 0.0, "gamma0": 1.0,
-             "rho": 0.3, "t0": 4.0},
+    "lambertw": (constant_model(10.0, 1.0, 0.5, sigma=0.8), 100.0, 0.0),
+    # drift switches on at t0 = 4: interior block trade
+    "jump": (jump_example_model(0.3, 4.0, 5.0), 100.0, 0.0),
     # negative resilience: self-exciting impact, overshooting initial block
-    "negres": {"T": 5.0, "x": 100.0, "d": 0.0, "gamma0": 1.0,
-               "rho": -0.1, "mu": 0.5},
+    "negres": (constant_model(5.0, 1.0, -0.1, mu=0.5), 100.0, 0.0),
 }
 
 
@@ -251,21 +246,15 @@ def figure_plan(name: str, seed: int = 0, n_steps: int = 2000) -> OptimalPlan:
     if name not in FIGURE_PARAMS:
         raise ValueError(f"unknown figure {name!r}; known: "
                          f"{sorted(FIGURE_PARAMS)}")
-    p = FIGURE_PARAMS[name]
-    grid = TimeGrid(0.0, p["T"], n_steps)
-    if name == "lambertw":
-        model = constant_model(p["T"], p["gamma0"], p["rho"], 0.0, p["sigma"])
-        vs = solve_y_lambert(p["rho"], p["sigma"], p["T"], grid)
-    elif name == "jump":
-        if (n_steps * p["t0"]) % p["T"] != 0.0:
-            raise ValueError("n_steps must place t0 on the grid")
-        model = jump_example_model(p["rho"], p["t0"], p["T"], p["gamma0"])
-        vs = example_beta_path(JumpExample(p["rho"], p["t0"]), p["T"], grid)
+    model, x, d = FIGURE_PARAMS[name]
+    grid = TimeGrid(0.0, model.T, n_steps)
+    if model.is_deterministic_impact():
+        vs = solve_y_deterministic(model, grid)
     else:
-        model = negres_example_model(p["rho"], p["mu"], p["T"], p["gamma0"])
-        vs = example_beta_path(NegResExample(p["rho"], p["mu"]), p["T"], grid)
+        vs = solve_y_lambert(model.rho.values[0], model.sigma.values[0],
+                             model.T, grid)
     market = simulate_path(model, grid, seed, 0)
-    return optimal_plan(model, vs, market, 0.0, p["x"], p["d"])
+    return optimal_plan(model, vs, market, 0.0, x, d)
 
 
 def reproduce_figure(name: str, out_dir=None, seed: int = 0,
@@ -402,7 +391,7 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     market = simulate_path(model, grid, SELFTEST_SEED, 0)
     hold = immediate_close(grid, 1.0, 1.0, 0.0)
     dev = deviation_path(model, market, hold)
-    vs = solve_y_ow(0.5, 1.0, grid)
+    vs = solve_y_deterministic(model, grid)
     det_gap = abs(pathwise_cost(hold, dev, market) - quadratic_representation_rhs(
         model, vs, market, hold, dev, 1.0, 0.0))
 
@@ -432,14 +421,12 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
     is flat between block trades; replanning midway reproduces the plan.
     """
     g10, g5 = TimeGrid(0.0, 10.0, 4000), TimeGrid(0.0, 5.0, 4000)
-    cases = (   # model, value solution, grid, deterministic impact
-        (constant_model(10.0, 1.0, 0.5), solve_y_ow(0.5, 10.0, g10), g10,
-         True),
-        (jump_example_model(0.3, 4.0, 5.0),
-         example_beta_path(JumpExample(0.3, 4.0), 5.0, g5), g5, True),
-        (negres_example_model(-0.1, 0.5, 5.0),
-         example_beta_path(NegResExample(-0.1, 0.5), 5.0, g5), g5, True),
-        (SHOWCASE, solve_y_lambert(0.5, 0.8, 10.0, g10), g10, False))
+    # model, value solution, grid, deterministic impact
+    cases = [(model, solve_y_deterministic(model, g), g, True)
+             for model, g in ((constant_model(10.0, 1.0, 0.5), g10),
+                              (jump_example_model(0.3, 4.0, 5.0), g5),
+                              (constant_model(5.0, 1.0, -0.1, mu=0.5), g5))]
+    cases.append((SHOWCASE, solve_y_lambert(0.5, 0.8, 10.0, g10), g10, False))
     rows = []
     for model, vs, g, deterministic in cases:
         market = simulate_path(model, g, SELFTEST_SEED, 0)

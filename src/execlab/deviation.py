@@ -9,6 +9,7 @@ because each trade is charged at the *current* impact level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +50,16 @@ class Strategy:
         if self.is_block is not None and np.shape(self.is_block) != (n_points,):
             raise GridMismatch("block flags must cover every grid point")
 
-    @property
+    @cached_property
     def trades(self) -> np.ndarray:
-        """Trade sizes xi_k = X_k - X_{k-1}, with X_{-1} = x_pre."""
-        return np.diff(self.values, prepend=self.x_pre)
+        """Trade sizes xi_k = X_k - X_{k-1}, with X_{-1} = x_pre.
+
+        Computed on first access and kept read-only: the deviation and the
+        cost of a strategy both read it.
+        """
+        xi = np.diff(self.values, prepend=self.x_pre)
+        xi.flags.writeable = False
+        return xi
 
     def block_mask(self) -> np.ndarray:
         if self.is_block is None:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import ValueSolution
+from .bsde import ValueSolution, _require_horizon
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _cumsum0,
                            stochastic_exponential)
 from .deviation import DeviationPath, GridMismatch, Strategy
@@ -170,7 +170,6 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
         value_solution = ValueSolution(
             grid=grid, y=value_solution.y[k0:], z=value_solution.z[k0:],
             beta_tilde=value_solution.beta_tilde[k0:],
-            source=value_solution.source,
             beta_pre=None if value_solution.beta_pre is None
             else value_solution.beta_pre[k0:])
     return OptimalPlan(grid=grid, q_increments=q_inc,
@@ -233,53 +232,37 @@ class JumpExample:
     t0: float
 
 
-@dataclass(frozen=True)
-class NegResExample:
-    """Constant negative resilience offset by a positive drift."""
+def example_beta_path(example: JumpExample, T: float,
+                      grid: TimeGrid) -> ValueSolution:
+    """Closed-form value factor and feedback ratio of the drift-jump example.
 
-    rho: float
-    mu: float
-
-
-def example_beta_path(example, T: float, grid: TimeGrid) -> ValueSolution:
-    """Closed-form value factor and feedback ratio for the two showcase regimes.
-
-    JumpExample: y follows the constant-resilience hyperbola before t0 and
-    the drifted branch after; the ratio jumps at t0 by y(t0)/(2 rho + 1).
-    NegResExample: y(s) = mu (2 rho + mu) / 2 / ((rho+mu)^2 - rho^2 e^{mu(s-T)})
-    and the ratio is (1, inf)-valued.
+    y follows the drifted branch after t0 and the constant-resilience
+    hyperbola before it; the ratio jumps at t0 by y(t0)/(2 rho + 1).
+    :func:`execlab.bsde.solve_y_deterministic` solves this model too.  This
+    closed form stays as an oracle that shares no code with it: the
+    benchmark's ``value_solvers`` workload holds the two against each other.
     """
+    if not isinstance(example, JumpExample):
+        raise TypeError(f"unknown example spec: {example!r}")
+    rho, t0 = example.rho, example.t0
+    if not (0.0 < t0 < T) or rho <= 0.0:
+        raise ValueError("requires 0 < t0 < T and rho > 0")
+    _require_horizon(grid, T)
+    grid.index_of(t0)   # the interior block trade needs t0 on the grid
     s = grid.times
-    if isinstance(example, JumpExample):
-        rho, t0 = example.rho, example.t0
-        if not (0.0 < t0 < T) or rho <= 0.0:
-            raise ValueError("requires 0 < t0 < T and rho > 0")
-        upper = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
-                                     - 2.0 * rho**2 * np.exp(s - T))
-        y_t0 = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
-                                    - 2.0 * rho**2 * math.exp(t0 - T))
-        lower = 1.0 / (1.0 / y_t0 + (t0 - s) * rho)
-        after = s >= t0 - 1e-12 * max(1.0, T)
-        y = np.where(after, upper, lower)
-        y[-1] = 0.5
-        beta = np.where(after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
-        strictly_after = s > t0 + 1e-12 * max(1.0, T)
-        beta_pre = np.where(strictly_after,
-                            y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
-        return ValueSolution(grid=grid, y=y, z=np.zeros_like(y),
-                             beta_tilde=beta, source="PiecewiseJump",
-                             beta_pre=beta_pre)
-    if isinstance(example, NegResExample):
-        rho, mu = example.rho, example.mu
-        if rho >= 0.0 or 2.0 * rho + mu <= 0.0:
-            raise ValueError("requires rho < 0 and 2 rho + mu > 0")
-        denom = (rho + mu) ** 2 - rho**2 * np.exp(mu * (s - T))
-        y = 0.5 * mu * (2.0 * rho + mu) / denom
-        y[-1] = 0.5
-        beta = mu * (rho + mu) / denom
-        return ValueSolution(grid=grid, y=y, z=np.zeros_like(y),
-                             beta_tilde=beta, source="NegativeResilience")
-    raise TypeError(f"unknown example spec: {example!r}")
+    upper = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
+                                 - 2.0 * rho**2 * np.exp(s - T))
+    y_t0 = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
+                                - 2.0 * rho**2 * math.exp(t0 - T))
+    lower = 1.0 / (1.0 / y_t0 + (t0 - s) * rho)
+    after = s >= t0 - 1e-12 * max(1.0, T)
+    y = np.where(after, upper, lower)
+    y[-1] = 0.5
+    beta = np.where(after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
+    strictly_after = s > t0 + 1e-12 * max(1.0, T)
+    beta_pre = np.where(strictly_after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
+    return ValueSolution(grid=grid, y=y, z=np.zeros_like(y), beta_tilde=beta,
+                         beta_pre=beta_pre)
 
 
 def jump_example_model(rho: float, t0: float, T: float,
@@ -290,13 +273,6 @@ def jump_example_model(rho: float, t0: float, T: float,
         {"t_from": 0.0, "rho": rho, "mu": 0.0, "sigma": 0.0},
         {"t_from": t0, "rho": rho, "mu": 1.0, "sigma": 0.0},
     ])
-
-
-def negres_example_model(rho: float, mu: float, T: float,
-                         gamma0: float = 1.0) -> CoefficientModel:
-    """Deterministic model with negative resilience and positive drift."""
-    from .coefficients import constant_model
-    return constant_model(T, gamma0, rho, mu=mu, sigma=0.0)
 
 
 def initial_block_classification(x: float, d: float, gamma0: float,

@@ -10,9 +10,21 @@ from hypothesis import strategies as st
 from execlab import (TimeGrid, beta_tilde_at, build_model, constant_model,
                      discrete_value_recursion, driver, lambert_w0,
                      ode_residual, solve_y_deterministic, solve_y_lambert,
-                     solve_y_ode, solve_y_ow)
+                     solve_y_ode)
 from execlab import bsde
 from execlab.bsde import discrete_value_recursion_raw
+
+
+def ow_hyperbola(rho, T, s):
+    """Oracle for constant resilience without drift: y = 1 / (2 + (T - s) rho)."""
+    return 1.0 / (2.0 + (T - s) * rho)
+
+
+def negres_closed_form(rho, mu, T, s):
+    """Oracle for constant rho < 0 offset by a drift mu > -2 rho: y and the
+    ratio, y = mu (2 rho + mu) / 2 / ((rho+mu)^2 - rho^2 e^{mu (s-T)})."""
+    denom = (rho + mu) ** 2 - rho**2 * np.exp(mu * (s - T))
+    return 0.5 * mu * (2.0 * rho + mu) / denom, mu * (rho + mu) / denom
 
 
 def bisect_w(z, lo=-1.0, hi=700.0):
@@ -73,20 +85,19 @@ class TestLambertW:
 class TestConstantResilienceClosedForm:
     def test_terminal_value_and_reference_point(self):
         grid = TimeGrid(0.0, 10.0, 100)
-        vs = solve_y_ow(0.5, 10.0, grid)
+        vs = solve_y_deterministic(constant_model(10.0, 1.0, 0.5), grid)
         assert vs.y[-1] == 0.5
         assert vs.y[0] == pytest.approx(1.0 / 7.0, rel=1e-15)
         assert np.array_equal(vs.beta_tilde, vs.y)
+        # the exact solver reproduces the hyperbola bit for bit
+        assert np.array_equal(vs.y[:-1],
+                              ow_hyperbola(0.5, 10.0, grid.times[:-1]))
 
     def test_monotone_and_bounded(self):
         grid = TimeGrid(0.0, 3.0, 60)
-        vs = solve_y_ow(1.2, 3.0, grid)
+        vs = solve_y_deterministic(constant_model(3.0, 1.0, 1.2), grid)
         assert np.all(np.diff(vs.y) > 0.0)
         assert np.all((vs.y > 0.0) & (vs.y <= 0.5))
-
-    def test_requires_positive_resilience(self):
-        with pytest.raises(ValueError):
-            solve_y_ow(0.0, 1.0, TimeGrid(0.0, 1.0, 10))
 
 
 class TestLambertClosedForm:
@@ -122,9 +133,18 @@ class TestDeterministicSolver:
         model = constant_model(4.0, 1.0, 0.7)
         grid = TimeGrid(0.0, 4.0, 400)
         a = solve_y_deterministic(model, grid)
-        b = solve_y_ow(0.7, 4.0, grid)
-        assert np.max(np.abs(a.y - b.y)) <= 1e-12
-        assert np.max(np.abs(a.beta_tilde - b.beta_tilde)) <= 1e-12
+        y = ow_hyperbola(0.7, 4.0, grid.times)
+        assert np.max(np.abs(a.y - y)) <= 1e-12
+        assert np.max(np.abs(a.beta_tilde - y)) <= 1e-12
+
+    def test_negative_resilience_closed_form(self):
+        grid = TimeGrid(0.0, 5.0, 1000)
+        vs = solve_y_deterministic(constant_model(5.0, 1.0, -0.1, mu=0.5),
+                                   grid)
+        y, beta = negres_closed_form(-0.1, 0.5, 5.0, grid.times)
+        assert vs.y[-1] == 0.5
+        assert np.max(np.abs(vs.y - y)) <= 1e-12
+        assert np.max(np.abs(vs.beta_tilde - beta)) <= 1e-12
 
     def test_drift_jump_two_branch_closed_form(self):
         rho, t0, T = 0.3, 4.0, 5.0
@@ -156,15 +176,82 @@ class TestDeterministicSolver:
         assert gaps[k] > 0.0
         assert np.all(gaps[np.arange(len(gaps)) != k] == 0.0)
 
-    def test_rejects_stochastic_or_varying_resilience(self):
+    def test_rejects_stochastic_impact(self):
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             solve_y_deterministic(constant_model(1.0, 1.0, 0.5, sigma=0.3), grid)
-        with pytest.raises(ValueError):
-            solve_y_deterministic(build_model(1.0, 1.0, [
-                {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0},
-                {"t_from": 0.5, "rho": 0.7, "mu": 0.0, "sigma": 0.0},
-            ]), grid)
+
+    def test_varying_resilience(self):
+        model = build_model(1.0, 1.0, [
+            {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0},
+            {"t_from": 0.5, "rho": 0.7, "mu": 0.0, "sigma": 0.0},
+        ])
+        grid = TimeGrid(0.0, 1.0, 10)
+        vs = solve_y_deterministic(model, grid)
+        # mu = 0: 1/y - 2 grows linearly at rate rho, piece by piece
+        assert np.allclose(1.0 / vs.y - 2.0,
+                           0.7 * np.minimum(1.0 - grid.times, 0.5)
+                           + 0.5 * np.maximum(0.5 - grid.times, 0.0),
+                           rtol=1e-14, atol=1e-15)
+        assert np.array_equal(vs.beta_tilde, vs.y)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_rk4_on_random_models(self, data):
+        # 1-4 pieces at integer breaks; each piece is drawn with rho < 0,
+        # rho = 0, mu = 0 or both free, always with 2 rho + mu >= 0.2
+        T = data.draw(st.integers(2, 5), label="T")
+        starts = [0] + data.draw(st.lists(st.integers(1, T - 1), unique=True,
+                                          max_size=min(3, T - 1)),
+                                 label="breaks")
+        pieces = []
+        for t in sorted(starts):
+            kind = data.draw(st.sampled_from(["rho<0", "rho=0", "mu=0",
+                                              "free"]))
+            if kind == "rho<0":
+                rho = data.draw(st.floats(-0.8, -0.01))
+            elif kind == "rho=0":
+                rho = 0.0
+            else:
+                rho = data.draw(st.floats(0.1, 1.5))
+            mu = 0.0 if kind == "mu=0" else data.draw(
+                st.floats(max(-1.0, 0.2 - 2.0 * rho), 2.0))
+            pieces.append({"t_from": float(t), "rho": rho, "mu": mu,
+                           "sigma": 0.0})
+        model = build_model(float(T), 1.0, pieces)
+        grid = TimeGrid(0.0, float(T), 200 * T)
+        vs = solve_y_deterministic(model, grid)
+        ref = solve_y_ode(model, grid)
+        assert np.max(np.abs(vs.y - ref.y)) <= 1e-8
+        assert vs.y[-1] == 0.5
+        assert np.max(vs.y) <= 0.5
+        if all(p["rho"] == 0.0 for p in pieces):
+            assert np.all(vs.y == 0.5) and np.all(vs.beta_tilde == 1.0)
+            assert np.all(vs.beta_left == 1.0)
+
+    def test_zero_resilience_is_exactly_half(self):
+        model = build_model(3.0, 1.0, [
+            {"t_from": 0.0, "rho": 0.0, "mu": 0.4, "sigma": 0.0},
+            {"t_from": 1.0, "rho": 0.0, "mu": 1.5, "sigma": 0.0},
+        ])
+        vs = solve_y_deterministic(model, TimeGrid(0.0, 3.0, 30))
+        assert np.all(vs.y == 0.5)
+        assert np.all(vs.beta_tilde == 1.0) and np.all(vs.beta_left == 1.0)
+
+
+SHORT_GRID = TimeGrid(0.0, 5.0, 100)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_y_lambert(0.5, 0.8, 10.0, SHORT_GRID),
+    lambda: solve_y_deterministic(constant_model(10.0, 1.0, 0.5), SHORT_GRID),
+    lambda: solve_y_ode(constant_model(10.0, 1.0, 0.5), SHORT_GRID),
+], ids=["lambert", "deterministic", "ode"])
+def test_grid_must_end_at_the_horizon(solve):
+    # y(T) = 1/2 pins the solution; a grid ending at 5 < T = 10 once gave a
+    # Lambert-W y that jumped to 1/2 in its last step
+    with pytest.raises(ValueError, match="horizon"):
+        solve()
 
 
 class TestRk4Solver:
@@ -179,8 +266,7 @@ class TestRk4Solver:
         model = constant_model(1.0, 1.0, 0.5)
         grid = TimeGrid(0.0, 1.0, 10000)
         vs = solve_y_ode(model, grid)
-        ref = solve_y_ow(0.5, 1.0, grid)
-        assert np.max(np.abs(vs.y - ref.y)) <= 1e-8
+        assert np.max(np.abs(vs.y - ow_hyperbola(0.5, 1.0, grid.times))) <= 1e-8
 
     def test_negative_resilience_regime(self):
         model = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -190,7 +276,64 @@ class TestRk4Solver:
         assert ode_residual(vs, model) <= 1e-5
 
 
+def pointwise_driver_and_ratio(model, t, y, z):
+    """Reference: the generator and the ratio at one point, in floats."""
+    rho, mu, sig = model.rho(t), model.mu(t), model.sigma(t)
+    denom = sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
+    num = (rho + mu) * y + sig * z
+    return -num * num / denom + mu * y + sig * z, num / denom
+
+
+def pointwise_residual(solution, model):
+    """Reference: ode_residual as a loop over the interior grid points."""
+    grid, y = solution.grid, solution.y
+    skip = set()
+    for b in model.breakpoints:
+        k = grid.index_of(b)
+        skip.update({k - 1, k, k + 1})
+    res = 0.0
+    for k in range(1, grid.n_steps):
+        if k not in skip:
+            dy = (y[k + 1] - y[k - 1]) / (2.0 * grid.h)
+            f, _ = pointwise_driver_and_ratio(model, grid.times[k], y[k], 0.0)
+            res = max(res, abs(dy + f))
+    return res
+
+
+THREE_PIECES = build_model(3.0, 1.0, [
+    {"t_from": 0.0, "rho": 0.6, "mu": -0.1, "sigma": 0.3},
+    {"t_from": 1.0, "rho": 0.4, "mu": 0.2, "sigma": 0.5},
+    {"t_from": 2.0, "rho": 0.8, "mu": 0.0, "sigma": 0.2},
+])
+
+
 class TestDriverAndRatio:
+    def test_elementwise_equals_pointwise(self):
+        grid = TimeGrid(0.0, 3.0, 300)
+        rng = np.random.default_rng(0)
+        y, z = rng.uniform(0.0, 0.5, 301), rng.normal(size=301)
+        f = driver(THREE_PIECES, grid.times, y, z)
+        beta = beta_tilde_at(THREE_PIECES, grid.times, y, z)
+        for k, t in enumerate(grid.times):
+            assert (f[k], beta[k]) == pointwise_driver_and_ratio(
+                THREE_PIECES, t, y[k], z[k])
+
+    def test_residual_and_ratio_equal_the_pointwise_loops(self):
+        grid = TimeGrid(0.0, 3.0, 600)
+        vs = solve_y_ode(THREE_PIECES, grid)
+        assert ode_residual(vs, THREE_PIECES) == pointwise_residual(
+            vs, THREE_PIECES)
+        # a rough y puts the largest residual anywhere, also next to a break
+        for seed in range(20):
+            y = np.random.default_rng(seed).uniform(0.0, 0.5, 301)
+            rough = bsde.ValueSolution(grid=TimeGrid(0.0, 3.0, 300), y=y,
+                                       z=np.zeros(301), beta_tilde=y)
+            assert ode_residual(rough, THREE_PIECES) == pointwise_residual(
+                rough, THREE_PIECES)
+        assert list(vs.beta_tilde) == [
+            pointwise_driver_and_ratio(THREE_PIECES, t, y, 0.0)[1]
+            for t, y in zip(grid.times, vs.y)]
+
     def test_constant_resilience_driver(self):
         model = constant_model(1.0, 1.0, 0.5)
         for y in (0.1, 0.3, 0.5):
@@ -214,6 +357,10 @@ class TestDriverAndRatio:
             driver(model, 0.0, -3.0, 0.0)
         with pytest.raises(ValueError):
             beta_tilde_at(model, 0.0, -3.0, 0.0)
+        # one degenerate point among many is enough
+        with pytest.raises(ValueError, match="t=0.5"):
+            driver(model, np.array([0.0, 0.5, 1.0]),
+                   np.array([0.1, -3.0, 0.2]), 0.0)
 
 
 class TestDiscreteRecursion:

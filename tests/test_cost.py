@@ -13,7 +13,7 @@ from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      deviation_path, estimate_cost, immediate_close,
                      naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
-                     simulate_path, solve_y_lambert, solve_y_ow,
+                     simulate_path, solve_y_deterministic, solve_y_lambert,
                      value_function)
 from execlab import coefficients
 from execlab.cost import CHUNK_ELEMENTS
@@ -110,7 +110,7 @@ class TestEstimateCost:
                             lambda m: immediate_close(grid, 0.0, x, d))
         # the deterministic-impact value factor upper-bounds the true one,
         # so its value quote still lower-bounds any suboptimal strategy cost
-        vs = solve_y_ow(0.5, 1.0, grid)
+        vs = solve_y_deterministic(constant_model(1.0, 1.0, 0.5), grid)
         v = value_function(vs.y[0], 1.0, x, d).v
         assert v <= est.mean + 3.0 * est.std_error
 
@@ -229,7 +229,7 @@ class TestQuadraticRepresentation:
         model = constant_model(T, 1.0, rho)
         grid = TimeGrid(0.0, T, 200)
         market = simulate_path(model, grid, 0, 0)
-        vs = solve_y_ow(rho, T, grid)
+        vs = solve_y_deterministic(model, grid)
         x, d = 2.0, 0.3
         plan = optimal_plan(model, vs, market, 0.0, x, d)
         rhs = quadratic_representation_rhs(model, vs, market, plan.x_star,
@@ -241,7 +241,7 @@ class TestQuadraticRepresentation:
         model = constant_model(1.0, 1.0, 0.5)
         grid = TimeGrid(0.0, 1.0, 500)
         market = simulate_path(model, grid, 0, 0)
-        vs = solve_y_ow(0.5, 1.0, grid)
+        vs = solve_y_deterministic(model, grid)
         s = immediate_close(grid, 0.0, 1.0, 0.0)
         dev = deviation_path(model, market, s)
         rhs = quadratic_representation_rhs(model, vs, market, s, dev, 1.0, 0.0)

@@ -29,6 +29,15 @@ class TestStrategyType:
         s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]))
         assert np.allclose(s.trades, [-0.5, -0.5, -1.0])
 
+    def test_trades_are_computed_once_and_read_only(self):
+        g = TimeGrid(0.0, 1.0, 2)
+        s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]))
+        assert "trades" not in vars(s)
+        xi = s.trades
+        assert s.trades is xi
+        with pytest.raises(ValueError):
+            xi[0] = 0.0
+
     def test_rows_validated_and_blocks_stay_one_dimensional(self):
         g = TimeGrid(0.0, 1.0, 4)
         values = np.zeros((3, 5))

@@ -7,23 +7,25 @@ import weakref
 import numpy as np
 import pytest
 
-from execlab import (JumpExample, NegResExample, StepTerms, TimeGrid,
+from execlab import (JumpExample, ModelError, StepTerms, TimeGrid,
                      constant_model, counterexample_brownian,
                      counterexample_gbm, deviation_path,
                      dynamic_consistency_check, example_beta_path,
                      immediate_close, initial_block_classification,
-                     jump_example_model, naive_deviation_path,
-                     negres_example_model, ode_residual, optimal_plan,
-                     pathwise_cost, pathwise_cost_naive, simulate_path,
-                     solve_y_deterministic, solve_y_lambert, solve_y_ode,
-                     solve_y_ow)
+                     jump_example_model, naive_deviation_path, ode_residual,
+                     optimal_plan, pathwise_cost, pathwise_cost_naive,
+                     simulate_path, solve_y_deterministic, solve_y_lambert,
+                     solve_y_ode)
+
+# negative resilience offset by a positive drift
+NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
 
 
 def ow_plan(rho=0.5, T=10.0, n=1000, x=1.0, d=0.0, seed=0):
     model = constant_model(T, 1.0, rho)
     grid = TimeGrid(0.0, T, n)
     market = simulate_path(model, grid, seed, 0)
-    vs = solve_y_ow(rho, T, grid)
+    vs = solve_y_deterministic(model, grid)
     return optimal_plan(model, vs, market, 0.0, x, d), model, grid, market, vs
 
 
@@ -80,11 +82,10 @@ class TestPlanInvariants:
             vs = solve_y_deterministic(model, grid)
             return optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
         if request.param == "negres":
-            model = negres_example_model(-0.1, 0.5, 5.0)
             grid = TimeGrid(0.0, 5.0, 1000)
-            market = simulate_path(model, grid, 0, 0)
-            vs = example_beta_path(NegResExample(-0.1, 0.5), 5.0, grid)
-            return optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
+            market = simulate_path(NEGRES, grid, 0, 0)
+            vs = solve_y_deterministic(NEGRES, grid)
+            return optimal_plan(NEGRES, vs, market, 0.0, 100.0, 0.0)
         model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
         grid = TimeGrid(0.0, 10.0, 1000)
         market = simulate_path(model, grid, 5, 0)
@@ -188,14 +189,18 @@ class TestJumpExample:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             example_beta_path(JumpExample(0.3, 6.0), 5.0, self.grid)
-        with pytest.raises(ValueError):
-            example_beta_path(NegResExample(0.1, 0.5), 5.0, self.grid)
+        # a jump between grid points would silently drop the block trade
+        with pytest.raises(ModelError, match="not a grid point"):
+            example_beta_path(JumpExample(0.3, 4.0025), 5.0, self.grid)
+        with pytest.raises(ValueError, match="horizon"):
+            example_beta_path(JumpExample(0.3, 4.0), 5.0,
+                              TimeGrid(0.0, 6.0, 1200))
 
 
 class TestNegativeResilienceExample:
     def setup_method(self):
         self.grid = TimeGrid(0.0, 5.0, 1000)
-        self.vs = example_beta_path(NegResExample(-0.1, 0.5), 5.0, self.grid)
+        self.vs = solve_y_deterministic(NEGRES, self.grid)
 
     def test_ratio_exceeds_one_everywhere(self):
         assert np.all(self.vs.beta_tilde > 1.0)
@@ -203,14 +208,12 @@ class TestNegativeResilienceExample:
         assert self.vs.beta_tilde[0] == pytest.approx(0.2 / denom0, rel=1e-12)
 
     def test_solves_the_backward_equation(self):
-        model = negres_example_model(-0.1, 0.5, 5.0)
-        assert ode_residual(self.vs, model) <= 1e-4
+        assert ode_residual(self.vs, NEGRES) <= 1e-4
 
     def test_initial_block_overshoots_the_position(self):
-        model = negres_example_model(-0.1, 0.5, 5.0)
-        market = simulate_path(model, self.grid, 0, 0)
+        market = simulate_path(NEGRES, self.grid, 0, 0)
         x = 100.0
-        plan = optimal_plan(model, self.vs, market, 0.0, x, 0.0)
+        plan = optimal_plan(NEGRES, self.vs, market, 0.0, x, 0.0)
         x0 = plan.x_star.values[0]
         block = plan.x_star.trades[0]
         assert x0 < 0.0 < x            # the position flips sign
