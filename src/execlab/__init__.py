@@ -5,7 +5,8 @@ Submodules
 ----------
 coefficients : market model, impact-path simulation, stochastic exponentials
 deviation    : deviation dynamics and impact state for grid strategies
-cost         : pathwise/Monte-Carlo costs, value formula, closed forms
+cost         : pathwise/Monte-Carlo costs, admissibility diagnostics, value
+               formula, closed forms
 bsde         : value-factor solvers (closed forms, RK4, discrete recursion)
 strategy     : optimal plans, counterexample strategies, consistency checks
 cli          : experiment runner, figure data, selftest
@@ -17,15 +18,14 @@ from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
                    solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
-                           constant_model, iter_market_paths,
-                           model_from_config, simulate_market, simulate_path,
+                           constant_model, model_from_config, simulate_path,
                            stochastic_exponential)
-from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
+from .cost import (AdmissibilityReport, CostEstimate, ValueQuote,
+                   admissibility_diagnostics, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
                    value_function)
-from .deviation import (AdmissibilityReport, DeviationPath, GridMismatch,
-                        Strategy, admissibility_diagnostics, deviation_path,
+from .deviation import (DeviationPath, GridMismatch, Strategy, deviation_path,
                         naive_deviation_path)
 from .strategy import (JumpExample, OptimalPlan, counterexample_brownian,
                        counterexample_gbm, dynamic_consistency_check,

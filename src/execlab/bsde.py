@@ -217,7 +217,7 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     """
     _require_horizon(grid, model.T)
     grid.validate_model(model)
-    eps = model.condition_report().epsilon
+    eps = model.epsilon
     t = grid.times
     h = grid.h
     n = grid.n_steps
@@ -254,14 +254,14 @@ def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
     """Max |central-difference dY/dt + driver| over interior grid points.
 
     Points within one step of a coefficient breakpoint are excluded (the
-    derivative is one-sided there).
+    derivative is one-sided there); breakpoints before the grid start, as
+    on the tail solution of a replanned plan, do not touch the grid.
     """
     grid = solution.grid
     y = solution.y
     interior = np.ones(grid.n_steps + 1, dtype=bool)
     interior[[0, -1]] = False
-    for b in model.breakpoints:
-        k = grid.index_of(b)
+    for k in grid.validate_model(model):
         interior[max(k - 1, 0):k + 2] = False
     dy = (y[2:] - y[:-2]) / (2.0 * grid.h)
     res = np.abs(dy + driver(model, grid.times[1:-1], y[1:-1], 0.0))

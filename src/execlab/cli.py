@@ -18,9 +18,9 @@ import numpy as np
 
 from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
                    solve_y_lambert, solve_y_ode)
-from .coefficients import (CoefficientModel, StepTerms, TimeGrid,
-                           constant_model, model_from_config, simulate_path)
-from .cost import (closed_form_cost_gbm, closed_form_naive_brownian,
+from .coefficients import (CoefficientModel, TimeGrid, constant_model,
+                           model_from_config, simulate_path)
+from .cost import (chunk_runs, closed_form_cost_gbm, closed_form_naive_brownian,
                    estimate_cost, path_chunks, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
                    value_function)
@@ -399,10 +399,8 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
     hold = immediate_close(grid, 10.0, 1.0, 0.0)
     lhs, rhs = np.empty(n_paths), np.empty(n_paths)
-    terms = StepTerms(SHOWCASE, grid)
-    for ids in path_chunks(n_paths, grid):
-        m = terms.simulate(SELFTEST_SEED, ids)
-        dv = deviation_path(SHOWCASE, m, hold)
+    for ids, m, _, dv in chunk_runs(SHOWCASE, grid, n_paths, SELFTEST_SEED,
+                                    lambda _: hold):
         lhs[ids.start:ids.stop] = pathwise_cost(hold, dv, m)
         rhs[ids.start:ids.stop] = quadratic_representation_rhs(
             SHOWCASE, vs, m, hold, dv, 1.0, 0.0)

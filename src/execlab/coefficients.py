@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,14 +45,12 @@ class PiecewiseConstant:
     def constant(value: float) -> "PiecewiseConstant":
         return PiecewiseConstant((0.0,), (float(value),))
 
-    def piece_index(self, t: float) -> int:
-        # right-continuous: value on [breaks[i], breaks[i+1])
-        return int(np.searchsorted(self.breaks, t, side="right") - 1)
-
     def __call__(self, t: float) -> float:
         if len(self.values) == 1:  # constant: the solvers' per-step hot path
             return self.values[0]
-        return self.values[self.piece_index(t)]
+        # right-continuous: value on [breaks[i], breaks[i+1])
+        i = int(np.searchsorted(self.breaks, t, side="right") - 1)
+        return self.values[i]
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] (a <= b)."""
@@ -77,17 +75,6 @@ class PiecewiseConstant:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    """Whether the model satisfies the positivity condition, and its bounds."""
-
-    positive: bool          # 2*rho + mu - sigma^2 > 0 on every piece
-    epsilon: float          # attained min of 2*rho + mu - sigma^2
-    rho_bound: float
-    mu_bound: float
-    sigma_bound: float
-
-
-@dataclass(frozen=True)
 class CoefficientModel:
     """Exogenous market inputs: horizon, initial impact and resilience/drift/vol."""
 
@@ -102,7 +89,7 @@ class CoefficientModel:
             raise ModelError("horizon T must be finite and positive")
         if not (np.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ModelError("gamma0 must be finite and positive")
-        if self.condition_report().epsilon <= 0.0:
+        if self.epsilon <= 0.0:
             raise ModelError(
                 "model violates the positivity condition: "
                 "2*rho + mu - sigma^2 <= 0 on some piece"
@@ -113,17 +100,13 @@ class CoefficientModel:
         pts = sorted(set(self.rho.breaks) | set(self.mu.breaks) | set(self.sigma.breaks))
         return tuple(p for p in pts if 0.0 < p < self.T)
 
-    def condition_report(self) -> ConditionReport:
+    @property
+    def epsilon(self) -> float:
+        """Attained minimum of 2*rho + mu - sigma^2 over the pieces; the
+        positivity condition is epsilon > 0."""
         pts = [0.0] + list(self.breakpoints)
-        vals = [2.0 * self.rho(t) + self.mu(t) - self.sigma(t) ** 2 for t in pts]
-        eps = min(vals)
-        return ConditionReport(
-            positive=eps > 0.0,
-            epsilon=eps,
-            rho_bound=max(abs(v) for v in self.rho.values),
-            mu_bound=max(abs(v) for v in self.mu.values),
-            sigma_bound=max(abs(v) for v in self.sigma.values),
-        )
+        return min(2.0 * self.rho(t) + self.mu(t) - self.sigma(t) ** 2
+                   for t in pts)
 
     def is_deterministic_impact(self) -> bool:
         return all(v == 0.0 for v in self.sigma.values)
@@ -214,10 +197,11 @@ class TimeGrid:
             raise ModelError(f"time {t} is not a grid point")
         return int(k)
 
-    def validate_model(self, model: CoefficientModel) -> None:
-        for b in model.breakpoints:
-            if self.t0 <= b <= self.T:
-                self.index_of(b)
+    def validate_model(self, model: CoefficientModel) -> list[int]:
+        """Grid indices of the model's breakpoints in [t0, T]; each of them
+        must be a grid point.  Breakpoints outside the grid are skipped."""
+        return [self.index_of(b) for b in model.breakpoints
+                if self.t0 <= b <= self.T]
 
 
 @dataclass(frozen=True)
@@ -357,21 +341,6 @@ def _simulate(terms: StepTerms, master_seed: int, path_id: int | range,
     return MarketPath(grid=grid, w=dw, gamma=gamma, alpha=1.0 / gamma,
                       path_id=path_id, master_seed=master_seed,
                       terms=terms if keep_terms else None)
-
-
-def iter_market_paths(model: CoefficientModel, grid: TimeGrid, n_paths: int,
-                      master_seed: int) -> Iterator[MarketPath]:
-    """Lazily yield independent market paths (memory-friendly for large runs)."""
-    if n_paths < 1:
-        raise ModelError("n_paths must be >= 1")
-    for i in range(n_paths):
-        yield simulate_path(model, grid, master_seed, i)
-
-
-def simulate_market(model: CoefficientModel, grid: TimeGrid, n_paths: int,
-                    master_seed: int) -> list[MarketPath]:
-    """Simulate n_paths independent impact paths."""
-    return list(iter_market_paths(model, grid, n_paths, master_seed))
 
 
 def stochastic_exponential(q_increments: np.ndarray,

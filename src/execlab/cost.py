@@ -94,6 +94,36 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     return _per_path(linear + quadratic)
 
 
+def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
+               seed: int, strategy_factory: Callable[[MarketPath], Strategy],
+               d_pre: float = 0.0, naive_dynamics: bool = False
+               ) -> Iterator[tuple[range, MarketPath, Strategy, DeviationPath]]:
+    """The Monte Carlo chunk loop: ``(ids, market, strategy, deviation)``
+    for each chunk of :func:`path_chunks`.
+
+    Path i is always drawn from the stream ``(seed, i)``, so what a caller
+    computes per path does not depend on the chunking.  Every chunk's
+    market carries one shared :class:`StepTerms`, so the arrays that no
+    path changes are computed once per loop, not once per chunk.
+    ``strategy_factory`` follows the contract of :func:`estimate_cost`;
+    ``naive_dynamics`` selects :func:`naive_deviation_path`.
+    """
+    dev_fn = naive_deviation_path if naive_dynamics else deviation_path
+    terms = StepTerms(model, grid)
+    for ids in path_chunks(n_paths, grid):
+        market = terms.simulate(seed, ids)
+        strat = strategy_factory(market)
+        yield ids, market, strat, dev_fn(model, market, strat, d_pre)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of a 1-D sample."""
+    n = len(values)
+    mean = float(np.sum(values) / n)  # numpy pairwise sum: reproducible
+    var = float(np.sum((values - mean) ** 2) / (n - 1))
+    return mean, float(np.sqrt(var / n))
+
+
 def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
                   seed: int,
                   strategy_factory: Callable[[MarketPath], Strategy],
@@ -104,31 +134,67 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     ``naive`` switches the cost functional, ``naive_dynamics`` the deviation
     dynamics (no covariation term); both default to the corrected model.
 
-    Paths are simulated in chunks of at most ``CHUNK_ELEMENTS`` grid-point
-    values per array.  ``strategy_factory`` receives a :class:`MarketPath`
-    whose arrays carry a leading path axis, and must return a
-    :class:`Strategy` that broadcasts against it (1-D values are shared by
-    every path); its block flags stay 1-D.  Path i always uses the stream
-    ``(seed, i)``, so the costs do not depend on the chunking.  Every
-    chunk's market carries one shared :class:`StepTerms`, so the arrays that
-    no path changes are computed once per call, not once per chunk.
+    Paths are simulated by :func:`chunk_runs`, in chunks of at most
+    ``CHUNK_ELEMENTS`` grid-point values per array.  ``strategy_factory``
+    receives a :class:`MarketPath` whose arrays carry a leading path axis,
+    and must return a :class:`Strategy` that broadcasts against it (1-D
+    values are shared by every path); its block flags stay 1-D.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     costs = np.empty(n_paths)
-    dev_fn = naive_deviation_path if naive_dynamics else deviation_path
     cost_fn = pathwise_cost_naive if naive else pathwise_cost
-    terms = StepTerms(model, grid)
-    for ids in path_chunks(n_paths, grid):
-        market = terms.simulate(seed, ids)
-        strat = strategy_factory(market)
-        dev = dev_fn(model, market, strat, d_pre)
+    for ids, market, strat, dev in chunk_runs(model, grid, n_paths, seed,
+                                              strategy_factory, d_pre,
+                                              naive_dynamics):
         costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
-    mean = float(np.sum(costs) / n_paths)  # numpy pairwise sum: reproducible
-    var = float(np.sum((costs - mean) ** 2) / (n_paths - 1))
-    return CostEstimate(mean=mean, std_error=float(np.sqrt(var / n_paths)),
-                        n_paths=n_paths, h=grid.h, seed=seed,
-                        model_hash=model.content_hash())
+    mean, std_error = _mean_se(costs)
+    return CostEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
+                        h=grid.h, seed=seed, model_hash=model.content_hash())
+
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    """Monte Carlo estimates of the three admissibility integrals at t = 0.
+
+    These are sample estimates of conditional expectations; finite sampling
+    cannot certify admissibility, so this is a diagnostic, not a proof.
+    """
+
+    sup_moment: tuple[float, float]        # E[sup gamma^2 A^4]: (mean, stderr)
+    impact_integral: tuple[float, float]   # E[(int gamma^2 A^4 sigma^2 dt)^(1/2)]
+    deviation_integral: tuple[float, float]  # E[(int D^4 alpha^2 sigma^2 dt)^(1/2)]
+    n_paths: int
+
+
+def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
+                              n_paths: int, seed: int,
+                              strategy_factory: Callable[[MarketPath], Strategy],
+                              d_pre: float = 0.0) -> AdmissibilityReport:
+    """Estimate the admissibility integrals for a strategy family over paths.
+
+    Runs the chunk loop of :func:`estimate_cost`, with the same arguments
+    and the same strategy contract, on the corrected dynamics.  The
+    integrals are left-endpoint sums on the grid, A being the impact state
+    of the deviation.
+    """
+    if n_paths < 100:
+        raise ValueError("admissibility diagnostics need at least 100 paths")
+    sup, impact, dev_int = (np.empty(n_paths) for _ in range(3))
+    for ids, market, _, dev in chunk_runs(model, grid, n_paths, seed,
+                                          strategy_factory, d_pre):
+        rows = slice(ids.start, ids.stop)
+        sig2 = market.terms.sigma ** 2
+        g2a4 = market.gamma**2 * dev.impact_state**4
+        sup[rows] = np.max(g2a4, axis=-1)
+        impact[rows] = np.sqrt(np.sum(g2a4[..., :-1] * sig2, axis=-1) * grid.h)
+        dev_int[rows] = np.sqrt(np.sum(dev.values[..., :-1] ** 4
+                                       * market.alpha[..., :-1] ** 2 * sig2,
+                                       axis=-1) * grid.h)
+    return AdmissibilityReport(sup_moment=_mean_se(sup),
+                               impact_integral=_mean_se(impact),
+                               deviation_integral=_mean_se(dev_int),
+                               n_paths=n_paths)
 
 
 def _value(y_t, gamma_t, x, d):

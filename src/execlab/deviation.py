@@ -137,44 +137,3 @@ def naive_deviation_path(model: CoefficientModel, market: MarketPath,
     """
     return _deviation(model, market, strategy, d_pre, naive=True)
 
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Monte Carlo estimates of the three admissibility integrals at t = 0.
-
-    These are sample estimates of conditional expectations; finite sampling
-    cannot certify admissibility, so this is a diagnostic, not a proof.
-    """
-
-    sup_moment: tuple[float, float]        # E[sup gamma^2 A^4]: (mean, stderr)
-    impact_integral: tuple[float, float]   # E[(int gamma^2 A^4 sigma^2 dt)^(1/2)]
-    deviation_integral: tuple[float, float]  # E[(int D^4 alpha^2 sigma^2 dt)^(1/2)]
-    n_paths: int
-    diagnostic_only: bool = True
-
-
-def admissibility_diagnostics(model: CoefficientModel, markets, strategy_factory,
-                              d_pre: float = 0.0) -> AdmissibilityReport:
-    """Estimate the admissibility integrals for a strategy family over paths."""
-    a1, a2, a3 = [], [], []
-    for market in markets:
-        strat = strategy_factory(market)
-        dev = deviation_path(model, market, strat, d_pre)
-        h = strat.grid.h
-        sig = model.sigma.sample(strat.grid.times)
-        a_state = dev.impact_state
-        g2a4 = market.gamma**2 * a_state**4
-        a1.append(np.max(g2a4))
-        a2.append(np.sqrt(np.sum(g2a4[:-1] * sig[:-1] ** 2) * h))
-        a3.append(np.sqrt(np.sum(dev.values[:-1] ** 4 * market.alpha[:-1] ** 2
-                                 * sig[:-1] ** 2) * h))
-    n = len(a1)
-    if n < 100:
-        raise ValueError("admissibility diagnostics need at least 100 paths")
-
-    def stats(xs):
-        arr = np.asarray(xs)
-        return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(n))
-
-    return AdmissibilityReport(sup_moment=stats(a1), impact_integral=stats(a2),
-                               deviation_integral=stats(a3), n_paths=n)

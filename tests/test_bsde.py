@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execlab import (TimeGrid, beta_tilde_at, build_model, constant_model,
-                     discrete_value_recursion, driver, lambert_w0,
-                     ode_residual, solve_y_deterministic, solve_y_lambert,
-                     solve_y_ode)
+                     discrete_value_recursion, driver, jump_example_model,
+                     lambert_w0, ode_residual, optimal_plan, simulate_path,
+                     solve_y_deterministic, solve_y_lambert, solve_y_ode)
 from execlab import bsde
 from execlab.bsde import discrete_value_recursion_raw
 
@@ -361,6 +361,42 @@ class TestDriverAndRatio:
         with pytest.raises(ValueError, match="t=0.5"):
             driver(model, np.array([0.0, 0.5, 1.0]),
                    np.array([0.1, -3.0, 0.2]), 0.0)
+
+
+def tail_residual(model, vs, k):
+    """ode_residual of the value solution carried by a plan replanned at
+    grid index k."""
+    market = simulate_path(model, vs.grid, 0, 0)
+    plan = optimal_plan(model, vs, market, vs.grid.times[k], 1.0, 0.0)
+    return ode_residual(plan.value_solution, model)
+
+
+JUMP_MODEL = jump_example_model(0.3, 4.0, 5.0)
+
+
+class TestReplannedTailResidual:
+    """The tail of a value solution keeps a subset of its interior points,
+    so its residual is at most the full-grid one, up to the rounding of the
+    tail grid's step (T - t_k) / (n - k), which moves the central
+    differences by about 1e-15 here."""
+
+    def test_replanned_after_the_breakpoint(self):
+        grid = TimeGrid(0.0, 5.0, 1000)
+        vs = solve_y_deterministic(JUMP_MODEL, grid)
+        residual = tail_residual(JUMP_MODEL, vs, grid.index_of(4.5))
+        assert 0.0 < residual <= ode_residual(vs, JUMP_MODEL) + 1e-12
+
+    @pytest.mark.parametrize("model, solve, n", [
+        (JUMP_MODEL, solve_y_deterministic, 1000),
+        (THREE_PIECES, solve_y_ode, 300)], ids=["jump", "three_pieces"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_tail_residual_bounded_by_full_grid(self, model, solve, n, data):
+        vs = solve(model, TimeGrid(0.0, model.T, n))
+        k = data.draw(st.integers(0, n - 1), label="replan index")
+        residual = tail_residual(model, vs, k)
+        assert np.isfinite(residual)
+        assert residual <= ode_residual(vs, model) + 1e-12
 
 
 class TestDiscreteRecursion:

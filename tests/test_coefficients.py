@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
-                     constant_model, iter_market_paths, model_from_config,
-                     simulate_market, simulate_path, stochastic_exponential)
+                     constant_model, model_from_config, simulate_path,
+                     stochastic_exponential)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -94,8 +94,7 @@ class TestModelValidation:
 
     def test_negative_resilience_allowed_with_drift(self):
         m = constant_model(5.0, 1.0, -0.1, mu=0.5)
-        rep = m.condition_report()
-        assert rep.positive and rep.epsilon == pytest.approx(0.3)
+        assert m.epsilon == pytest.approx(0.3)
 
     def test_bad_horizon_and_gamma(self):
         with pytest.raises(ModelError):
@@ -160,7 +159,9 @@ class TestTimeGrid:
             {"t_from": 0.0, "rho": 1.0, "mu": 0.0, "sigma": 0.0},
             {"t_from": 1.0 / 3.0, "rho": 1.0, "mu": 1.0, "sigma": 0.0},
         ])
-        TimeGrid(0.0, 1.0, 3).validate_model(m)
+        assert TimeGrid(0.0, 1.0, 3).validate_model(m) == [1]
+        # a grid that starts after the breakpoint does not contain it
+        assert TimeGrid(0.5, 1.0, 10).validate_model(m) == []
         with pytest.raises(ModelError):
             TimeGrid(0.0, 1.0, 10).validate_model(m)
 
@@ -191,13 +192,6 @@ class TestSimulatePath:
         c = simulate_path(m, g, 7, 4)
         assert np.array_equal(a.gamma, b.gamma)
         assert not np.array_equal(a.gamma, c.gamma)
-
-    def test_iter_and_list_agree(self):
-        m = constant_model(1.0, 1.0, 0.5, sigma=0.4)
-        g = TimeGrid(0.0, 1.0, 10)
-        lazy = [p.gamma for p in iter_market_paths(m, g, 5, 9)]
-        eager = [p.gamma for p in simulate_market(m, g, 5, 9)]
-        assert all(np.array_equal(a, b) for a, b in zip(lazy, eager))
 
     def test_tail_subpath(self):
         m = constant_model(1.0, 1.0, 0.5, sigma=0.4)
