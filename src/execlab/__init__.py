@@ -19,7 +19,7 @@ from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, model_from_config, simulate_path,
-                           stochastic_exponential)
+                           step_terms, stochastic_exponential)
 from .cost import (AdmissibilityReport, CostEstimate, ValueQuote,
                    admissibility_diagnostics, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,

@@ -20,19 +20,20 @@ from .coefficients import CoefficientModel, TimeGrid
 
 @dataclass(frozen=True)
 class ValueSolution:
-    """Value factor y, volatility loading z and feedback ratio on a grid.
+    """Value factor y and feedback ratio on a grid.
 
-    ``beta_pre`` holds the left limits of the feedback ratio; it differs from
-    ``beta_tilde`` only when the drift (and hence the ratio) jumps.  The
-    arrays must not change once the solution is used: optimal plans keep
-    arrays derived from them (see :func:`execlab.strategy.optimal_plan`).
+    The coefficients are deterministic, so the volatility loading z of the
+    value factor is 0 and is not kept.  ``beta_pre`` holds the left limits
+    of the feedback ratio; it differs from ``beta_tilde`` only when the
+    drift (and hence the ratio) jumps.  The arrays must not change once
+    the solution is used: optimal plans keep arrays derived from them (see
+    :func:`execlab.strategy.optimal_plan`).
     """
 
     grid: TimeGrid
     y: np.ndarray
-    z: np.ndarray
     beta_tilde: np.ndarray
-    beta_pre: np.ndarray | None = None
+    beta_pre: np.ndarray
     # the path-independent arrays of optimal_plan for the last (model, k0)
     # it was called with; they must never refer back to this solution
     _plan_cache: dict = field(default_factory=dict, init=False, repr=False,
@@ -41,10 +42,6 @@ class ValueSolution:
     def __post_init__(self):
         if np.any(self.y < -1e-12) or np.any(self.y > 0.5 + 1e-12):
             raise ValueError("value factor must stay in [0, 1/2]")
-
-    @property
-    def beta_left(self) -> np.ndarray:
-        return self.beta_tilde if self.beta_pre is None else self.beta_pre
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def solve_y_lambert(rho: float, sigma: float, T: float,
     y = c / w
     y[-1] = 0.5
     beta = rho * y / (sigma**2 * y + rho - 0.5 * sigma**2)
-    return ValueSolution(grid=grid, y=y, z=np.zeros_like(y), beta_tilde=beta)
+    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta)
 
 
 def solve_y_deterministic(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
@@ -199,8 +196,8 @@ def solve_y_deterministic(model: CoefficientModel, grid: TimeGrid) -> ValueSolut
     rho_t, mu_t = model.rho.sample(t), model.mu.sample(t)
     ratio = (rho_t + mu_t) / (2.0 * rho_t + mu_t) * 2.0   # beta / y
     ratio_left = np.concatenate((ratio[:1], ratio[:-1]))
-    return ValueSolution(grid=grid, y=y, z=np.zeros_like(y),
-                         beta_tilde=ratio * y, beta_pre=ratio_left * y)
+    return ValueSolution(grid=grid, y=y, beta_tilde=ratio * y,
+                         beta_pre=ratio_left * y)
 
 
 def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
@@ -246,8 +243,8 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
             yk = 0.5
         y[k] = yk
 
-    return ValueSolution(grid=grid, y=y, z=np.zeros(n + 1),
-                         beta_tilde=beta_tilde_at(model, t, y, 0.0))
+    beta = beta_tilde_at(model, t, y, 0.0)
+    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta)
 
 
 def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:

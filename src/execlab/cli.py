@@ -462,7 +462,7 @@ def interior_block_trade(n_paths: int, mc_steps: int) -> dict:
         grid = TimeGrid(0.0, 5.0, n)
         vs = solve_y_deterministic(model, grid)
         k = grid.index_of(4.0)
-        jump_gaps.append(abs((vs.beta_tilde[k] - vs.beta_left[k])
+        jump_gaps.append(abs((vs.beta_tilde[k] - vs.beta_pre[k])
                              - vs.y[k] / (2.0 * 0.3 + 1.0)))
         market = simulate_path(model, grid, SELFTEST_SEED, 0)
         trades = optimal_plan(model, vs, market, 0.0, 100.0, 0.0).x_star.trades

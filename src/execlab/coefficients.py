@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,65 +199,54 @@ class TimeGrid:
 
     def validate_model(self, model: CoefficientModel) -> list[int]:
         """Grid indices of the model's breakpoints in [t0, T]; each of them
-        must be a grid point.  Breakpoints outside the grid are skipped."""
+        must be a grid point.  Breakpoints before the grid start are
+        skipped.  The grid must lie in the model's [0, T]: the coefficients
+        are not defined outside it."""
+        if self.t0 < 0.0 or self.T > model.T:
+            raise ModelError(f"grid [{self.t0}, {self.T}] is not inside the "
+                             f"model's horizon [0, {model.T}]")
         return [self.index_of(b) for b in model.breakpoints
                 if self.t0 <= b <= self.T]
 
 
-@dataclass(frozen=True)
-class StepTerms:
+class StepTerms(NamedTuple):
     """Arrays of a model on a grid that are the same for every path.
 
     The coefficients at the left end of each step, the deterministic part
-    ``(mu - sigma^2/2) h`` of each log-impact increment, and the cumulative
-    resilience ``r_cum`` (the integral of rho from the grid start to each
-    grid point) with ``exp(-r_cum)`` and ``exp(r_cum)``.  Each array is
-    computed on first use and then kept, so a Monte Carlo loop that builds
-    one ``StepTerms`` and simulates every chunk through :meth:`simulate`
-    computes them once instead of once per chunk.  The arrays are shared:
-    do not write to them.
+    ``(mu - sigma^2/2) h`` of each log-impact increment, and the resilience
+    factors ``exp(-r)`` and ``exp(r)``, r being the integral of rho from the
+    grid start to each grid point.  Built only by :func:`step_terms`; the
+    arrays are read-only.
     """
 
-    model: CoefficientModel
-    grid: TimeGrid
+    rho: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    log_drift: np.ndarray
+    decay: np.ndarray
+    growth: np.ndarray
 
-    @cached_property
-    def _t_left(self) -> np.ndarray:
-        return self.grid.times[:-1]
 
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return self.model.rho.sample(self._t_left)
+@lru_cache(maxsize=1)
+def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
+    """The :class:`StepTerms` of ``model`` on ``grid``.
 
-    @cached_property
-    def mu(self) -> np.ndarray:
-        return self.model.mu.sample(self._t_left)
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return self.model.sigma.sample(self._t_left)
-
-    @cached_property
-    def log_drift(self) -> np.ndarray:
-        return (self.mu - 0.5 * self.sigma**2) * self.grid.h
-
-    @cached_property
-    def r_cum(self) -> np.ndarray:
-        # exact per-step resilience integrals (rho is constant on each step)
-        return _cumsum0(self.rho * self.grid.h)
-
-    @cached_property
-    def decay(self) -> np.ndarray:
-        return np.exp(-self.r_cum)
-
-    @cached_property
-    def growth(self) -> np.ndarray:
-        return np.exp(self.r_cum)
-
-    def simulate(self, master_seed: int, path_id: int | range) -> "MarketPath":
-        """:func:`simulate_path` on this model and grid; the market carries
-        these terms, so the layers that read them do not recompute them."""
-        return _simulate(self, master_seed, path_id, keep_terms=True)
+    Memoized on the pair, so a Monte Carlo loop computes them once: every
+    chunk of a loop asks for the same pair.  Another model or grid is
+    another key, never a stale entry.
+    """
+    t_left = grid.times[:-1]
+    rho = model.rho.sample(t_left)
+    mu = model.mu.sample(t_left)
+    sigma = model.sigma.sample(t_left)
+    # exact per-step resilience integrals (rho is constant on each step)
+    r_cum = _cumsum0(rho * grid.h)
+    terms = StepTerms(rho=rho, mu=mu, sigma=sigma,
+                      log_drift=(mu - 0.5 * sigma**2) * grid.h,
+                      decay=np.exp(-r_cum), growth=np.exp(r_cum))
+    for a in terms:
+        a.flags.writeable = False
+    return terms
 
 
 @dataclass(frozen=True)
@@ -266,8 +255,6 @@ class MarketPath:
 
     One path has 1-D arrays and an integer ``path_id``; a chunk of paths has
     a leading path axis and ``path_id`` is the ``range`` of its paths.
-    ``terms`` holds the :class:`StepTerms` the path was simulated with, when
-    a Monte Carlo loop shares them; :func:`simulate_path` leaves it unset.
     """
 
     grid: TimeGrid
@@ -276,7 +263,6 @@ class MarketPath:
     alpha: np.ndarray    # 1/gamma per grid point
     path_id: int | range
     master_seed: int
-    terms: StepTerms | None = field(default=None, repr=False, compare=False)
 
     def tail(self, k: int) -> "MarketPath":
         """Sub-path on the grid starting at grid index k."""
@@ -284,14 +270,6 @@ class MarketPath:
         sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
         return MarketPath(sub, self.w[..., k:], self.gamma[..., k:],
                           self.alpha[..., k:], self.path_id, self.master_seed)
-
-    def step_terms(self, model: CoefficientModel) -> StepTerms:
-        """The carried terms if they are ``model``'s on this path's grid,
-        else fresh ones."""
-        t = self.terms
-        if t is not None and t.model == model and t.grid == self.grid:
-            return t
-        return StepTerms(model, self.grid)
 
 
 def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
@@ -315,14 +293,8 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
     stream, so a row equals the single-path call bit for bit.
     """
-    return _simulate(StepTerms(model, grid), master_seed, path_id,
-                     keep_terms=False)
-
-
-def _simulate(terms: StepTerms, master_seed: int, path_id: int | range,
-              keep_terms: bool) -> MarketPath:
-    model, grid = terms.model, terms.grid
     grid.validate_model(model)
+    terms = step_terms(model, grid)
     n = grid.n_steps
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)
@@ -339,8 +311,7 @@ def _simulate(terms: StepTerms, master_seed: int, path_id: int | range,
     gamma = model.gamma0 * np.exp(log_gamma) if grid.t0 == 0.0 else \
         model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0)) * np.exp(log_gamma)
     return MarketPath(grid=grid, w=dw, gamma=gamma, alpha=1.0 / gamma,
-                      path_id=path_id, master_seed=master_seed,
-                      terms=terms if keep_terms else None)
+                      path_id=path_id, master_seed=master_seed)
 
 
 def stochastic_exponential(q_increments: np.ndarray,

@@ -15,7 +15,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, StepTerms, TimeGrid
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
+                           simulate_path, step_terms)
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
@@ -102,16 +103,15 @@ def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     for each chunk of :func:`path_chunks`.
 
     Path i is always drawn from the stream ``(seed, i)``, so what a caller
-    computes per path does not depend on the chunking.  Every chunk's
-    market carries one shared :class:`StepTerms`, so the arrays that no
-    path changes are computed once per loop, not once per chunk.
+    computes per path does not depend on the chunking.  The arrays that no
+    path changes come from :func:`execlab.coefficients.step_terms`, so
+    they are computed once per loop, not once per chunk.
     ``strategy_factory`` follows the contract of :func:`estimate_cost`;
     ``naive_dynamics`` selects :func:`naive_deviation_path`.
     """
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
-    terms = StepTerms(model, grid)
     for ids in path_chunks(n_paths, grid):
-        market = terms.simulate(seed, ids)
+        market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
         yield ids, market, strat, dev_fn(model, market, strat, d_pre)
 
@@ -181,10 +181,10 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
     if n_paths < 100:
         raise ValueError("admissibility diagnostics need at least 100 paths")
     sup, impact, dev_int = (np.empty(n_paths) for _ in range(3))
+    sig2 = step_terms(model, grid).sigma ** 2
     for ids, market, _, dev in chunk_runs(model, grid, n_paths, seed,
                                           strategy_factory, d_pre):
         rows = slice(ids.start, ids.stop)
-        sig2 = market.terms.sigma ** 2
         g2a4 = market.gamma**2 * dev.impact_state**4
         sup[rows] = np.max(g2a4, axis=-1)
         impact[rows] = np.sqrt(np.sum(g2a4[..., :-1] * sig2, axis=-1) * grid.h)
@@ -224,8 +224,7 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     """
     _check_shared_grid(strategy.grid, market.grid, deviation.grid,
                        value_solution.grid)
-    terms = market.step_terms(model)
-    rho, mu, sig = terms.rho, terms.mu, terms.sigma
+    rho, mu, sig, *_ = step_terms(model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]
     beta = value_solution.beta_tilde[:-1]

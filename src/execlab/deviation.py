@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, TimeGrid
+from .coefficients import CoefficientModel, MarketPath, TimeGrid, step_terms
 
 
 class GridMismatch(ValueError):
@@ -96,7 +96,7 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
     gamma on trades that are not block trades.  The resilience factors do
-    not depend on the path: they come from the market's step terms.
+    not depend on the path: they come from :func:`step_terms`.
     """
     _check_shared_grid(market.grid, strategy.grid)
     grid = strategy.grid
@@ -105,7 +105,7 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
         gamma_left = np.concatenate((gamma_eff[..., :1], gamma_eff[..., :-1]),
                                     axis=-1)
         gamma_eff = np.where(strategy.block_mask(), gamma_eff, gamma_left)
-    terms = market.step_terms(model)
+    terms = step_terms(model, grid)
     xi = strategy.trades
     cum = d_pre + np.cumsum(gamma_eff * terms.growth * xi, axis=-1)
     pre_trade = np.empty_like(cum)

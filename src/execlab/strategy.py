@@ -19,7 +19,7 @@ import numpy as np
 
 from .bsde import ValueSolution, _require_horizon
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _cumsum0,
-                           stochastic_exponential)
+                           step_terms, stochastic_exponential)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
@@ -114,8 +114,7 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
         return terms
     grid = market.grid
     h = grid.h
-    step = market.step_terms(model)
-    rho, mu, sig = step.rho, step.mu, step.sigma
+    rho, mu, sig, *_ = step_terms(model, grid)
     if all(v == 0.0 for v in model.rho.values):
         # zero resilience: the ratio is exactly 1 and the position is closed
         # at once; enforcing this exactly avoids spurious round-off trades
@@ -124,12 +123,12 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
         int_beta = np.full(grid.n_steps, h)
     else:
         beta = value_solution.beta_tilde[k0:]
-        beta_pre = value_solution.beta_left[k0:]
+        beta_pre = value_solution.beta_pre[k0:]
         int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
-    terms = _PlanTerms(beta=beta, beta_pre=np.asarray(beta_pre),
+    terms = _PlanTerms(beta=beta, beta_pre=beta_pre,
                        neg_beta_sigma=-beta[:-1] * sig,
                        drift=int_beta * (mu + rho - sig**2),
                        q_quadratic=beta[:-1] ** 2 * sig**2 * h, blocks=blocks)
@@ -168,10 +167,9 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
 
     if k0 > 0:
         value_solution = ValueSolution(
-            grid=grid, y=value_solution.y[k0:], z=value_solution.z[k0:],
+            grid=grid, y=value_solution.y[k0:],
             beta_tilde=value_solution.beta_tilde[k0:],
-            beta_pre=None if value_solution.beta_pre is None
-            else value_solution.beta_pre[k0:])
+            beta_pre=value_solution.beta_pre[k0:])
     return OptimalPlan(grid=grid, q_increments=q_inc,
                        q_quadratic=pt.q_quadratic, exp_q=exp_q, x_star=x_star,
                        beta=pt.beta, beta_pre=pt.beta_pre, scale=scale,
@@ -261,8 +259,7 @@ def example_beta_path(example: JumpExample, T: float,
     beta = np.where(after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
     strictly_after = s > t0 + 1e-12 * max(1.0, T)
     beta_pre = np.where(strictly_after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
-    return ValueSolution(grid=grid, y=y, z=np.zeros_like(y), beta_tilde=beta,
-                         beta_pre=beta_pre)
+    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta_pre)
 
 
 def jump_example_model(rho: float, t0: float, T: float,

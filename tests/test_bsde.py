@@ -170,7 +170,6 @@ class TestDeterministicSolver:
         grid = TimeGrid(0.0, 2.0, 200)
         vs = solve_y_deterministic(model, grid)
         k = grid.index_of(1.0)
-        assert vs.beta_pre is not None
         # continuous everywhere except at the drift jump
         gaps = vs.beta_tilde - vs.beta_pre
         assert gaps[k] > 0.0
@@ -227,7 +226,7 @@ class TestDeterministicSolver:
         assert np.max(vs.y) <= 0.5
         if all(p["rho"] == 0.0 for p in pieces):
             assert np.all(vs.y == 0.5) and np.all(vs.beta_tilde == 1.0)
-            assert np.all(vs.beta_left == 1.0)
+            assert np.all(vs.beta_pre == 1.0)
 
     def test_zero_resilience_is_exactly_half(self):
         model = build_model(3.0, 1.0, [
@@ -236,7 +235,7 @@ class TestDeterministicSolver:
         ])
         vs = solve_y_deterministic(model, TimeGrid(0.0, 3.0, 30))
         assert np.all(vs.y == 0.5)
-        assert np.all(vs.beta_tilde == 1.0) and np.all(vs.beta_left == 1.0)
+        assert np.all(vs.beta_tilde == 1.0) and np.all(vs.beta_pre == 1.0)
 
 
 SHORT_GRID = TimeGrid(0.0, 5.0, 100)
@@ -327,7 +326,7 @@ class TestDriverAndRatio:
         for seed in range(20):
             y = np.random.default_rng(seed).uniform(0.0, 0.5, 301)
             rough = bsde.ValueSolution(grid=TimeGrid(0.0, 3.0, 300), y=y,
-                                       z=np.zeros(301), beta_tilde=y)
+                                       beta_tilde=y, beta_pre=y)
             assert ode_residual(rough, THREE_PIECES) == pointwise_residual(
                 rough, THREE_PIECES)
         assert list(vs.beta_tilde) == [

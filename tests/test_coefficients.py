@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
-                     constant_model, model_from_config, simulate_path,
-                     stochastic_exponential)
+                     constant_model, jump_example_model, model_from_config,
+                     simulate_path, solve_y_deterministic, solve_y_ode,
+                     step_terms, stochastic_exponential)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -164,6 +165,56 @@ class TestTimeGrid:
         assert TimeGrid(0.5, 1.0, 10).validate_model(m) == []
         with pytest.raises(ModelError):
             TimeGrid(0.0, 1.0, 10).validate_model(m)
+
+    def test_grid_must_lie_in_the_model_horizon(self):
+        m = constant_model(1.0, 1.0, 0.5)
+        assert TimeGrid(0.25, 0.75, 2).validate_model(m) == []
+        for g in (TimeGrid(-0.5, 1.0, 3), TimeGrid(0.0, 1.5, 3)):
+            with pytest.raises(ModelError, match="horizon"):
+                g.validate_model(m)
+
+    @pytest.mark.parametrize("fn", [
+        solve_y_deterministic, solve_y_ode,
+        lambda m, g: simulate_path(m, g, 0, 0)])
+    def test_a_grid_before_time_zero_is_refused(self, fn):
+        # the coefficients are undefined before 0: refuse, do not price
+        model = jump_example_model(0.3, 4.0, 5.0)
+        with pytest.raises(ModelError, match="horizon"):
+            fn(model, TimeGrid(-1.0, 5.0, 600))
+
+
+class TestStepTerms:
+    MODEL = jump_example_model(0.3, 4.0, 5.0)
+
+    def test_arrays_are_read_only(self):
+        terms = step_terms(self.MODEL, TimeGrid(0.0, 5.0, 50))
+        assert len(terms) == 6
+        for a in terms:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_tail_grid_equals_a_direct_computation(self):
+        model = build_model(5.0, 1.0, [
+            {"t_from": 0.0, "rho": 0.3, "mu": 0.0, "sigma": 0.2},
+            {"t_from": 4.0, "rho": 0.7, "mu": 1.0, "sigma": 0.5},
+        ])
+        grid = TimeGrid(2.0, 5.0, 300)
+        step_terms.cache_clear()
+        terms = step_terms(model, grid)
+        t = grid.t0 + grid.h * np.arange(grid.n_steps)
+        rho = np.where(t >= 4.0, 0.7, 0.3)
+        mu = np.where(t >= 4.0, 1.0, 0.0)
+        sigma = np.where(t >= 4.0, 0.5, 0.2)
+        r = np.concatenate(([0.0], np.cumsum(rho * grid.h)))
+        direct = dict(rho=rho, mu=mu, sigma=sigma,
+                      log_drift=(mu - 0.5 * sigma**2) * grid.h,
+                      decay=np.exp(-r), growth=np.exp(r))
+        for name, want in direct.items():
+            assert np.array_equal(getattr(terms, name), want), name
+        # r is the integral of rho from the grid start
+        exact = [model.rho.integral(grid.t0, s) for s in grid.times]
+        assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
+        assert step_terms(model, grid) is terms
 
 
 class TestSimulatePath:

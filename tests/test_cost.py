@@ -15,7 +15,7 @@ from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      pathwise_cost_naive, quadratic_representation_rhs,
                      simulate_path, solve_y_deterministic, solve_y_lambert,
                      value_function)
-from execlab import coefficients
+from execlab import step_terms
 from execlab.cost import CHUNK_ELEMENTS
 
 
@@ -183,26 +183,18 @@ class TestChunkedEstimate:
                    naive=True)
 
     @pytest.mark.parametrize("kind", ["optimal", "gbm"])
-    def test_one_step_terms_per_call(self, sized_grid, monkeypatch, kind):
+    def test_one_step_terms_per_call(self, sized_grid, kind):
         grid, n_paths = sized_grid
         vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
         factory = {
             "optimal": lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
                                               0.5).x_star,
             "gbm": lambda m: counterexample_gbm(-1.0, 1.0, m)}[kind]
-        built = []
-        init = coefficients.StepTerms.__init__
-
-        def counted(terms, *args, **kw):
-            built.append(args)
-            init(terms, *args, **kw)
-
-        monkeypatch.setattr(coefficients.StepTerms, "__init__", counted)
         for naive_dynamics in (False, True):
-            built.clear()
+            step_terms.cache_clear()
             estimate_cost(self.MODEL, grid, n_paths, 17, factory, d_pre=0.5,
                           naive_dynamics=naive_dynamics)
-            assert built == [(self.MODEL, grid)]
+            assert step_terms.cache_info().misses == 1
 
 
 class TestValueFunction:

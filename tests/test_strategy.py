@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from execlab import (JumpExample, ModelError, StepTerms, TimeGrid,
+from execlab import (JumpExample, ModelError, TimeGrid,
                      constant_model, counterexample_brownian,
                      counterexample_gbm, deviation_path,
                      dynamic_consistency_check, example_beta_path,
@@ -15,7 +15,7 @@ from execlab import (JumpExample, ModelError, StepTerms, TimeGrid,
                      jump_example_model, naive_deviation_path, ode_residual,
                      optimal_plan, pathwise_cost, pathwise_cost_naive,
                      simulate_path, solve_y_deterministic, solve_y_lambert,
-                     solve_y_ode)
+                     solve_y_ode, step_terms)
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -169,7 +169,7 @@ class TestJumpExample:
 
     def test_ratio_jump_size(self):
         k = self.grid.index_of(self.t0)
-        jump = self.vs.beta_tilde[k] - self.vs.beta_left[k]
+        jump = self.vs.beta_tilde[k] - self.vs.beta_pre[k]
         y_t0 = self.vs.y[k]
         assert jump == pytest.approx(y_t0 / (2.0 * self.rho + 1.0), rel=1e-10)
 
@@ -265,7 +265,7 @@ def plan_arrays(plan):
             plan.x_star.values, plan.x_star.block_mask(), plan.beta,
             plan.beta_pre, plan.scale, plan.d_star.values,
             plan.d_star.pre_trade, plan.d_star.impact_state,
-            plan.value_solution.y, plan.value_solution.beta_left)
+            plan.value_solution.y, plan.value_solution.beta_pre)
 
 
 def assert_same_plan(a, b):
@@ -317,19 +317,20 @@ class TestHoistedTerms:
         model, solve, grid, _ = setting
         other = constant_model(grid.T, 1.0, 0.9, mu=0.1, sigma=0.3)
         other_vs = lambda: solve_y_ode(other, grid)  # noqa: E731
-        carried = StepTerms(model, grid).simulate(3, range(4))
-        fresh = simulate_path(model, grid, 3, range(4))
-        assert carried.terms is not None and fresh.terms is None
-        assert np.array_equal(carried.gamma, fresh.gamma)
+        market = simulate_path(model, grid, 3, range(4))
+        # each model's first call finds the memo holding the other's terms
         for m, solve_m in ((other, other_vs), (model, solve)):
-            plan = optimal_plan(m, solve_m(), carried, 0.0, 100.0, 0.5)
-            ref = optimal_plan(m, solve_m(), fresh, 0.0, 100.0, 0.5)
+            plan = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
+            devs = [dev(m, market, plan.x_star, 0.5)
+                    for dev in (deviation_path, naive_deviation_path)]
+            step_terms.cache_clear()
+            ref = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
             assert_same_plan(plan, ref)
-            for dev in (deviation_path, naive_deviation_path):
-                a = dev(m, carried, plan.x_star, 0.5)
-                b = dev(m, fresh, ref.x_star, 0.5)
-                assert np.array_equal(a.values, b.values)
-                assert np.array_equal(a.pre_trade, b.pre_trade)
+            for dev, got in zip((deviation_path, naive_deviation_path), devs):
+                step_terms.cache_clear()
+                want = dev(m, market, ref.x_star, 0.5)
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.pre_trade, want.pre_trade)
 
     def test_value_solution_is_freed_without_the_collector(self, setting):
         model, solve, grid, u = setting
