@@ -7,15 +7,14 @@ coefficients : market model, impact-path simulation, stochastic exponentials
 deviation    : deviation dynamics and impact state for grid strategies
 cost         : pathwise/Monte-Carlo costs, admissibility diagnostics, value
                formula, closed forms
-bsde         : value-factor solvers (closed forms, RK4, discrete recursion)
+bsde         : value-factor solvers (exact, RK4 check, discrete recursion)
 strategy     : optimal plans, counterexample strategies, consistency checks
 cli          : experiment runner, figure data, selftest
 """
 
 from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
-                   discrete_value_recursion, driver, lambert_w0,
-                   ode_residual, solve_y_deterministic, solve_y_lambert,
-                   solve_y_ode)
+                   discrete_value_recursion, driver, ode_residual,
+                   solve_y_deterministic, solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, model_from_config, simulate_path,

@@ -2,10 +2,10 @@
 
 The minimal-cost factor Y solves a backward quadratic equation with terminal
 value 1/2.  For deterministic coefficients the martingale parts vanish, so the
-equation reduces to a scalar Riccati-type ODE.  This module provides the
-exact solver for deterministic impact, the Lambert-W closed form for
-lognormal impact without drift, a backward RK4 integrator, a residual
-validator and the discrete-time backward recursion.
+equation reduces to a scalar ODE, separable on every piece of constant
+coefficients.  This module provides its exact solver, a backward RK4
+integrator kept as the independent check, a residual validator and the
+discrete-time backward recursion.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientModel, TimeGrid
+from .coefficients import CoefficientModel, TimeGrid, constant_model, step_terms
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class ValueSolution:
 
     The coefficients are deterministic, so the volatility loading z of the
     value factor is 0 and is not kept.  ``beta_pre`` holds the left limits
-    of the feedback ratio; it differs from ``beta_tilde`` only when the
-    drift (and hence the ratio) jumps.  The arrays must not change once
+    of the feedback ratio; it differs from ``beta_tilde`` only where the
+    coefficients (and hence the ratio) jump.  The arrays must not change once
     the solution is used: optimal plans keep arrays derived from them (see
     :func:`execlab.strategy.optimal_plan`).
     """
@@ -55,54 +55,6 @@ class DiscreteValue:
     def __post_init__(self):
         if np.any(self.y_h <= 0.0) or np.any(self.y_h > 0.5 + 1e-12):
             raise ValueError("discrete value factor must stay in (0, 1/2]")
-
-
-_INV_E = -math.exp(-1.0)
-_HALLEY_STEPS = 50
-
-
-def lambert_w0(z: float) -> float:
-    """Principal branch of the Lambert W function via Halley iteration.
-
-    Starts from a logarithmic initial guess and stops at relative residual
-    1e-14, or once a Halley step is stationary: it lands on the current or
-    the previous iterate, a fixed point or a two-cycle of rounding.  For z
-    above about 5e57 rounding keeps the residual above 1e-14 |z|, so the
-    second stop ends the iteration there.  Raises ``ArithmeticError`` if
-    neither happens within ``_HALLEY_STEPS`` steps, and ``ValueError`` for
-    z below -1/e or not finite.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"lambert_w0 requires a finite z, got {z}")
-    if z < _INV_E:
-        if z > _INV_E * (1.0 + 1e-12):  # fp slack at the branch point
-            z = _INV_E
-        else:
-            raise ValueError(f"lambert_w0 requires z >= -1/e, got {z}")
-    if z == 0.0:
-        return 0.0
-    if z > math.e:
-        lz = math.log(z)
-        w = lz - math.log(lz)
-    elif z > 0.0:
-        w = math.log1p(z) * 0.7
-    else:
-        # series near the branch point -1/e
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        w = -1.0 + p - p * p / 3.0
-    w_prev = None
-    for _ in range(_HALLEY_STEPS):
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= 1e-14 * max(abs(z), 1e-300):
-            return w
-        w1 = w + 1.0
-        w_next = w - f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        if w_next == w or w_next == w_prev:
-            return w_next
-        w_prev, w = w, w_next
-    raise ArithmeticError(f"lambert_w0 did not converge for z={z} in "
-                          f"{_HALLEY_STEPS} Halley steps")
 
 
 def _coefficients(model: CoefficientModel, t, y):
@@ -142,62 +94,116 @@ def _require_horizon(grid: TimeGrid, T: float) -> None:
 
 def solve_y_lambert(rho: float, sigma: float, T: float,
                     grid: TimeGrid) -> ValueSolution:
-    """Constant resilience, lognormal impact with zero drift.
-
-    y(s) = c / W(c exp(kappa - (rho^2/sigma^2) s)) with c = (rho - sigma^2/2)
-    / sigma^2 and kappa = log 2 + (2 rho - sigma^2 + rho^2 T) / sigma^2.
-    """
+    """The Lambert-W case (one piece, mu = 0) of :func:`solve_y_deterministic`,
+    kept for the benchmark's workloads, which call it by this signature."""
     if sigma <= 0.0 or 2.0 * rho - sigma**2 <= 0.0:
         raise ValueError("requires sigma > 0 and 2 rho - sigma^2 > 0")
-    _require_horizon(grid, T)
-    c = (rho - 0.5 * sigma**2) / sigma**2
-    kappa = math.log(2.0) + (2.0 * rho - sigma**2 + rho**2 * T) / sigma**2
-    s = grid.times
-    w = np.array([lambert_w0(c * math.exp(kappa - (rho**2 / sigma**2) * t))
-                  for t in s])
-    y = c / w
-    y[-1] = 0.5
-    beta = rho * y / (sigma**2 * y + rho - 0.5 * sigma**2)
-    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta)
+    return solve_y_deterministic(constant_model(T, 1.0, rho, 0.0, sigma), grid)
 
 
-def solve_y_deterministic(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
-    """Exact value factor for deterministic impact (sigma == 0).
+_NEWTON_STEPS = 50
 
-    w = 1/y - 2 solves the linear equation w' = mu w - q with
-    q = 2 rho^2 / (2 rho + mu) and w(T) = 0.  On a piece of constant
-    coefficients that ends at e,
-    w(s) = exp(-mu (e - s)) w(e) - q expm1(-mu (e - s)) / mu,
-    or w(e) + q (e - s) when mu = 0.  Every piece is solved this way from
-    the last one backward, so any piecewise-constant rho and mu are exact.
-    q >= 0 keeps w >= 0, hence y <= 1/2, and rho = 0 gives y = 1/2 exactly.
+
+def _log1p_over(k: float, x: np.ndarray) -> np.ndarray:
+    """log1p(k x) / k, read as x when k == 0.  Next to an equilibrium end of
+    the bracket rounding can take k x to -1: it is held at the float above."""
+    return x if k == 0.0 else np.log1p(np.maximum(k * x, 2.0**-53 - 1.0)) / k
+
+
+def _solve_lognormal_piece(rho: float, mu: float, sigma: float, y_e: float,
+                           tau: np.ndarray) -> np.ndarray:
+    """y at the times e - tau of a piece with sigma > 0 that ends at e.
+
+    With c = (2 rho + mu - sigma^2)/2 and a = (rho + mu)^2 - mu sigma^2,
+    dy/ds = y (a y - mu c) / (sigma^2 y + c) is separable: y(e - tau) is the
+    root of F(y) = sigma^2/a log1p(a d) + 1/mu log1p(mu c d/y) + tau with
+    d = (y - y_e) / (a y_e - mu c).  F falls from tau at y_e to -inf at the
+    equilibrium mu c / a, or at 0 if that is not positive.  Newton's method
+    in log y starts beyond the root, at the solution without sigma^2 y in
+    the denominator; F is concave in log y, so the iterates stay on that
+    side.  A step out of the bracket is replaced by its midpoint.  It stops
+    at a stationary or two-cycle iterate, or when the bracket holds no float.
     """
-    if not model.is_deterministic_impact():
-        raise ValueError("requires sigma == 0; use the Lambert-W or ODE solver")
+    s2 = sigma * sigma
+    c = 0.5 * (2.0 * rho + mu - s2)
+    a = (rho + mu) ** 2 - mu * s2
+    # a y_e - mu c, written to be exactly 0 when rho = 0 and y_e = 1/2
+    d_e = rho * rho * y_e - mu * c * (1.0 - 2.0 * y_e)
+    if d_e == 0.0:   # y_e is an equilibrium; a = 0 only if rho = mu = 0
+        return np.full(tau.shape, y_e)
+    # without sigma^2 y, 1/y is linear like w; each form keeps exp finite
+    if mu < 0.0:
+        y = np.exp(mu * tau) / (1.0 / y_e + a / c * np.expm1(mu * tau) / mu)
+    else:
+        e = np.expm1(-mu * tau) / -mu if mu else tau
+        y = 1.0 / (np.exp(-mu * tau) / y_e + a / c * e)
+    if not np.all(y > 0.0):
+        raise ArithmeticError("the value factor falls below the float range")
+    near, far = y_e, (y_e - d_e / a if mu > 0.0 else 0.0)
+    # rounding can put the start on or past the equilibrium, where F = -inf
+    y = np.where((y - far) * (near - far) > 0.0, y, np.nextafter(far, near))
+    prev, active = y, np.ones(tau.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        d = (y - y_e) / d_e
+        f = s2 * _log1p_over(a, d) + _log1p_over(mu, c * d / y) + tau
+        near, far = np.where(f > 0.0, y, near), np.where(f < 0.0, y, far)
+        # dF/dlog y = (sigma^2 y + c) / (d_e (1 + a d)), floored as in log1p
+        step = y * np.exp(-f * d_e * np.maximum(1.0 + a * d, 2.0**-53)
+                          / (s2 * y + c))
+        lo, hi = np.minimum(near, far), np.maximum(near, far)
+        inside, mid = (lo < step) & (step < hi), 0.5 * (lo + hi)
+        settled = (step == y) | (step == prev)
+        collapsed = ~inside & ((mid == lo) | (mid == hi))
+        nxt = np.where(settled | inside, step, np.where(collapsed, near, mid))
+        prev, y = y, np.where(active, nxt, y)
+        active &= ~(settled | collapsed)
+        if not active.any():
+            return y
+    raise ArithmeticError(f"y did not converge in {_NEWTON_STEPS} Newton steps")
+
+
+def solve_y_deterministic(model: CoefficientModel,
+                          grid: TimeGrid) -> ValueSolution:
+    """Exact value factor for deterministic piecewise-constant coefficients.
+
+    The pieces are solved from the last one backward.  With sigma = 0,
+    w = 1/y - 2 solves w' = mu w - q, q = 2 rho^2 / (2 rho + mu): on a piece
+    ending at e, w(s) = exp(-mu (e - s)) w(e) - q expm1(-mu (e - s)) / mu,
+    or w(e) + q (e - s) when mu = 0.  With sigma > 0 each point is solved
+    from the separable form (:func:`_solve_lognormal_piece`); mu = 0 there
+    is the Lambert-W case.
+    """
     _require_horizon(grid, model.T)
     grid.validate_model(model)
     t = grid.times
-    starts = [grid.t0] + [b for b in model.breakpoints if b > grid.t0]
-    ends = starts[1:] + [model.T]
-    k_starts = [grid.index_of(b) for b in starts]
-    k_ends = k_starts[1:] + [grid.n_steps]
-    w = np.zeros(grid.n_steps + 1)
-    for start, end, ka, kb in reversed(list(zip(starts, ends, k_starts,
-                                                k_ends))):
-        rho, mu = model.rho(start), model.mu(start)
-        q = rho * (2.0 * rho / (2.0 * rho + mu))   # exactly rho when mu = 0
+    bounds = [grid.t0, *(b for b in model.breakpoints if b > grid.t0), model.T]
+    ks = [grid.index_of(b) for b in bounds]
+    y = np.empty(grid.n_steps + 1)
+    y[-1], w_e = 0.5, 0.0
+    for i in reversed(range(len(bounds) - 1)):
+        start, end, ka, kb = bounds[i], bounds[i + 1], ks[i], ks[i + 1]
+        rho, mu, sigma = model.rho(start), model.mu(start), model.sigma(start)
         tau = end - t[ka:kb]
+        if sigma != 0.0:
+            y[ka:kb] = _solve_lognormal_piece(rho, mu, sigma, y[kb], tau)
+            w_e = 1.0 / y[ka] - 2.0
+            continue
+        q = rho * (2.0 * rho / (2.0 * rho + mu))   # exactly rho when mu = 0
         if mu == 0.0:
-            w[ka:kb] = w[kb] + q * tau
+            w = w_e + q * tau
         else:
-            w[ka:kb] = np.exp(-mu * tau) * w[kb] - q * np.expm1(-mu * tau) / mu
+            w = np.exp(-mu * tau) * w_e - q * np.expm1(-mu * tau) / mu
+        y[ka:kb] = 1.0 / (2.0 + w)
+        w_e = w[0]
 
-    y = 1.0 / (2.0 + w)
-    rho_t, mu_t = model.rho.sample(t), model.mu.sample(t)
-    ratio = (rho_t + mu_t) / (2.0 * rho_t + mu_t) * 2.0   # beta / y
-    ratio_left = np.concatenate((ratio[:1], ratio[:-1]))
-    return ValueSolution(grid=grid, y=y, beta_tilde=ratio * y,
-                         beta_pre=ratio_left * y)
+    def ratio(times):   # beta / y; with sigma = 0, 2 (rho + mu) / (2 rho + mu)
+        # at the times before the grid points it gives the left limits
+        rho, mu = model.rho.sample(times), model.mu.sample(times)
+        sig2 = model.sigma.sample(times) ** 2
+        return (rho + mu) / (sig2 * (y - 0.5) + (rho + 0.5 * mu))
+
+    return ValueSolution(grid=grid, y=y, beta_tilde=ratio(t) * y,
+                         beta_pre=ratio(np.concatenate((t[:1], t[:-1]))) * y)
 
 
 def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
@@ -206,11 +212,11 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     Works for any deterministic piecewise-constant coefficients satisfying the
     positivity condition; restarts at coefficient breakpoints come for free
     because breakpoints lie on the grid.  It is the independent check of
-    the exact solvers.  Its stages look the coefficients up one scalar at a
-    time: array lookups make it several times faster, but the benchmark's
-    ``value_solvers`` workload keeps the outputs of every pass, so the
-    extra passes would read there as a memory regression until it keeps a
-    digest per pass instead.
+    :func:`solve_y_deterministic`.  Its stages look the coefficients up one
+    scalar at a time: array lookups make it several times faster, but the
+    benchmark's ``value_solvers`` workload keeps the outputs of every pass,
+    so the extra passes would read there as a memory regression until it
+    keeps a digest per pass instead.
     """
     _require_horizon(grid, model.T)
     grid.validate_model(model)
@@ -243,8 +249,10 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
             yk = 0.5
         y[k] = yk
 
-    beta = beta_tilde_at(model, t, y, 0.0)
-    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta)
+    t_left = np.concatenate((t[:1], t[:-1]))   # the left limits' coefficients
+    return ValueSolution(grid=grid, y=y,
+                         beta_tilde=beta_tilde_at(model, t, y, 0.0),
+                         beta_pre=beta_tilde_at(model, t_left, y, 0.0))
 
 
 def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
@@ -265,6 +273,42 @@ def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
     return float(np.max(res[interior[1:-1]], initial=0.0))
 
 
+def _steps(T: float, h: float) -> int:
+    n = round(T / h)
+    if abs(n * h - T) > 1e-9 * T:
+        raise ValueError("T must be an integer multiple of h")
+    return n
+
+
+def _backward_recursion(h: float, times: np.ndarray,
+                        coeffs: np.ndarray) -> DiscreteValue:
+    """The recursion of :func:`discrete_value_recursion` on ``times``, with
+    rho, mu and sigma of step k in column k of ``coeffs``.  The exponential
+    factors are computed once for each run of equal columns."""
+    cuts = [0, *(np.flatnonzero(np.any(coeffs[:, 1:] != coeffs[:, :-1],
+                                       axis=0)) + 1), coeffs.shape[1]]
+    y = np.empty(len(times))
+    y[-1] = yp = 0.5
+    for ka, kb in reversed(list(zip(cuts, cuts[1:]))):
+        rho, mu, sigma = map(float, coeffs[:, ka])
+        e_rho = math.exp(-rho * h)
+        e_g = math.exp(mu * h)                                     # E[Gamma]
+        # E[1/Gamma] e^{-2 rho h}
+        e_ginv_2rho = math.exp((sigma**2 - mu) * h) * math.exp(-2.0 * rho * h)
+        for k in range(kb - 1, ka - 1, -1):
+            num = yp * (e_rho - e_g)
+            if num == 0.0:
+                yp = yp * e_g
+            else:
+                den = yp * (e_ginv_2rho - 2.0 * e_rho + e_g) + 0.5 * (1.0 - e_ginv_2rho)
+                if not den > 0.0:
+                    raise ValueError(f"recursion denominator {den} is not "
+                                     f"positive at t={times[k]}")
+                yp = yp * e_g - num * num / den
+            y[k] = yp
+    return DiscreteValue(h=h, times=times, y_h=y)
+
+
 def discrete_value_recursion_raw(rho: float, mu: float, sigma: float,
                                  T: float, h: float) -> DiscreteValue:
     """Backward recursion for constant coefficients (see the model version).
@@ -272,28 +316,9 @@ def discrete_value_recursion_raw(rho: float, mu: float, sigma: float,
     Accepts degenerate coefficient triples the model validator would reject,
     which is convenient for boundary checks.
     """
-    n = round(T / h)
-    if abs(n * h - T) > 1e-9 * T:
-        raise ValueError("T must be an integer multiple of h")
-    times = np.linspace(0.0, T, n + 1)
-    y = np.empty(n + 1)
-    y[-1] = 0.5
-    e_rho = math.exp(-rho * h)
-    e_g = math.exp(mu * h)                       # E[Gamma]
-    e_ginv = math.exp((sigma**2 - mu) * h)       # E[1/Gamma]
-    e_ginv_2rho = e_ginv * math.exp(-2.0 * rho * h)
-    for k in range(n - 1, -1, -1):
-        yp = y[k + 1]
-        num = yp * (e_rho - e_g)
-        if num == 0.0:
-            y[k] = yp * e_g
-            continue
-        den = yp * (e_ginv_2rho - 2.0 * e_rho + e_g) + 0.5 * (1.0 - e_ginv_2rho)
-        if not den > 0.0:
-            raise ValueError(f"recursion denominator {den} is not positive "
-                             f"at t={times[k]}")
-        y[k] = yp * e_g - num * num / den
-    return DiscreteValue(h=h, times=times, y_h=y)
+    n = _steps(T, h)
+    return _backward_recursion(h, np.linspace(0.0, T, n + 1),
+                               np.tile([[rho], [mu], [sigma]], n))
 
 
 def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue:
@@ -303,27 +328,6 @@ def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue
     Y = E[Gamma] Y' - (Y'(e^{-rho h} - E[Gamma]))^2 / (Y' E[(e^{-rho h} - Gamma)^2 / Gamma] + (1 - E[1/Gamma] e^{-2 rho h})/2)
     where Gamma is the one-step lognormal impact ratio.
     """
-    n = round(model.T / h)
-    if abs(n * h - model.T) > 1e-9 * model.T:
-        raise ValueError("T must be an integer multiple of h")
-    grid = TimeGrid(0.0, model.T, n)
+    grid = TimeGrid(0.0, model.T, _steps(model.T, h))
     grid.validate_model(model)
-    times = grid.times
-    y = np.empty(n + 1)
-    y[-1] = 0.5
-    for k in range(n - 1, -1, -1):
-        rho, mu, sig = model.rho(times[k]), model.mu(times[k]), model.sigma(times[k])
-        e_rho = math.exp(-rho * h)
-        e_g = math.exp(mu * h)
-        e_ginv_2rho = math.exp((sig**2 - mu) * h) * math.exp(-2.0 * rho * h)
-        yp = y[k + 1]
-        num = yp * (e_rho - e_g)
-        if num == 0.0:
-            y[k] = yp * e_g
-            continue
-        den = yp * (e_ginv_2rho - 2.0 * e_rho + e_g) + 0.5 * (1.0 - e_ginv_2rho)
-        if not den > 0.0:
-            raise ValueError(f"recursion denominator {den} is not positive "
-                             f"at t={times[k]}")
-        y[k] = yp * e_g - num * num / den
-    return DiscreteValue(h=h, times=times, y_h=y)
+    return _backward_recursion(h, grid.times, np.stack(step_terms(model, grid)[:3]))

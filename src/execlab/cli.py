@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
-                   solve_y_lambert, solve_y_ode)
+                   solve_y_ode)
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
                            model_from_config, simulate_path)
 from .cost import (chunk_runs, closed_form_cost_gbm, closed_form_naive_brownian,
@@ -152,8 +152,7 @@ def _run_lambertw_value(cfg: ExperimentConfig) -> dict:
     model = _regime_model(cfg, "mu")
     _refuse_unread(cfg, "model", "n_paths", "x", "d")
     grid = TimeGrid(0.0, model.T, cfg.n_steps)
-    vs = solve_y_lambert(model.rho.values[0], model.sigma.values[0], model.T,
-                         grid)
+    vs = solve_y_deterministic(model, grid)
     est = estimate_cost(model, grid, cfg.n_paths, cfg.seed,
                         lambda m: optimal_plan(model, vs, m, 0.0,
                                                cfg.x, cfg.d).x_star,
@@ -248,13 +247,9 @@ def figure_plan(name: str, seed: int = 0, n_steps: int = 2000) -> OptimalPlan:
                          f"{sorted(FIGURE_PARAMS)}")
     model, x, d = FIGURE_PARAMS[name]
     grid = TimeGrid(0.0, model.T, n_steps)
-    if model.is_deterministic_impact():
-        vs = solve_y_deterministic(model, grid)
-    else:
-        vs = solve_y_lambert(model.rho.values[0], model.sigma.values[0],
-                             model.T, grid)
     market = simulate_path(model, grid, seed, 0)
-    return optimal_plan(model, vs, market, 0.0, x, d)
+    return optimal_plan(model, solve_y_deterministic(model, grid), market,
+                        0.0, x, d)
 
 
 def reproduce_figure(name: str, out_dir=None, seed: int = 0,
@@ -313,9 +308,9 @@ def constant_impact_value_convergence(n_paths: int, mc_steps: int) -> dict:
 
 
 def lambertw_solution_residual(n_paths: int, mc_steps: int) -> dict:
-    """Lambert-W closed form: residual and agreement with the integrator."""
+    """Exact solution in the Lambert-W regime: residual and RK4 gap."""
     grid = TimeGrid(0.0, 10.0, 10000)   # h = 1e-3
-    vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+    vs = solve_y_deterministic(SHOWCASE, grid)
     residual = ode_residual(vs, SHOWCASE)
     gap = float(np.max(np.abs(vs.y - solve_y_ode(SHOWCASE, grid).y)))
     return _check("lambertw_solution_residual",
@@ -369,7 +364,7 @@ def geometric_roundtrip_cost(n_paths: int, mc_steps: int) -> dict:
 def discrete_recursion_convergence(n_paths: int, mc_steps: int) -> dict:
     """Discrete backward recursion converges to the continuous value: first
     order with stochastic impact, second with constant impact (closed form)."""
-    lambert_y0 = solve_y_lambert(0.5, 0.8, 10.0, TimeGrid(0.0, 10.0, 10)).y[0]
+    lambert_y0 = solve_y_deterministic(SHOWCASE, TimeGrid(0.0, 10.0, 10)).y[0]
     ratios = {}
     for tag, model, target in (
             ("constant", constant_model(10.0, 1.0, 0.5), 1.0 / 7.0),
@@ -396,7 +391,7 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
         model, vs, market, hold, dev, 1.0, 0.0))
 
     grid = TimeGrid(0.0, 10.0, mc_steps)
-    vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+    vs = solve_y_deterministic(SHOWCASE, grid)
     hold = immediate_close(grid, 10.0, 1.0, 0.0)
     lhs, rhs = np.empty(n_paths), np.empty(n_paths)
     for ids, m, _, dv in chunk_runs(SHOWCASE, grid, n_paths, SELFTEST_SEED,
@@ -419,14 +414,13 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
     is flat between block trades; replanning midway reproduces the plan.
     """
     g10, g5 = TimeGrid(0.0, 10.0, 4000), TimeGrid(0.0, 5.0, 4000)
-    # model, value solution, grid, deterministic impact
-    cases = [(model, solve_y_deterministic(model, g), g, True)
+    cases = [(model, solve_y_deterministic(model, g), g)
              for model, g in ((constant_model(10.0, 1.0, 0.5), g10),
                               (jump_example_model(0.3, 4.0, 5.0), g5),
-                              (constant_model(5.0, 1.0, -0.1, mu=0.5), g5))]
-    cases.append((SHOWCASE, solve_y_lambert(0.5, 0.8, 10.0, g10), g10, False))
+                              (constant_model(5.0, 1.0, -0.1, mu=0.5), g5),
+                              (SHOWCASE, g10))]
     rows = []
-    for model, vs, g, deterministic in cases:
+    for model, vs, g in cases:
         market = simulate_path(model, g, SELFTEST_SEED, 0)
         plan = optimal_plan(model, vs, market, 0.0, 2.0, 0.5)
         state = (plan.x_star.values
@@ -435,14 +429,15 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
         d_const = np.max(np.abs(plan.d_star.pre_trade[1:-1] - dv[:-1]))
         rows.append((max(np.max(vs.y) - 0.5, -np.min(vs.y)),
                      np.max(np.abs(state - plan.scale)) / abs(plan.scale),
-                     d_const / np.max(np.abs(dv)) if deterministic else 0.0,
+                     0.0 if any(model.sigma.values)
+                     else d_const / np.max(np.abs(dv)),
                      dynamic_consistency_check(plan, g.times[g.n_steps // 2])))
     y_range, *tol = np.max(rows, axis=0)
     worst = dict(zip(("impact_state", "d_const", "dyn_consistency"), tol))
     terminal_exact = all(case[1].y[-1] == 0.5 for case in cases)
 
     zero_rho = constant_model(5.0, 1.0, 0.0, mu=0.3, sigma=0.4)
-    plan0 = optimal_plan(zero_rho, solve_y_ode(zero_rho, g5),
+    plan0 = optimal_plan(zero_rho, solve_y_deterministic(zero_rho, g5),
                          simulate_path(zero_rho, g5, SELFTEST_SEED, 0),
                          0.0, 2.0, 1.0)
     zero_rho_exact = bool(np.all(plan0.x_star.values

@@ -46,6 +46,8 @@ class PiecewiseConstant:
         return PiecewiseConstant((0.0,), (float(value),))
 
     def __call__(self, t: float) -> float:
+        if t < 0.0:
+            raise ModelError(f"time {t} is before 0")
         if len(self.values) == 1:  # constant: the solvers' per-step hot path
             return self.values[0]
         # right-continuous: value on [breaks[i], breaks[i+1])
@@ -68,6 +70,8 @@ class PiecewiseConstant:
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Values at ``times`` (any shape, all >= 0)."""
         times = np.asarray(times)
+        if np.any(times < 0.0):
+            raise ModelError(f"times before 0: {times.min()}")
         out = np.full(times.shape, self.values[0], dtype=float)
         for b, v in zip(self.breaks[1:], self.values[1:]):
             out[times >= b] = v
@@ -107,9 +111,6 @@ class CoefficientModel:
         pts = [0.0] + list(self.breakpoints)
         return min(2.0 * self.rho(t) + self.mu(t) - self.sigma(t) ** 2
                    for t in pts)
-
-    def is_deterministic_impact(self) -> bool:
-        return all(v == 0.0 for v in self.sigma.values)
 
     def to_dict(self) -> dict:
         pts = [0.0] + list(self.breakpoints)

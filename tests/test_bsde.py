@@ -1,4 +1,5 @@
-"""Value-factor solvers: Lambert W, closed forms, RK4 and the recursion."""
+"""Value-factor solvers: the exact solver against closed forms, RK4 and
+the recursion."""
 
 import math
 
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from execlab import (TimeGrid, beta_tilde_at, build_model, constant_model,
                      discrete_value_recursion, driver, jump_example_model,
-                     lambert_w0, ode_residual, optimal_plan, simulate_path,
-                     solve_y_deterministic, solve_y_lambert, solve_y_ode)
+                     ode_residual, optimal_plan, simulate_path,
+                     solve_y_deterministic, solve_y_ode)
 from execlab import bsde
-from execlab.bsde import discrete_value_recursion_raw
+from execlab.bsde import discrete_value_recursion_raw, solve_y_lambert
+from execlab.cli import SHOWCASE
 
 
 def ow_hyperbola(rho, T, s):
@@ -38,48 +40,40 @@ def bisect_w(z, lo=-1.0, hi=700.0):
     return 0.5 * (lo + hi)
 
 
-class TestLambertW:
-    def test_fixed_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-6)
+def lambert_closed_form(rho, sigma, T, s):
+    """Oracle for constant resilience without drift, sigma > 0:
+    y = c / W(c exp(kappa - (rho/sigma)^2 s)) with c = (rho - sigma^2/2) /
+    sigma^2 and kappa = log 2 + (2 rho - sigma^2 + rho^2 T) / sigma^2."""
+    c = (rho - 0.5 * sigma**2) / sigma**2
+    kappa = math.log(2.0) + (2.0 * rho - sigma**2 + rho**2 * T) / sigma**2
+    return np.array([c / bisect_w(c * math.exp(kappa - (rho / sigma) ** 2 * t))
+                     for t in s])
 
-    def test_against_bisection_oracle(self):
-        assert lambert_w0(1.0) == pytest.approx(bisect_w(1.0), abs=1e-12)
-        assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, abs=1e-14)
-        for z in (0.01, 0.3, 5.0, 123.0, 1e6):
-            assert lambert_w0(z) == pytest.approx(bisect_w(z), abs=1e-10)
 
-    @given(st.floats(-0.36, 1e8))
-    @settings(max_examples=200, deadline=None)
-    def test_defining_residual(self, z):
-        w = lambert_w0(z)
-        assert w * math.exp(w) == pytest.approx(z, abs=1e-12 * max(abs(z), 1.0))
-
-    def test_below_branch_point_rejected(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.5)
-
-    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, z):
-        with pytest.raises(ValueError):
-            lambert_w0(z)
-
-    def test_converges_across_the_float_range(self):
-        # above z ~ 5e57 the 1e-14 |z| residual is below rounding, so the
-        # iteration must stop on a stationary Halley step instead; the two
-        # listed z end in a two-cycle between neighbouring floats
-        for z in np.concatenate((np.logspace(-300, 300, 2001),
-                                 -np.logspace(-300, math.log10(-bsde._INV_E),
-                                              501),
-                                 [6.895915475091384e71, 1.519529323675763e134])):
-            w = lambert_w0(float(z))
-            assert w * math.exp(w) == pytest.approx(float(z), rel=1e-13)
-
-    def test_runs_out_of_steps(self, monkeypatch):
-        monkeypatch.setattr(bsde, "_HALLEY_STEPS", 1)
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            lambert_w0(1e6)
+def linear_w_reference(model, grid):
+    """Reference arrays for sigma = 0: w = 1/y - 2 over the whole grid,
+    piece by piece, then the ratio 2 (rho + mu) / (2 rho + mu) and its left
+    limits.  The exact solver must reproduce them bit for bit."""
+    t = grid.times
+    starts = [grid.t0] + [b for b in model.breakpoints if b > grid.t0]
+    ends = starts[1:] + [model.T]
+    k_starts = [grid.index_of(b) for b in starts]
+    k_ends = k_starts[1:] + [grid.n_steps]
+    w = np.zeros(grid.n_steps + 1)
+    for start, end, ka, kb in reversed(list(zip(starts, ends, k_starts,
+                                                k_ends))):
+        rho, mu = model.rho(start), model.mu(start)
+        q = rho * (2.0 * rho / (2.0 * rho + mu))
+        tau = end - t[ka:kb]
+        if mu == 0.0:
+            w[ka:kb] = w[kb] + q * tau
+        else:
+            w[ka:kb] = np.exp(-mu * tau) * w[kb] - q * np.expm1(-mu * tau) / mu
+    y = 1.0 / (2.0 + w)
+    rho_t, mu_t = model.rho.sample(t), model.mu.sample(t)
+    ratio = (rho_t + mu_t) / (2.0 * rho_t + mu_t) * 2.0
+    ratio_left = np.concatenate((ratio[:1], ratio[:-1]))
+    return {"y": y, "beta_tilde": ratio * y, "beta_pre": ratio_left * y}
 
 
 class TestConstantResilienceClosedForm:
@@ -119,6 +113,12 @@ class TestLambertClosedForm:
         vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
         ode = solve_y_ode(constant_model(2.0, 1.0, 0.5, sigma=0.8), grid)
         assert np.max(np.abs(vs.y - ode.y)) <= 1e-10
+
+    def test_exact_solver_matches_the_closed_form(self):
+        grid = TimeGrid(0.0, SHOWCASE.T, 1000)
+        y = lambert_closed_form(0.5, 0.8, SHOWCASE.T, grid.times)
+        vs = solve_y_deterministic(SHOWCASE, grid)
+        assert np.max(np.abs(vs.y / y - 1.0)) <= 1e-13
 
     def test_preconditions(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -175,10 +175,40 @@ class TestDeterministicSolver:
         assert gaps[k] > 0.0
         assert np.all(gaps[np.arange(len(gaps)) != k] == 0.0)
 
-    def test_rejects_stochastic_impact(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            solve_y_deterministic(constant_model(1.0, 1.0, 0.5, sigma=0.3), grid)
+    def test_refuses_a_value_factor_below_the_float_range(self):
+        # with mu < 0, y falls like exp(mu (T - s)): refused, not returned as 0
+        model = constant_model(1000.0, 1.0, 0.5, mu=-0.9, sigma=0.1)
+        with pytest.raises(ArithmeticError, match="float range"):
+            solve_y_deterministic(model, TimeGrid(0.0, 1000.0, 1000))
+
+    def test_long_and_steep_pieces_converge(self, monkeypatch):
+        # the start beyond the root keeps Newton short far from the Lambert
+        # case too: y within ulps of an equilibrium, rho T = 1000, y ~ 1e-40
+        monkeypatch.setattr(bsde, "_NEWTON_STEPS", 20)
+        for T, rho, mu, sigma in ((2000.0, 0.3, 1.0, 0.5),
+                                  (10.0, 100.0, 0.0, 0.5),
+                                  (100.0, 0.5, -0.9, 0.1),
+                                  (50.0, -5.0, 20.0, 0.9)):
+            model = constant_model(T, 1.0, rho, mu, sigma)
+            vs = solve_y_deterministic(model, TimeGrid(0.0, T, 10_000))
+            # increasing up to one ulp where y meets the equilibrium
+            assert np.all(vs.y > 0.0)
+            assert np.all(np.diff(vs.y) >= -np.spacing(vs.y[:-1]))
+
+    def test_runs_out_of_newton_steps(self, monkeypatch):
+        monkeypatch.setattr(bsde, "_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_y_deterministic(SHOWCASE, TimeGrid(0.0, SHOWCASE.T, 100))
+
+    @pytest.mark.parametrize("model", [
+        constant_model(10.0, 1.0, 0.5), jump_example_model(0.3, 4.0, 5.0),
+        constant_model(5.0, 1.0, -0.1, mu=0.5)], ids=["ow", "jump", "negres"])
+    def test_sigma_zero_arrays_equal_the_w_reference(self, model):
+        for n in (1000, 2000, 4000):
+            grid = TimeGrid(0.0, model.T, n)
+            vs = solve_y_deterministic(model, grid)
+            for name, ref in linear_w_reference(model, grid).items():
+                assert np.array_equal(getattr(vs, name), ref), name
 
     def test_varying_resilience(self):
         model = build_model(1.0, 1.0, [
@@ -197,31 +227,42 @@ class TestDeterministicSolver:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_rk4_on_random_models(self, data):
-        # 1-4 pieces at integer breaks; each piece is drawn with rho < 0,
-        # rho = 0, mu = 0 or both free, always with 2 rho + mu >= 0.2
+        # 1-4 pieces at integer breaks; each piece has sigma = 0 or in
+        # [0, 0.9) and is drawn with rho < 0, rho = 0, mu = 0, mu = +-1e-9
+        # or both free, always with 2 rho + mu - sigma^2 >= 0.2
         T = data.draw(st.integers(2, 5), label="T")
         starts = [0] + data.draw(st.lists(st.integers(1, T - 1), unique=True,
                                           max_size=min(3, T - 1)),
                                  label="breaks")
         pieces = []
         for t in sorted(starts):
+            sigma = data.draw(st.one_of(st.just(0.0), st.floats(
+                0.0, 0.9, exclude_max=True)), label="sigma")
+            floor = 0.2 + sigma**2
             kind = data.draw(st.sampled_from(["rho<0", "rho=0", "mu=0",
-                                              "free"]))
+                                              "mu=+-1e-9", "free"]))
             if kind == "rho<0":
                 rho = data.draw(st.floats(-0.8, -0.01))
             elif kind == "rho=0":
                 rho = 0.0
-            else:
+            elif kind == "free":
                 rho = data.draw(st.floats(0.1, 1.5))
-            mu = 0.0 if kind == "mu=0" else data.draw(
-                st.floats(max(-1.0, 0.2 - 2.0 * rho), 2.0))
+            else:
+                rho = data.draw(st.floats(0.5 * floor + 1e-6, 1.5))
+            if kind == "mu=0":
+                mu = 0.0
+            elif kind == "mu=+-1e-9":
+                mu = data.draw(st.sampled_from([1e-9, -1e-9]))
+            else:
+                lo = max(-1.0, floor - 2.0 * rho)
+                mu = data.draw(st.floats(lo, max(2.0, lo)))
             pieces.append({"t_from": float(t), "rho": rho, "mu": mu,
-                           "sigma": 0.0})
+                           "sigma": sigma})
         model = build_model(float(T), 1.0, pieces)
-        grid = TimeGrid(0.0, float(T), 200 * T)
+        grid = TimeGrid(0.0, float(T), 1000 * T)
         vs = solve_y_deterministic(model, grid)
         ref = solve_y_ode(model, grid)
-        assert np.max(np.abs(vs.y - ref.y)) <= 1e-8
+        assert np.max(np.abs(vs.y - ref.y)) <= 1e-12
         assert vs.y[-1] == 0.5
         assert np.max(vs.y) <= 0.5
         if all(p["rho"] == 0.0 for p in pieces):
@@ -229,13 +270,15 @@ class TestDeterministicSolver:
             assert np.all(vs.beta_pre == 1.0)
 
     def test_zero_resilience_is_exactly_half(self):
-        model = build_model(3.0, 1.0, [
-            {"t_from": 0.0, "rho": 0.0, "mu": 0.4, "sigma": 0.0},
-            {"t_from": 1.0, "rho": 0.0, "mu": 1.5, "sigma": 0.0},
-        ])
-        vs = solve_y_deterministic(model, TimeGrid(0.0, 3.0, 30))
-        assert np.all(vs.y == 0.5)
-        assert np.all(vs.beta_tilde == 1.0) and np.all(vs.beta_pre == 1.0)
+        for mu, sigma in ((1.5, 0.0), (1.64, 0.4)):
+            model = build_model(3.0, 1.0, [
+                {"t_from": 0.0, "rho": 0.0, "mu": 0.4, "sigma": 0.0},
+                {"t_from": 1.0, "rho": 0.0, "mu": mu, "sigma": sigma},
+            ])
+            vs = solve_y_deterministic(model, TimeGrid(0.0, 3.0, 30))
+            assert np.all(vs.y == 0.5)
+            assert np.all(vs.beta_tilde == 1.0)
+            assert np.all(vs.beta_pre == 1.0)
 
 
 SHORT_GRID = TimeGrid(0.0, 5.0, 100)
@@ -254,6 +297,22 @@ def test_grid_must_end_at_the_horizon(solve):
 
 
 class TestRk4Solver:
+    def test_left_limit_ratio_matches_the_exact_solver(self):
+        model = jump_example_model(0.3, 4.0, 5.0)
+        grid = TimeGrid(0.0, 5.0, 1000)
+        ode = solve_y_ode(model, grid)
+        exact = solve_y_deterministic(model, grid)
+        assert np.max(np.abs(ode.beta_pre - exact.beta_pre)) <= 1e-10
+        # the ratio's jump at t0 = 4 gives the plan its interior block trade
+        market = simulate_path(model, grid, 0, 0)
+        plans = [optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
+                 for vs in (ode, exact)]
+        for plan in plans:
+            assert np.flatnonzero(plan.x_star.block_mask()).tolist() == [
+                0, grid.index_of(4.0), 1000]
+        assert plans[0].d_star.pre_trade == pytest.approx(
+            plans[1].d_star.pre_trade, rel=1e-10)
+
     def test_zero_resilience_is_constant_half(self):
         model = constant_model(5.0, 1.0, 0.0, mu=0.3, sigma=0.4)
         grid = TimeGrid(0.0, 5.0, 500)
@@ -421,7 +480,7 @@ class TestDiscreteRecursion:
     def test_stochastic_regime_first_order(self):
         rho, sigma, T = 0.5, 0.8, 1.0
         model = constant_model(T, 1.0, rho, sigma=sigma)
-        exact = solve_y_lambert(rho, sigma, T, TimeGrid(0.0, T, 10)).y[0]
+        exact = solve_y_deterministic(model, TimeGrid(0.0, T, 10)).y[0]
         errs = [abs(discrete_value_recursion(model, h).y_h[0] - exact)
                 for h in (0.01, 0.005, 0.0025)]
         assert 1.6 <= errs[0] / errs[1] <= 2.4

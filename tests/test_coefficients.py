@@ -30,6 +30,16 @@ class TestPiecewiseConstant:
         assert f.integral(0.0, 3.0) == 2.0 + 10.0
         assert f.integral(1.5, 2.5) == 0.5 + 5.0
 
+    @pytest.mark.parametrize("f", [
+        jump_example_model(0.3, 4.0, 5.0).mu, PiecewiseConstant.constant(2.5)],
+        ids=["two_pieces", "one_piece"])
+    def test_undefined_before_zero(self, f):
+        # both lookups once answered here, with different pieces
+        with pytest.raises(ModelError, match="before 0"):
+            f(-1.0)
+        with pytest.raises(ModelError, match="before 0"):
+            f.sample(np.array([0.5, -1.0]))
+
     def test_sample_matches_call(self):
         f = PiecewiseConstant((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
         ts = np.array([0.0, 0.5, 1.0, 1.7, 2.0, 9.0])

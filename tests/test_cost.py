@@ -13,8 +13,7 @@ from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      deviation_path, estimate_cost, immediate_close,
                      naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
-                     simulate_path, solve_y_deterministic, solve_y_lambert,
-                     value_function)
+                     simulate_path, solve_y_deterministic, value_function)
 from execlab import step_terms
 from execlab.cost import CHUNK_ELEMENTS
 
@@ -160,7 +159,7 @@ class TestChunkedEstimate:
 
     def test_optimal_plan(self, sized_grid):
         grid, n_paths = sized_grid
-        vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+        vs = solve_y_deterministic(self.MODEL, grid)
         self.check(grid, n_paths,
                    lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
                                           0.5).x_star,
@@ -185,7 +184,7 @@ class TestChunkedEstimate:
     @pytest.mark.parametrize("kind", ["optimal", "gbm"])
     def test_one_step_terms_per_call(self, sized_grid, kind):
         grid, n_paths = sized_grid
-        vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+        vs = solve_y_deterministic(self.MODEL, grid)
         factory = {
             "optimal": lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
                                               0.5).x_star,
@@ -254,7 +253,7 @@ class TestChunkedQuadraticRepresentation:
     def test_rows_equal_single_paths(self, n_steps):
         grid = TimeGrid(0.0, 2.0, n_steps)
         ids = range(5, 5 + chunk_size(grid))
-        vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+        vs = solve_y_deterministic(self.MODEL, grid)
         s = immediate_close(grid, 1.0, 1.5, 0.2)
 
         def rhs(market):

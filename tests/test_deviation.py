@@ -9,7 +9,7 @@ from execlab import (GridMismatch, Strategy, TimeGrid,
                      admissibility_diagnostics, constant_model,
                      counterexample_brownian, deviation_path, immediate_close,
                      naive_deviation_path, optimal_plan, simulate_path,
-                     solve_y_lambert)
+                     solve_y_deterministic)
 from execlab.cost import CHUNK_ELEMENTS
 
 
@@ -265,7 +265,7 @@ class TestAdmissibilityDiagnostics:
         assert (chunk == 1) == (n_steps > CHUNK_ELEMENTS)
         assert chunk == 1 or n_paths % chunk  # a partial last chunk
         if kind == "optimal":
-            vs = solve_y_lambert(0.5, 0.8, 2.0, grid)
+            vs = solve_y_deterministic(self.MODEL, grid)
             d = 0.5
             factory = lambda m: optimal_plan(  # noqa: E731
                 self.MODEL, vs, m, 0.0, 10.0, d).x_star

@@ -14,8 +14,8 @@ from execlab import (JumpExample, ModelError, TimeGrid,
                      immediate_close, initial_block_classification,
                      jump_example_model, naive_deviation_path, ode_residual,
                      optimal_plan, pathwise_cost, pathwise_cost_naive,
-                     simulate_path, solve_y_deterministic, solve_y_lambert,
-                     solve_y_ode, step_terms)
+                     simulate_path, solve_y_deterministic, solve_y_ode,
+                     step_terms)
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -89,7 +89,7 @@ class TestPlanInvariants:
         model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
         grid = TimeGrid(0.0, 10.0, 1000)
         market = simulate_path(model, grid, 5, 0)
-        vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+        vs = solve_y_deterministic(model, grid)
         return optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
 
     def test_impact_state_is_the_scaled_exponential(self, plan):
@@ -119,7 +119,7 @@ class TestChunkedPlans:
         if regime == "lambert":
             model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
             grid = TimeGrid(0.0, 10.0, 200)
-            vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+            vs = solve_y_deterministic(model, grid)
         else:
             model = jump_example_model(0.3, 4.0, 5.0)
             grid = TimeGrid(0.0, 5.0, 200)
@@ -283,7 +283,7 @@ class TestHoistedTerms:
         if request.param == "lambert":
             model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
             grid = TimeGrid(0.0, 10.0, 300)
-            return (model, lambda: solve_y_lambert(0.5, 0.8, 10.0, grid),
+            return (model, lambda: solve_y_deterministic(model, grid),
                     grid, 10.0 / 3.0)
         model = jump_example_model(0.3, 4.0, 5.0)
         grid = TimeGrid(0.0, 5.0, 300)
@@ -399,7 +399,7 @@ class TestDynamicConsistency:
         model = constant_model(10.0, 1.0, 0.5, sigma=0.8)
         grid = TimeGrid(0.0, 10.0, 2000)
         market = simulate_path(model, grid, 7, 0)
-        vs = solve_y_lambert(0.5, 0.8, 10.0, grid)
+        vs = solve_y_deterministic(model, grid)
         plan = optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
         assert dynamic_consistency_check(plan, 5.0) <= 1e-10
 
