@@ -40,7 +40,7 @@ class ValueSolution:
                               compare=False)
 
     def __post_init__(self):
-        if np.any(self.y < -1e-12) or np.any(self.y > 0.5 + 1e-12):
+        if not np.all((self.y >= -1e-12) & (self.y <= 0.5 + 1e-12)):
             raise ValueError("value factor must stay in [0, 1/2]")
 
 
@@ -53,12 +53,12 @@ class DiscreteValue:
     y_h: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.y_h <= 0.0) or np.any(self.y_h > 0.5 + 1e-12):
+        if not np.all((self.y_h > 0.0) & (self.y_h <= 0.5 + 1e-12)):
             raise ValueError("discrete value factor must stay in (0, 1/2]")
 
 
 def _coefficients(model: CoefficientModel, t, y):
-    """rho, mu, sigma at the times ``t`` and the denominator of the ratio,
+    """rho and mu at the times ``t`` and the denominator of the ratio,
     sigma^2 y + (2 rho + mu - sigma^2)/2, which must be positive."""
     t = np.asarray(t, dtype=float)
     rho, mu, sig = model.rho.sample(t), model.mu.sample(t), model.sigma.sample(t)
@@ -68,21 +68,22 @@ def _coefficients(model: CoefficientModel, t, y):
         raise ValueError("degenerate denominator at t="
                          f"{np.broadcast_to(t, bad.shape)[bad][0]}: "
                          f"{denom[bad][0]}")
-    return rho, mu, sig, denom
+    return rho, mu, denom
 
 
-def driver(model: CoefficientModel, t, y, z):
-    """Generator term of the backward equation at (t, y, z), elementwise."""
-    rho, mu, sig, denom = _coefficients(model, t, y)
-    num = (rho + mu) * y + sig * z
-    return -num * num / denom + mu * y + sig * z
+def driver(model: CoefficientModel, t, y):
+    """Generator term of the backward equation at (t, y), elementwise; the
+    volatility loading z is 0 for deterministic coefficients."""
+    rho, mu, denom = _coefficients(model, t, y)
+    num = (rho + mu) * y
+    return -num * num / denom + mu * y
 
 
-def beta_tilde_at(model: CoefficientModel, t, y, z):
-    """Feedback ratio ((rho+mu) y + sigma z) / (sigma^2 y + (2rho+mu-sigma^2)/2),
+def beta_tilde_at(model: CoefficientModel, t, y):
+    """Feedback ratio (rho+mu) y / (sigma^2 y + (2rho+mu-sigma^2)/2),
     elementwise."""
-    rho, mu, sig, denom = _coefficients(model, t, y)
-    return ((rho + mu) * y + sig * z) / denom
+    rho, mu, denom = _coefficients(model, t, y)
+    return (rho + mu) * y / denom
 
 
 def _require_horizon(grid: TimeGrid, T: float) -> None:
@@ -110,8 +111,26 @@ def _log1p_over(k: float, x: np.ndarray) -> np.ndarray:
     return x if k == 0.0 else np.log1p(np.maximum(k * x, 2.0**-53 - 1.0)) / k
 
 
+def _sigma_free_piece(rho: float, mu: float, sigma: float, w_e: float,
+                      tau: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """y at the times e - tau of a piece ending at e with sigma^2 y dropped
+    from the ratio's denominator (exact when sigma = 0), and w = 1/y - 2 if
+    formed.  Then w' = mu w - q, q = rho^2 / c, c = (2 rho + mu - sigma^2)/2:
+    w(e - tau) = exp(-mu tau) w_e - q expm1(-mu tau) / mu, or w_e + q tau if
+    mu = 0.  With mu < 0, exp(-mu tau) can overflow, so w is not formed and
+    y = E / (2 E + w_e + q expm1(mu tau) / mu) with E = exp(mu tau)."""
+    # exactly rho when mu = sigma = 0
+    q = rho * (2.0 * rho / (2.0 * rho + mu - sigma * sigma))
+    if mu < 0.0:
+        e = np.exp(mu * tau)
+        return e / (2.0 * e + w_e + q * np.expm1(mu * tau) / mu), None
+    w = (w_e + q * tau if mu == 0.0 else
+         np.exp(-mu * tau) * w_e - q * np.expm1(-mu * tau) / mu)
+    return 1.0 / (2.0 + w), w
+
+
 def _solve_lognormal_piece(rho: float, mu: float, sigma: float, y_e: float,
-                           tau: np.ndarray) -> np.ndarray:
+                           tau: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y at the times e - tau of a piece with sigma > 0 that ends at e.
 
     With c = (2 rho + mu - sigma^2)/2 and a = (rho + mu)^2 - mu sigma^2,
@@ -119,10 +138,10 @@ def _solve_lognormal_piece(rho: float, mu: float, sigma: float, y_e: float,
     root of F(y) = sigma^2/a log1p(a d) + 1/mu log1p(mu c d/y) + tau with
     d = (y - y_e) / (a y_e - mu c).  F falls from tau at y_e to -inf at the
     equilibrium mu c / a, or at 0 if that is not positive.  Newton's method
-    in log y starts beyond the root, at the solution without sigma^2 y in
-    the denominator; F is concave in log y, so the iterates stay on that
-    side.  A step out of the bracket is replaced by its midpoint.  It stops
-    at a stationary or two-cycle iterate, or when the bracket holds no float.
+    in log y starts beyond the root, from ``y`` (:func:`_sigma_free_piece`);
+    F is concave in log y, so the iterates stay on that side.  A step out of
+    the bracket is replaced by its midpoint.  It stops at a stationary or
+    two-cycle iterate, or when the bracket holds no float.
     """
     s2 = sigma * sigma
     c = 0.5 * (2.0 * rho + mu - s2)
@@ -131,14 +150,6 @@ def _solve_lognormal_piece(rho: float, mu: float, sigma: float, y_e: float,
     d_e = rho * rho * y_e - mu * c * (1.0 - 2.0 * y_e)
     if d_e == 0.0:   # y_e is an equilibrium; a = 0 only if rho = mu = 0
         return np.full(tau.shape, y_e)
-    # without sigma^2 y, 1/y is linear like w; each form keeps exp finite
-    if mu < 0.0:
-        y = np.exp(mu * tau) / (1.0 / y_e + a / c * np.expm1(mu * tau) / mu)
-    else:
-        e = np.expm1(-mu * tau) / -mu if mu else tau
-        y = 1.0 / (np.exp(-mu * tau) / y_e + a / c * e)
-    if not np.all(y > 0.0):
-        raise ArithmeticError("the value factor falls below the float range")
     near, far = y_e, (y_e - d_e / a if mu > 0.0 else 0.0)
     # rounding can put the start on or past the equilibrium, where F = -inf
     y = np.where((y - far) * (near - far) > 0.0, y, np.nextafter(far, near))
@@ -166,12 +177,12 @@ def solve_y_deterministic(model: CoefficientModel,
                           grid: TimeGrid) -> ValueSolution:
     """Exact value factor for deterministic piecewise-constant coefficients.
 
-    The pieces are solved from the last one backward.  With sigma = 0,
-    w = 1/y - 2 solves w' = mu w - q, q = 2 rho^2 / (2 rho + mu): on a piece
-    ending at e, w(s) = exp(-mu (e - s)) w(e) - q expm1(-mu (e - s)) / mu,
-    or w(e) + q (e - s) when mu = 0.  With sigma > 0 each point is solved
-    from the separable form (:func:`_solve_lognormal_piece`); mu = 0 there
-    is the Lambert-W case.
+    The pieces are solved from the last one backward, each from the
+    sigma-free form of :func:`_sigma_free_piece`, exact when sigma = 0 and
+    refined by Newton on the separable form when sigma > 0
+    (:func:`_solve_lognormal_piece`; mu = 0 is the Lambert-W case).  A w
+    formed on one piece starts the next.  It raises ``ArithmeticError`` if a
+    start is not a positive float, as when y falls below the float range.
     """
     _require_horizon(grid, model.T)
     grid.validate_model(model)
@@ -183,18 +194,17 @@ def solve_y_deterministic(model: CoefficientModel,
     for i in reversed(range(len(bounds) - 1)):
         start, end, ka, kb = bounds[i], bounds[i + 1], ks[i], ks[i + 1]
         rho, mu, sigma = model.rho(start), model.mu(start), model.sigma(start)
+        if abs(mu) * (end - start) < 2.0**-53:
+            mu = 0.0   # moves no y beyond rounding; mu tau could be subnormal
         tau = end - t[ka:kb]
-        if sigma != 0.0:
-            y[ka:kb] = _solve_lognormal_piece(rho, mu, sigma, y[kb], tau)
-            w_e = 1.0 / y[ka] - 2.0
-            continue
-        q = rho * (2.0 * rho / (2.0 * rho + mu))   # exactly rho when mu = 0
-        if mu == 0.0:
-            w = w_e + q * tau
-        else:
-            w = np.exp(-mu * tau) * w_e - q * np.expm1(-mu * tau) / mu
-        y[ka:kb] = 1.0 / (2.0 + w)
-        w_e = w[0]
+        y_s, w = _sigma_free_piece(rho, mu, sigma, w_e, tau)
+        if not np.all(np.isfinite(y_s) & (y_s > 0.0)):
+            raise ArithmeticError("y leaves the positive float range")
+        if sigma != 0.0:   # the start is exact only without sigma
+            w = None
+            y_s = _solve_lognormal_piece(rho, mu, sigma, y[kb], tau, y_s)
+        y[ka:kb] = y_s
+        w_e = 1.0 / y[ka] - 2.0 if w is None else w[0]
 
     def ratio(times):   # beta / y; with sigma = 0, 2 (rho + mu) / (2 rho + mu)
         # at the times before the grid points it gives the left limits
@@ -209,21 +219,15 @@ def solve_y_deterministic(model: CoefficientModel,
 def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     """Backward fourth-order Runge-Kutta integration of the scalar equation.
 
-    Works for any deterministic piecewise-constant coefficients satisfying the
-    positivity condition; restarts at coefficient breakpoints come for free
-    because breakpoints lie on the grid.  It is the independent check of
-    :func:`solve_y_deterministic`.  Its stages look the coefficients up one
-    scalar at a time: array lookups make it several times faster, but the
-    benchmark's ``value_solvers`` workload keeps the outputs of every pass,
-    so the extra passes would read there as a memory regression until it
-    keeps a digest per pass instead.
+    It is the independent check of :func:`solve_y_deterministic`; breakpoints
+    lie on the grid, so the steps restart there.  Its stages look the
+    coefficients up one scalar at a time: array lookups are several times
+    faster, but the benchmark's ``value_solvers`` workload keeps the outputs
+    of every pass, so more passes would read there as a memory regression.
     """
     _require_horizon(grid, model.T)
     grid.validate_model(model)
-    eps = model.epsilon
-    t = grid.times
-    h = grid.h
-    n = grid.n_steps
+    eps, t, h, n = model.epsilon, grid.times, grid.h, grid.n_steps
     y = np.empty(n + 1)
     y[-1] = 0.5
 
@@ -251,8 +255,8 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
 
     t_left = np.concatenate((t[:1], t[:-1]))   # the left limits' coefficients
     return ValueSolution(grid=grid, y=y,
-                         beta_tilde=beta_tilde_at(model, t, y, 0.0),
-                         beta_pre=beta_tilde_at(model, t_left, y, 0.0))
+                         beta_tilde=beta_tilde_at(model, t, y),
+                         beta_pre=beta_tilde_at(model, t_left, y))
 
 
 def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
@@ -262,14 +266,13 @@ def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
     derivative is one-sided there); breakpoints before the grid start, as
     on the tail solution of a replanned plan, do not touch the grid.
     """
-    grid = solution.grid
-    y = solution.y
+    grid, y = solution.grid, solution.y
     interior = np.ones(grid.n_steps + 1, dtype=bool)
     interior[[0, -1]] = False
     for k in grid.validate_model(model):
         interior[max(k - 1, 0):k + 2] = False
     dy = (y[2:] - y[:-2]) / (2.0 * grid.h)
-    res = np.abs(dy + driver(model, grid.times[1:-1], y[1:-1], 0.0))
+    res = np.abs(dy + driver(model, grid.times[1:-1], y[1:-1]))
     return float(np.max(res[interior[1:-1]], initial=0.0))
 
 
@@ -311,11 +314,8 @@ def _backward_recursion(h: float, times: np.ndarray,
 
 def discrete_value_recursion_raw(rho: float, mu: float, sigma: float,
                                  T: float, h: float) -> DiscreteValue:
-    """Backward recursion for constant coefficients (see the model version).
-
-    Accepts degenerate coefficient triples the model validator would reject,
-    which is convenient for boundary checks.
-    """
+    """Backward recursion for constant coefficients (see the model version);
+    it accepts coefficient triples the model validator would reject."""
     n = _steps(T, h)
     return _backward_recursion(h, np.linspace(0.0, T, n + 1),
                                np.tile([[rho], [mu], [sigma]], n))

@@ -2,6 +2,7 @@
 the recursion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,34 @@ class TestDeterministicSolver:
         with pytest.raises(ArithmeticError, match="float range"):
             solve_y_deterministic(model, TimeGrid(0.0, 1000.0, 1000))
 
+    def test_refuses_the_same_underflow_without_sigma(self):
+        # the sigma-free form never forms exp(-mu tau), so no overflow warns
+        model = constant_model(1000.0, 1.0, 0.5, mu=-0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="float range"):
+                solve_y_deterministic(model, TimeGrid(0.0, 1000.0, 1000))
+
+    def test_negative_drift_matches_the_w_reference(self):
+        # y = E / (2 E + ...) rounds differently from 1/(2 + w), so not bitwise
+        model = constant_model(100.0, 1.0, 0.5, mu=-0.9)
+        grid = TimeGrid(0.0, 100.0, 1000)
+        vs = solve_y_deterministic(model, grid)
+        for name, ref in linear_w_reference(model, grid).items():
+            np.testing.assert_allclose(getattr(vs, name), ref, rtol=1e-14,
+                                       atol=0.0, err_msg=name)
+
+    def test_a_drift_below_rounding_is_solved_as_zero(self):
+        # mu tau is subnormal here, so expm1(-mu tau) / mu is off by ~1e-10
+        # and log1p(mu x) / mu too noisy for Newton to settle
+        grid = TimeGrid(0.0, 2.0, 2000)
+        for sigma in (0.0, 0.5):
+            tiny = constant_model(2.0, 1.0, 1.0, mu=2.2250738585e-313,
+                                  sigma=sigma)
+            zero = constant_model(2.0, 1.0, 1.0, sigma=sigma)
+            assert np.array_equal(solve_y_deterministic(tiny, grid).y,
+                                  solve_y_deterministic(zero, grid).y)
+
     def test_long_and_steep_pieces_converge(self, monkeypatch):
         # the start beyond the root keeps Newton short far from the Lambert
         # case too: y within ulps of an equilibrium, rho T = 1000, y ~ 1e-40
@@ -334,12 +363,12 @@ class TestRk4Solver:
         assert ode_residual(vs, model) <= 1e-5
 
 
-def pointwise_driver_and_ratio(model, t, y, z):
+def pointwise_driver_and_ratio(model, t, y):
     """Reference: the generator and the ratio at one point, in floats."""
     rho, mu, sig = model.rho(t), model.mu(t), model.sigma(t)
     denom = sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
-    num = (rho + mu) * y + sig * z
-    return -num * num / denom + mu * y + sig * z, num / denom
+    num = (rho + mu) * y
+    return -num * num / denom + mu * y, num / denom
 
 
 def pointwise_residual(solution, model):
@@ -353,7 +382,7 @@ def pointwise_residual(solution, model):
     for k in range(1, grid.n_steps):
         if k not in skip:
             dy = (y[k + 1] - y[k - 1]) / (2.0 * grid.h)
-            f, _ = pointwise_driver_and_ratio(model, grid.times[k], y[k], 0.0)
+            f, _ = pointwise_driver_and_ratio(model, grid.times[k], y[k])
             res = max(res, abs(dy + f))
     return res
 
@@ -369,12 +398,12 @@ class TestDriverAndRatio:
     def test_elementwise_equals_pointwise(self):
         grid = TimeGrid(0.0, 3.0, 300)
         rng = np.random.default_rng(0)
-        y, z = rng.uniform(0.0, 0.5, 301), rng.normal(size=301)
-        f = driver(THREE_PIECES, grid.times, y, z)
-        beta = beta_tilde_at(THREE_PIECES, grid.times, y, z)
+        y = rng.uniform(0.0, 0.5, 301)
+        f = driver(THREE_PIECES, grid.times, y)
+        beta = beta_tilde_at(THREE_PIECES, grid.times, y)
         for k, t in enumerate(grid.times):
             assert (f[k], beta[k]) == pointwise_driver_and_ratio(
-                THREE_PIECES, t, y[k], z[k])
+                THREE_PIECES, t, y[k])
 
     def test_residual_and_ratio_equal_the_pointwise_loops(self):
         grid = TimeGrid(0.0, 3.0, 600)
@@ -389,36 +418,43 @@ class TestDriverAndRatio:
             assert ode_residual(rough, THREE_PIECES) == pointwise_residual(
                 rough, THREE_PIECES)
         assert list(vs.beta_tilde) == [
-            pointwise_driver_and_ratio(THREE_PIECES, t, y, 0.0)[1]
+            pointwise_driver_and_ratio(THREE_PIECES, t, y)[1]
             for t, y in zip(grid.times, vs.y)]
 
     def test_constant_resilience_driver(self):
         model = constant_model(1.0, 1.0, 0.5)
         for y in (0.1, 0.3, 0.5):
-            assert driver(model, 0.0, y, 0.0) == pytest.approx(-0.5 * y * y,
-                                                               rel=1e-14)
+            assert driver(model, 0.0, y) == pytest.approx(-0.5 * y * y,
+                                                          rel=1e-14)
 
     def test_zero_resilience_driver_vanishes_at_half(self):
         model = constant_model(1.0, 1.0, 0.0, mu=0.3, sigma=0.4)
-        assert driver(model, 0.0, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert driver(model, 0.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_ratio_deterministic_formula(self):
         model = constant_model(1.0, 1.0, 0.4, mu=0.2)
         y = 0.3
         expected = (0.4 + 0.2) * y / (0.5 * (2 * 0.4 + 0.2))
-        assert beta_tilde_at(model, 0.0, y, 0.0) == pytest.approx(expected,
-                                                                  rel=1e-14)
+        assert beta_tilde_at(model, 0.0, y) == pytest.approx(expected,
+                                                             rel=1e-14)
 
     def test_degenerate_denominator_rejected(self):
         model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
         with pytest.raises(ValueError):
-            driver(model, 0.0, -3.0, 0.0)
+            driver(model, 0.0, -3.0)
         with pytest.raises(ValueError):
-            beta_tilde_at(model, 0.0, -3.0, 0.0)
+            beta_tilde_at(model, 0.0, -3.0)
         # one degenerate point among many is enough
         with pytest.raises(ValueError, match="t=0.5"):
             driver(model, np.array([0.0, 0.5, 1.0]),
-                   np.array([0.1, -3.0, 0.2]), 0.0)
+                   np.array([0.1, -3.0, 0.2]))
+
+
+def test_value_solution_refuses_nan():
+    y = np.array([np.nan, 0.3, 0.5])
+    with pytest.raises(ValueError, match="value factor"):
+        bsde.ValueSolution(grid=TimeGrid(0.0, 1.0, 2), y=y, beta_tilde=y,
+                           beta_pre=y)
 
 
 def tail_residual(model, vs, k):
@@ -492,6 +528,11 @@ class TestDiscreteRecursion:
         assert np.all((dv.y_h > 0.0) & (dv.y_h <= 0.5))
         with pytest.raises(ValueError):
             discrete_value_recursion(model, 0.3)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="discrete value factor"):
+            bsde.DiscreteValue(h=0.5, times=np.array([0.0, 0.5, 1.0]),
+                               y_h=np.array([np.nan, 0.3, 0.5]))
 
     def test_nonpositive_denominator_raises(self):
         # rho = -1 with a constant impact drives the denominator below zero
