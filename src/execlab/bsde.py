@@ -329,5 +329,4 @@ def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue
     where Gamma is the one-step lognormal impact ratio.
     """
     grid = TimeGrid(0.0, model.T, _steps(model.T, h))
-    grid.validate_model(model)
     return _backward_recursion(h, grid.times, np.stack(step_terms(model, grid)[:3]))

@@ -49,6 +49,14 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(",".join("%.17g" % c[i] for c in columns) + "\n")
 
 
+def write_summary(path, summary: dict) -> None:
+    """Summary JSON with sorted keys.  A NaN or infinity raises ValueError
+    before the file is opened: JSON has no such values."""
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: tag, market model, grid/sampling sizes, start state."""
@@ -222,9 +230,7 @@ def run(cfg: ExperimentConfig) -> dict:
     }
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{cfg.tag}_summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_summary(out / f"{cfg.tag}_summary.json", summary)
     return summary
 
 
@@ -384,7 +390,7 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     model = constant_model(1.0, 1.0, 0.5)
     grid = TimeGrid(0.0, 1.0, 100_000)
     market = simulate_path(model, grid, SELFTEST_SEED, 0)
-    hold = immediate_close(grid, 1.0, 1.0, 0.0)
+    hold = immediate_close(grid, 1.0, 1.0)
     dev = deviation_path(model, market, hold)
     vs = solve_y_deterministic(model, grid)
     det_gap = abs(pathwise_cost(hold, dev, market) - quadratic_representation_rhs(
@@ -392,7 +398,7 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
 
     grid = TimeGrid(0.0, 10.0, mc_steps)
     vs = solve_y_deterministic(SHOWCASE, grid)
-    hold = immediate_close(grid, 10.0, 1.0, 0.0)
+    hold = immediate_close(grid, 10.0, 1.0)
     lhs, rhs = np.empty(n_paths), np.empty(n_paths)
     for ids, m, _, dv in chunk_runs(SHOWCASE, grid, n_paths, SELFTEST_SEED,
                                     lambda _: hold):
@@ -441,7 +447,7 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
                          simulate_path(zero_rho, g5, SELFTEST_SEED, 0),
                          0.0, 2.0, 1.0)
     zero_rho_exact = bool(np.all(plan0.x_star.values
-                                 == immediate_close(g5, 0.0, 2.0, 1.0).values))
+                                 == immediate_close(g5, 0.0, 2.0).values))
     return _check("structural_invariants",
                   y_range <= 0.0 and terminal_exact and max(tol) <= 1e-10
                   and zero_rho_exact, y_range=y_range,
@@ -498,9 +504,7 @@ def selftest(out_dir=None, n_paths: int = 20000, mc_steps: int = 5000) -> int:
               else fn(n_paths, mc_steps) for fn in CHECKS]
     summary = {"schema_version": SCHEMA_VERSION, "seed": SELFTEST_SEED,
                "checks": checks, "pass": all(c["pass"] for c in checks)}
-    with open(out / "selftest_summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_summary(out / "selftest_summary.json", summary)
     for c in checks:
         print(("PASS" if c["pass"] else "FAIL") + f"  {c['name']}")
     return 0 if summary["pass"] else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -234,8 +234,11 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
 
     Memoized on the pair, so a Monte Carlo loop computes them once: every
     chunk of a loop asks for the same pair.  Another model or grid is
-    another key, never a stale entry.
+    another key, never a stale entry.  The pair is validated with
+    :meth:`TimeGrid.validate_model` on every miss; a pair that fails is
+    never cached.
     """
+    grid.validate_model(model)
     t_left = grid.times[:-1]
     rho = model.rho.sample(t_left)
     mu = model.mu.sample(t_left)
@@ -261,16 +264,21 @@ class MarketPath:
     grid: TimeGrid
     w: np.ndarray        # Brownian increments per step, n_steps on the last axis
     gamma: np.ndarray    # impact per grid point, n_steps + 1 on the last axis
-    alpha: np.ndarray    # 1/gamma per grid point
     path_id: int | range
     master_seed: int
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """1/gamma per grid point, computed on first access: a cost
+        estimate never reads it."""
+        return 1.0 / self.gamma
 
     def tail(self, k: int) -> "MarketPath":
         """Sub-path on the grid starting at grid index k."""
         g = self.grid
         sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
         return MarketPath(sub, self.w[..., k:], self.gamma[..., k:],
-                          self.alpha[..., k:], self.path_id, self.master_seed)
+                          self.path_id, self.master_seed)
 
 
 def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
@@ -281,7 +289,8 @@ def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
     """Running sums along the last axis, starting from 0 (one longer)."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., 0] = 0.0
     np.cumsum(x, axis=-1, out=out[..., 1:])
     return out
 
@@ -292,9 +301,9 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
 
     An integer ``path_id`` gives one path; a ``range`` gives one row per
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
-    stream, so a row equals the single-path call bit for bit.
+    stream, so a row equals the single-path call bit for bit.  Each array is
+    scaled in place once it is drawn or summed.
     """
-    grid.validate_model(model)
     terms = step_terms(model, grid)
     n = grid.n_steps
     # the Brownian driver is always drawn: strategies may use it even when
@@ -304,15 +313,18 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     z = np.empty((len(ids), n))
     for row, i in zip(z, ids):
         _path_rng(master_seed, i).standard_normal(out=row)
-    dw = (z if chunk else z[0]) * np.sqrt(grid.h)
-    log_incr = terms.log_drift + terms.sigma * dw
-    log_gamma = _cumsum0(log_incr)
+    dw = z if chunk else z[0]
+    dw *= np.sqrt(grid.h)
+    log_incr = terms.sigma * dw
+    log_incr += terms.log_drift
+    gamma = _cumsum0(log_incr)
+    np.exp(gamma, out=gamma)
     # gamma0 is the level at time 0: a grid starting at t0 > 0 starts from
     # gamma0 carried forward by the drift alone, gamma0 * exp(int_0^t0 mu)
-    gamma = model.gamma0 * np.exp(log_gamma) if grid.t0 == 0.0 else \
-        model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0)) * np.exp(log_gamma)
-    return MarketPath(grid=grid, w=dw, gamma=gamma, alpha=1.0 / gamma,
-                      path_id=path_id, master_seed=master_seed)
+    gamma *= model.gamma0 if grid.t0 == 0.0 else \
+        model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+    return MarketPath(grid=grid, w=dw, gamma=gamma, path_id=path_id,
+                      master_seed=master_seed)
 
 
 def stochastic_exponential(q_increments: np.ndarray,
@@ -328,4 +340,5 @@ def stochastic_exponential(q_increments: np.ndarray,
     dqv = np.asarray(q_quadratic, dtype=float)
     if dq.shape[-1:] != dqv.shape[-1:]:
         raise ValueError("increment arrays must share a grid")
-    return np.exp(_cumsum0(dq - 0.5 * dqv))
+    log_e = _cumsum0(dq - 0.5 * dqv)
+    return np.exp(log_e, out=log_e)

@@ -21,10 +21,13 @@ from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
 # Bound on the path x grid-point values of one array in estimate_cost's
-# chunks.  2^13 doubles are 64 KiB, so a chunk's dozen live arrays stay
-# under a megabyte, and blocks this size are reused from the heap instead
-# of being paged in afresh for every chunk.  It bounds memory; it is not a
-# speed knob.
+# chunks.  2^13 doubles are 64 KiB.  An optimal-plan cost keeps at most
+# eleven arrays this size alive: six for the chunk being priced (w, gamma,
+# positions, trades, pre-trade deviation and one temporary) and five of
+# the chunk before, which the loop still holds.  So they stay under a
+# megabyte, and blocks this size are reused from the heap instead of being
+# paged in afresh for every chunk.  It bounds memory; it is not a speed
+# knob.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -75,8 +78,11 @@ def pathwise_cost(strategy: Strategy, deviation: DeviationPath,
     """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path."""
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
-    return _per_path(np.sum((deviation.pre_trade + 0.5 * market.gamma * xi) * xi,
-                            axis=-1))
+    charge = 0.5 * market.gamma
+    charge *= xi
+    charge += deviation.pre_trade
+    charge *= xi
+    return _per_path(np.sum(charge, axis=-1))
 
 
 def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
@@ -90,9 +96,9 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     xi = strategy.trades
     blocks = strategy.block_mask()
     linear = np.sum(deviation.pre_trade * xi, axis=-1)
-    quadratic = 0.5 * np.sum(market.gamma[..., blocks] * xi[..., blocks] ** 2,
-                             axis=-1)
-    return _per_path(linear + quadratic)
+    charge = market.gamma[..., blocks]  # the mask selects a copy
+    charge *= xi[..., blocks] ** 2
+    return _per_path(linear + 0.5 * np.sum(charge, axis=-1))
 
 
 def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
@@ -114,6 +120,14 @@ def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
         market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
         yield ids, market, strat, dev_fn(model, market, strat, d_pre)
+
+
+def _require_finite(what: str, *samples: np.ndarray) -> None:
+    """Raise ArithmeticError naming the first path with a non-finite value."""
+    finite = np.logical_and.reduce([np.isfinite(s) for s in samples])
+    if not finite.all():
+        raise ArithmeticError(f"path {int(np.argmin(finite))} gives a "
+                              f"non-finite {what}")
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -139,6 +153,9 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     receives a :class:`MarketPath` whose arrays carry a leading path axis,
     and must return a :class:`Strategy` that broadcasts against it (1-D
     values are shared by every path); its block flags stay 1-D.
+
+    Raises ``ArithmeticError`` naming the first path whose cost is not
+    finite, such as one whose impact overflowed.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
@@ -148,6 +165,7 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
                                               strategy_factory, d_pre,
                                               naive_dynamics):
         costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
+    _require_finite("cost", costs)
     mean, std_error = _mean_se(costs)
     return CostEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
                         h=grid.h, seed=seed, model_hash=model.content_hash())
@@ -176,7 +194,8 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
     Runs the chunk loop of :func:`estimate_cost`, with the same arguments
     and the same strategy contract, on the corrected dynamics.  The
     integrals are left-endpoint sums on the grid, A being the impact state
-    of the deviation.
+    of the deviation.  Raises ``ArithmeticError`` naming the first path
+    with an integral that is not finite.
     """
     if n_paths < 100:
         raise ValueError("admissibility diagnostics need at least 100 paths")
@@ -191,6 +210,7 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
         dev_int[rows] = np.sqrt(np.sum(dev.values[..., :-1] ** 4
                                        * market.alpha[..., :-1] ** 2 * sig2,
                                        axis=-1) * grid.h)
+    _require_finite("admissibility integral", sup, impact, dev_int)
     return AdmissibilityReport(sup_moment=_mean_se(sup),
                                impact_integral=_mean_se(impact),
                                deviation_integral=_mean_se(dev_int),

@@ -45,7 +45,7 @@ class Strategy:
         values = np.asarray(self.values)
         if values.shape[-1:] != (n_points,):
             raise GridMismatch("strategy values must cover every grid point")
-        if np.any(values[..., -1] != 0.0):
+        if (values[..., -1] != 0.0).any():
             raise ValueError("terminal position must be 0 (liquidation constraint)")
         if self.is_block is not None and np.shape(self.is_block) != (n_points,):
             raise GridMismatch("block flags must cover every grid point")
@@ -57,7 +57,10 @@ class Strategy:
         Computed on first access and kept read-only: the deviation and the
         cost of a strategy both read it.
         """
-        xi = np.diff(self.values, prepend=self.x_pre)
+        x = np.asarray(self.values)
+        xi = np.empty(x.shape)
+        xi[..., 0] = x[..., 0] - self.x_pre
+        np.subtract(x[..., 1:], x[..., :-1], out=xi[..., 1:])
         xi.flags.writeable = False
         return xi
 
@@ -72,13 +75,37 @@ class DeviationPath:
     """Deviation along a strategy: values after and before each grid trade.
 
     The arrays carry the leading path axis of the market or strategy, if any.
+    Only ``pre_trade`` is built with the path: a cost needs nothing else.
+    ``values`` and ``impact_state`` are computed on first access from the
+    strategy, the market and the impact level ``gamma_eff`` each trade was
+    charged at, unless :meth:`explicit` gave the values.
     """
 
     grid: TimeGrid
     d_pre: float
-    values: np.ndarray        # deviation right after the trade at grid point k
     pre_trade: np.ndarray     # deviation right before the trade at grid point k
-    impact_state: np.ndarray  # A_k = X_k - alpha_k * D_k
+    strategy: Strategy
+    market: MarketPath
+    gamma_eff: np.ndarray     # impact level each trade is charged at
+
+    @classmethod
+    def explicit(cls, d_pre: float, pre_trade: np.ndarray, values: np.ndarray,
+                 strategy: Strategy, market: MarketPath) -> "DeviationPath":
+        """A deviation whose values are given, such as a closed form."""
+        dev = cls(grid=strategy.grid, d_pre=d_pre, pre_trade=pre_trade,
+                  strategy=strategy, market=market, gamma_eff=market.gamma)
+        dev.__dict__["values"] = values  # pre-fills the cached property
+        return dev
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Deviation right after the trade at grid point k."""
+        return self.pre_trade + self.gamma_eff * self.strategy.trades
+
+    @cached_property
+    def impact_state(self) -> np.ndarray:
+        """A_k = X_k - alpha_k * D_k."""
+        return self.strategy.values - self.market.alpha * self.values
 
 
 def _check_shared_grid(*grids: TimeGrid) -> None:
@@ -106,15 +133,15 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
                                     axis=-1)
         gamma_eff = np.where(strategy.block_mask(), gamma_eff, gamma_left)
     terms = step_terms(model, grid)
-    xi = strategy.trades
-    cum = d_pre + np.cumsum(gamma_eff * terms.growth * xi, axis=-1)
+    cum = gamma_eff * terms.growth
+    cum *= strategy.trades
+    np.cumsum(cum, axis=-1, out=cum)
+    cum += d_pre
     pre_trade = np.empty_like(cum)
     pre_trade[..., 0] = d_pre
-    pre_trade[..., 1:] = terms.decay[1:] * cum[..., :-1]
-    values = pre_trade + gamma_eff * xi
-    impact_state = strategy.values - market.alpha * values
-    return DeviationPath(grid=grid, d_pre=d_pre, values=values,
-                         pre_trade=pre_trade, impact_state=impact_state)
+    np.multiply(terms.decay[1:], cum[..., :-1], out=pre_trade[..., 1:])
+    return DeviationPath(grid=grid, d_pre=d_pre, pre_trade=pre_trade,
+                         strategy=strategy, market=market, gamma_eff=gamma_eff)
 
 
 def deviation_path(model: CoefficientModel, market: MarketPath,

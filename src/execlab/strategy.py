@@ -19,7 +19,7 @@ import numpy as np
 
 from .bsde import ValueSolution, _require_horizon
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _cumsum0,
-                           step_terms, stochastic_exponential)
+                           step_terms)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
@@ -36,18 +36,15 @@ class OptimalPlan:
     ``beta``, ``beta_pre``, ``q_quadratic`` and the block flags of
     ``x_star`` do not depend on the path.  They are computed once per
     value solution, model and start index, and every plan built from that
-    value solution shares them read-only.  ``d_star`` is computed on first
-    access, because a cost estimate needs only ``x_star``; it is the same
-    deviation path either way.
+    value solution shares them read-only (``terms``).  ``q_increments`` and
+    ``d_star`` are computed on first access, because a cost estimate needs
+    only ``x_star``; they are the same arrays either way.
     """
 
     grid: TimeGrid
-    q_increments: np.ndarray
-    q_quadratic: np.ndarray
+    terms: "_PlanTerms"
     exp_q: np.ndarray
     x_star: Strategy
-    beta: np.ndarray
-    beta_pre: np.ndarray
     scale: float | np.ndarray  # x - d/gamma_t
     model: CoefficientModel
     value_solution: ValueSolution
@@ -56,19 +53,36 @@ class OptimalPlan:
     x: float
     d: float
 
+    @property
+    def beta(self) -> np.ndarray:
+        return self.terms.beta
+
+    @property
+    def beta_pre(self) -> np.ndarray:
+        return self.terms.beta_pre
+
+    @property
+    def q_quadratic(self) -> np.ndarray:
+        return self.terms.q_quadratic
+
+    @cached_property
+    def q_increments(self) -> np.ndarray:
+        """dQ = -beta sigma dW - integral of beta (mu + rho - sigma^2) ds."""
+        return self.terms.neg_beta_sigma * self.market.w - self.terms.drift
+
     @cached_property
     def d_star(self) -> DeviationPath:
-        """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d."""
+        """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d.
+
+        Its values are this closed form, not the deviation recursion."""
         scale_col = np.expand_dims(self.scale, -1)
         gamma = self.market.gamma
         d_values = scale_col * self.exp_q * (-gamma * self.beta)
         d_values[..., -1] = self.scale * self.exp_q[..., -1] * (-gamma[..., -1])
         d_pre = scale_col * self.exp_q * (-gamma * self.beta_pre)
         d_pre[..., 0] = self.d
-        return DeviationPath(grid=self.grid, d_pre=self.d, values=d_values,
-                             pre_trade=d_pre,
-                             impact_state=self.x_star.values
-                             - self.market.alpha * d_values)
+        return DeviationPath.explicit(self.d, d_pre, d_values, self.x_star,
+                                      self.market)
 
 
 def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
@@ -95,6 +109,8 @@ class _PlanTerms(NamedTuple):
     neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
     drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
     q_quadratic: np.ndarray
+    half_q_quadratic: np.ndarray
+    one_minus_beta: np.ndarray
     blocks: np.ndarray
 
 
@@ -128,10 +144,13 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
+    q_quadratic = beta[:-1] ** 2 * sig**2 * h
     terms = _PlanTerms(beta=beta, beta_pre=beta_pre,
                        neg_beta_sigma=-beta[:-1] * sig,
                        drift=int_beta * (mu + rho - sig**2),
-                       q_quadratic=beta[:-1] ** 2 * sig**2 * h, blocks=blocks)
+                       q_quadratic=q_quadratic,
+                       half_q_quadratic=0.5 * q_quadratic,
+                       one_minus_beta=1.0 - beta, blocks=blocks)
     for a in terms:
         a.flags.writeable = False
     cache.clear()
@@ -148,6 +167,8 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     resilience the feedback ratio is identically 1, so the plan closes the
     position immediately.  The arrays that do not depend on the path are
     computed once and kept on ``value_solution`` (see :class:`OptimalPlan`).
+    The path arrays are built in place; ``exp_q`` equals
+    ``stochastic_exponential(q_increments, q_quadratic)`` bit for bit.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -157,11 +178,15 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     grid = market.grid
     pt = _plan_terms(model, value_solution, market, k0)
 
-    q_inc = pt.neg_beta_sigma * market.w - pt.drift
-    exp_q = stochastic_exponential(q_inc, pt.q_quadratic)
+    log_inc = pt.neg_beta_sigma * market.w
+    log_inc -= pt.drift
+    log_inc -= pt.half_q_quadratic
+    exp_q = _cumsum0(log_inc)
+    np.exp(exp_q, out=exp_q)
 
     scale = x - d / market.gamma[..., 0]
-    xs = np.expand_dims(scale, -1) * exp_q * (1.0 - pt.beta)
+    xs = scale[..., None] * exp_q
+    xs *= pt.one_minus_beta
     xs[..., -1] = 0.0
     x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=pt.blocks)
 
@@ -170,14 +195,12 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
             grid=grid, y=value_solution.y[k0:],
             beta_tilde=value_solution.beta_tilde[k0:],
             beta_pre=value_solution.beta_pre[k0:])
-    return OptimalPlan(grid=grid, q_increments=q_inc,
-                       q_quadratic=pt.q_quadratic, exp_q=exp_q, x_star=x_star,
-                       beta=pt.beta, beta_pre=pt.beta_pre, scale=scale,
-                       model=model, value_solution=value_solution,
+    return OptimalPlan(grid=grid, terms=pt, exp_q=exp_q, x_star=x_star,
+                       scale=scale, model=model, value_solution=value_solution,
                        market=market, t=t, x=x, d=d)
 
 
-def immediate_close(grid: TimeGrid, t: float, x: float, d: float) -> Strategy:
+def immediate_close(grid: TimeGrid, t: float, x: float) -> Strategy:
     """Strategy that holds x until t, closes the whole position at t."""
     k = grid.index_of(t)
     values = np.zeros(grid.n_steps + 1)

@@ -90,6 +90,15 @@ class TestRun:
         run(self.ow_config(tmp_path))
         assert (tmp_path / "ow_value_summary.json").read_bytes() == first
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_summary_is_not_written(self, tmp_path, monkeypatch,
+                                               bad):
+        monkeypatch.setitem(EXPERIMENTS, "ow_value",
+                            lambda cfg: {"value": bad, "pass": False})
+        with pytest.raises(ValueError):
+            run(self.ow_config(tmp_path))
+        assert not (tmp_path / "ow_value_summary.json").exists()
+
     def test_naive_brownian_small(self, tmp_path):
         cfg = ExperimentConfig(
             tag="naive_brownian",

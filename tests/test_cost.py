@@ -37,14 +37,14 @@ class TestPathwiseCost:
         # close x = 1.5 at t = 0 into deviation d = 3 with gamma = 2:
         # cost = (3 + 2/2 * (-1.5)) * (-1.5) = -2.25
         model, grid, market = make_setup(gamma0=2.0)
-        s = immediate_close(grid, 0.0, 1.5, 3.0)
+        s = immediate_close(grid, 0.0, 1.5)
         dev = deviation_path(model, market, s, d_pre=3.0)
         assert pathwise_cost(s, dev, market) == pytest.approx(-2.25, rel=1e-14)
 
     def test_flat_book_single_close(self):
         # with d = 0, closing x = 1 costs exactly gamma/2
         model, grid, market = make_setup(gamma0=4.0)
-        s = immediate_close(grid, 0.0, 1.0, 0.0)
+        s = immediate_close(grid, 0.0, 1.0)
         dev = deviation_path(model, market, s)
         assert pathwise_cost(s, dev, market) == pytest.approx(2.0, rel=1e-14)
 
@@ -79,7 +79,7 @@ class TestEstimateCost:
         model = constant_model(1.0, 1.0, 0.5)
         grid = TimeGrid(0.0, 1.0, 20)
         est = estimate_cost(model, grid, 10, 0,
-                            lambda m: immediate_close(grid, 0.0, 1.0, 0.0))
+                            lambda m: immediate_close(grid, 0.0, 1.0))
         assert est.std_error == 0.0
         assert est.mean == pytest.approx(0.5, rel=1e-14)
 
@@ -99,14 +99,14 @@ class TestEstimateCost:
         grid = TimeGrid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             estimate_cost(model, grid, 1, 0,
-                          lambda m: immediate_close(grid, 0.0, 1.0, 0.0))
+                          lambda m: immediate_close(grid, 0.0, 1.0))
 
     def test_value_function_is_a_lower_bound(self):
         model = constant_model(1.0, 1.0, 0.5, sigma=0.5)
         grid = TimeGrid(0.0, 1.0, 100)
         x, d = 2.0, 0.0
         est = estimate_cost(model, grid, 400, 3,
-                            lambda m: immediate_close(grid, 0.0, x, d))
+                            lambda m: immediate_close(grid, 0.0, x))
         # the deterministic-impact value factor upper-bounds the true one,
         # so its value quote still lower-bounds any suboptimal strategy cost
         vs = solve_y_deterministic(constant_model(1.0, 1.0, 0.5), grid)
@@ -178,7 +178,7 @@ class TestChunkedEstimate:
     def test_immediate_close(self, sized_grid):
         grid, n_paths = sized_grid
         self.check(grid, n_paths,
-                   lambda m: immediate_close(grid, 1.0, 2.0, 0.3), d_pre=0.3,
+                   lambda m: immediate_close(grid, 1.0, 2.0), d_pre=0.3,
                    naive=True)
 
     @pytest.mark.parametrize("kind", ["optimal", "gbm"])
@@ -233,7 +233,7 @@ class TestQuadraticRepresentation:
         grid = TimeGrid(0.0, 1.0, 500)
         market = simulate_path(model, grid, 0, 0)
         vs = solve_y_deterministic(model, grid)
-        s = immediate_close(grid, 0.0, 1.0, 0.0)
+        s = immediate_close(grid, 0.0, 1.0)
         dev = deviation_path(model, market, s)
         rhs = quadratic_representation_rhs(model, vs, market, s, dev, 1.0, 0.0)
         cost = pathwise_cost(s, dev, market)
@@ -254,7 +254,7 @@ class TestChunkedQuadraticRepresentation:
         grid = TimeGrid(0.0, 2.0, n_steps)
         ids = range(5, 5 + chunk_size(grid))
         vs = solve_y_deterministic(self.MODEL, grid)
-        s = immediate_close(grid, 1.0, 1.5, 0.2)
+        s = immediate_close(grid, 1.0, 1.5)
 
         def rhs(market):
             dev = deviation_path(self.MODEL, market, s, 0.2)

@@ -155,7 +155,7 @@ class TestChunkedDeviation:
         model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
         grid = TimeGrid(0.0, 1.0, 20)
         chunk = simulate_path(model, grid, 2, range(3))
-        s = immediate_close(grid, 0.5, 1.0, 0.2)
+        s = immediate_close(grid, 0.5, 1.0)
         dev = deviation_path(model, chunk, s, 0.2)
         assert dev.values.shape == (3, 21)
         for i in range(3):
@@ -225,7 +225,7 @@ class TestAdmissibilityDiagnostics:
         d = 3.0
         x = d / 2.0  # d / gamma0: closing leaves zero deviation
         rep = admissibility_diagnostics(
-            model, grid, 120, 0, lambda m: immediate_close(grid, 0.0, x, d),
+            model, grid, 120, 0, lambda m: immediate_close(grid, 0.0, x),
             d_pre=d)
         assert rep.sup_moment == (0.0, 0.0)
         assert rep.impact_integral == (0.0, 0.0)

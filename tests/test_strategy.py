@@ -65,7 +65,7 @@ class TestOptimalPlanClosedForm:
         market = simulate_path(model, grid, 3, 0)
         vs = solve_y_ode(model, grid)
         plan = optimal_plan(model, vs, market, 0.0, 4.0, 1.0)
-        ref = immediate_close(grid, 0.0, 4.0, 1.0)
+        ref = immediate_close(grid, 0.0, 4.0)
         assert np.array_equal(plan.x_star.values, ref.values)
         assert np.array_equal(plan.x_star.block_mask(), ref.block_mask())
 
