@@ -12,13 +12,13 @@ strategy     : optimal plans, counterexample strategies, consistency checks
 cli          : experiment runner, figure data, selftest
 """
 
-from .bsde import (DiscreteValue, ValueSolution, beta_tilde_at,
-                   discrete_value_recursion, driver, ode_residual,
-                   solve_y_deterministic, solve_y_ode)
+from .bsde import (DiscreteValue, ValueSolution, discrete_value_recursion,
+                   driver, ode_residual, solve_y_deterministic, solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, model_from_config, simulate_path,
-                           step_terms, stochastic_exponential)
+                           step_coefficients, step_terms,
+                           stochastic_exponential)
 from .cost import (AdmissibilityReport, CostEstimate, ValueQuote,
                    admissibility_diagnostics, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,

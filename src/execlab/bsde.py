@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientModel, TimeGrid, constant_model, step_terms
+from .coefficients import (CoefficientModel, TimeGrid, constant_model,
+                           step_coefficients)
 
 
 @dataclass(frozen=True)
@@ -57,33 +58,37 @@ class DiscreteValue:
             raise ValueError("discrete value factor must stay in (0, 1/2]")
 
 
-def _coefficients(model: CoefficientModel, t, y):
-    """rho and mu at the times ``t`` and the denominator of the ratio,
-    sigma^2 y + (2 rho + mu - sigma^2)/2, which must be positive."""
-    t = np.asarray(t, dtype=float)
-    rho, mu, sig = model.rho.sample(t), model.mu.sample(t), model.sigma.sample(t)
-    denom = np.asarray(sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2))
+def _solution(grid: TimeGrid, coeffs: np.ndarray,
+              y: np.ndarray) -> ValueSolution:
+    """y with the feedback ratio (rho + mu) y / (sigma^2 y + (2 rho + mu -
+    sigma^2)/2) at the grid points and its left limits, from the step table
+    ``coeffs``.  A point takes the step it starts, the last point the last
+    step; a left limit the step before, the first point's the first step.
+    Written so that the ratio is exactly 1 where rho = 0 and y = 1/2; with
+    sigma = 0 it is 2 (rho + mu) / (2 rho + mu) y."""
+    rho, mu, sigma = coeffs
+    # the ratio on each step, with y at its start and at its end
+    start, end = ((rho + mu) / (sigma**2 * (v - 0.5) + (rho + 0.5 * mu)) * v
+                  for v in (y[:-1], y[1:]))
+    return ValueSolution(grid=grid, y=y, beta_tilde=np.append(start, end[-1]),
+                         beta_pre=np.append(start[0], end))
+
+
+def driver(model: CoefficientModel, grid: TimeGrid, y):
+    """Generator term of the backward equation at the grid points (y has one
+    value per point), each with the coefficients of the step it starts; the
+    volatility loading z is 0 for deterministic coefficients.  The ratio's
+    denominator sigma^2 y + (2 rho + mu - sigma^2)/2 must be positive."""
+    # the last point takes the last step
+    rho, mu, sig = np.pad(step_coefficients(model, grid), ((0, 0), (0, 1)),
+                          mode="edge")
+    denom = sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
     bad = denom <= 0.0
     if np.any(bad):
-        raise ValueError("degenerate denominator at t="
-                         f"{np.broadcast_to(t, bad.shape)[bad][0]}: "
+        raise ValueError(f"degenerate denominator at t={grid.times[bad][0]}: "
                          f"{denom[bad][0]}")
-    return rho, mu, denom
-
-
-def driver(model: CoefficientModel, t, y):
-    """Generator term of the backward equation at (t, y), elementwise; the
-    volatility loading z is 0 for deterministic coefficients."""
-    rho, mu, denom = _coefficients(model, t, y)
     num = (rho + mu) * y
     return -num * num / denom + mu * y
-
-
-def beta_tilde_at(model: CoefficientModel, t, y):
-    """Feedback ratio (rho+mu) y / (sigma^2 y + (2rho+mu-sigma^2)/2),
-    elementwise."""
-    rho, mu, denom = _coefficients(model, t, y)
-    return (rho + mu) * y / denom
 
 
 def _require_horizon(grid: TimeGrid, T: float) -> None:
@@ -177,24 +182,23 @@ def solve_y_deterministic(model: CoefficientModel,
                           grid: TimeGrid) -> ValueSolution:
     """Exact value factor for deterministic piecewise-constant coefficients.
 
-    The pieces are solved from the last one backward, each from the
-    sigma-free form of :func:`_sigma_free_piece`, exact when sigma = 0 and
-    refined by Newton on the separable form when sigma > 0
-    (:func:`_solve_lognormal_piece`; mu = 0 is the Lambert-W case).  A w
-    formed on one piece starts the next.  It raises ``ArithmeticError`` if a
-    start is not a positive float, as when y falls below the float range.
+    The pieces are the runs of equal steps of :func:`step_coefficients`,
+    each ending at the next one's first grid time, the last at T.  They are
+    solved from the last one backward, each from the sigma-free form of
+    :func:`_sigma_free_piece`, exact when sigma = 0 and refined by Newton on
+    the separable form when sigma > 0 (:func:`_solve_lognormal_piece`;
+    mu = 0 is the Lambert-W case).  A w formed on one piece starts the next.
+    It raises ``ArithmeticError`` if a start is not a positive float, as
+    when y falls below the float range.
     """
     _require_horizon(grid, model.T)
-    grid.validate_model(model)
+    coeffs = step_coefficients(model, grid)
     t = grid.times
-    bounds = [grid.t0, *(b for b in model.breakpoints if b > grid.t0), model.T]
-    ks = [grid.index_of(b) for b in bounds]
     y = np.empty(grid.n_steps + 1)
-    y[-1], w_e = 0.5, 0.0
-    for i in reversed(range(len(bounds) - 1)):
-        start, end, ka, kb = bounds[i], bounds[i + 1], ks[i], ks[i + 1]
-        rho, mu, sigma = model.rho(start), model.mu(start), model.sigma(start)
-        if abs(mu) * (end - start) < 2.0**-53:
+    y[-1], w_e, end = 0.5, 0.0, model.T
+    for ka, kb in reversed(_runs(coeffs)):
+        rho, mu, sigma = map(float, coeffs[:, ka])
+        if abs(mu) * (end - t[ka]) < 2.0**-53:
             mu = 0.0   # moves no y beyond rounding; mu tau could be subnormal
         tau = end - t[ka:kb]
         y_s, w = _sigma_free_piece(rho, mu, sigma, w_e, tau)
@@ -205,15 +209,8 @@ def solve_y_deterministic(model: CoefficientModel,
             y_s = _solve_lognormal_piece(rho, mu, sigma, y[kb], tau, y_s)
         y[ka:kb] = y_s
         w_e = 1.0 / y[ka] - 2.0 if w is None else w[0]
-
-    def ratio(times):   # beta / y; with sigma = 0, 2 (rho + mu) / (2 rho + mu)
-        # at the times before the grid points it gives the left limits
-        rho, mu = model.rho.sample(times), model.mu.sample(times)
-        sig2 = model.sigma.sample(times) ** 2
-        return (rho + mu) / (sig2 * (y - 0.5) + (rho + 0.5 * mu))
-
-    return ValueSolution(grid=grid, y=y, beta_tilde=ratio(t) * y,
-                         beta_pre=ratio(np.concatenate((t[:1], t[:-1]))) * y)
+        end = t[ka]
+    return _solution(grid, coeffs, y)
 
 
 def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
@@ -221,12 +218,14 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
 
     It is the independent check of :func:`solve_y_deterministic`; breakpoints
     lie on the grid, so the steps restart there.  Its stages look the
-    coefficients up one scalar at a time: array lookups are several times
-    faster, but the benchmark's ``value_solvers`` workload keeps the outputs
-    of every pass, so more passes would read there as a memory regression.
+    coefficients up one scalar at a time, at the step's midpoint, which no
+    rounding puts on the wrong side of a breakpoint; only the ratio reads
+    :func:`step_coefficients`.  Array lookups are several times faster, but
+    the benchmark's ``value_solvers`` workload keeps the outputs of every
+    pass, so more passes would read there as a memory regression.
     """
     _require_horizon(grid, model.T)
-    grid.validate_model(model)
+    coeffs = step_coefficients(model, grid)
     eps, t, h, n = model.epsilon, grid.times, grid.h, grid.n_steps
     y = np.empty(n + 1)
     y[-1] = 0.5
@@ -240,23 +239,19 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
         return num * num / denom - mu * yv   # dY/ds with z == 0
 
     for k in range(n - 1, -1, -1):
-        tk = t[k]  # coefficients are constant on [t_k, t_{k+1})
+        tm = t[k] + 0.5 * h  # coefficients are constant on [t_k, t_{k+1})
         yk1 = y[k + 1]
-        k1 = rhs(tk, yk1)
-        k2 = rhs(tk, yk1 - 0.5 * h * k1)
-        k3 = rhs(tk, yk1 - 0.5 * h * k2)
-        k4 = rhs(tk, yk1 - h * k3)
+        k1 = rhs(tm, yk1)
+        k2 = rhs(tm, yk1 - 0.5 * h * k1)
+        k3 = rhs(tm, yk1 - 0.5 * h * k2)
+        k4 = rhs(tm, yk1 - h * k3)
         yk = yk1 - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if -1e-12 <= yk < 0.0:
             yk = 0.0
         elif 0.5 < yk <= 0.5 + 1e-12:
             yk = 0.5
         y[k] = yk
-
-    t_left = np.concatenate((t[:1], t[:-1]))   # the left limits' coefficients
-    return ValueSolution(grid=grid, y=y,
-                         beta_tilde=beta_tilde_at(model, t, y),
-                         beta_pre=beta_tilde_at(model, t_left, y))
+    return _solution(grid, coeffs, y)
 
 
 def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
@@ -272,7 +267,7 @@ def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
     for k in grid.validate_model(model):
         interior[max(k - 1, 0):k + 2] = False
     dy = (y[2:] - y[:-2]) / (2.0 * grid.h)
-    res = np.abs(dy + driver(model, grid.times[1:-1], y[1:-1]))
+    res = np.abs(dy + driver(model, grid, y)[1:-1])
     return float(np.max(res[interior[1:-1]], initial=0.0))
 
 
@@ -283,16 +278,21 @@ def _steps(T: float, h: float) -> int:
     return n
 
 
+def _runs(coeffs: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal columns of a step table."""
+    cuts = [0, *(np.flatnonzero(np.any(coeffs[:, 1:] != coeffs[:, :-1],
+                                       axis=0)) + 1), coeffs.shape[1]]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _backward_recursion(h: float, times: np.ndarray,
                         coeffs: np.ndarray) -> DiscreteValue:
     """The recursion of :func:`discrete_value_recursion` on ``times``, with
     rho, mu and sigma of step k in column k of ``coeffs``.  The exponential
     factors are computed once for each run of equal columns."""
-    cuts = [0, *(np.flatnonzero(np.any(coeffs[:, 1:] != coeffs[:, :-1],
-                                       axis=0)) + 1), coeffs.shape[1]]
     y = np.empty(len(times))
     y[-1] = yp = 0.5
-    for ka, kb in reversed(list(zip(cuts, cuts[1:]))):
+    for ka, kb in reversed(_runs(coeffs)):
         rho, mu, sigma = map(float, coeffs[:, ka])
         e_rho = math.exp(-rho * h)
         e_g = math.exp(mu * h)                                     # E[Gamma]
@@ -329,4 +329,4 @@ def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue
     where Gamma is the one-step lognormal impact ratio.
     """
     grid = TimeGrid(0.0, model.T, _steps(model.T, h))
-    return _backward_recursion(h, grid.times, np.stack(step_terms(model, grid)[:3]))
+    return _backward_recursion(h, grid.times, step_coefficients(model, grid))

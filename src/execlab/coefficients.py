@@ -67,16 +67,6 @@ class PiecewiseConstant:
                 total += v * (hi - lo)
         return total
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Values at ``times`` (any shape, all >= 0)."""
-        times = np.asarray(times)
-        if np.any(times < 0.0):
-            raise ModelError(f"times before 0: {times.min()}")
-        out = np.full(times.shape, self.values[0], dtype=float)
-        for b, v in zip(self.breaks[1:], self.values[1:]):
-            out[times >= b] = v
-        return out
-
 
 @dataclass(frozen=True)
 class CoefficientModel:
@@ -179,10 +169,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise ModelError(f"n_steps must be an integer: {self.n_steps!r}")
         if self.n_steps < 1:
             raise ModelError("n_steps must be positive")
-        if self.T <= self.t0:
-            raise ModelError("grid end must exceed start")
+        if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.T > self.t0):
+            raise ModelError("grid start and end must be finite and increasing")
 
     @property
     def h(self) -> float:
@@ -199,10 +191,11 @@ class TimeGrid:
         return int(k)
 
     def validate_model(self, model: CoefficientModel) -> list[int]:
-        """Grid indices of the model's breakpoints in [t0, T]; each of them
-        must be a grid point.  Breakpoints before the grid start are
-        skipped.  The grid must lie in the model's [0, T]: the coefficients
-        are not defined outside it."""
+        """Grid indices of the model's breakpoints in [t0, T], where every
+        grid computation changes piece (:func:`step_coefficients`); each must
+        be a grid point, up to the tolerance of :meth:`index_of`.  Those
+        before the grid start are skipped.  The grid must lie in the model's
+        [0, T]: the coefficients are not defined outside it."""
         if self.t0 < 0.0 or self.T > model.T:
             raise ModelError(f"grid [{self.t0}, {self.T}] is not inside the "
                              f"model's horizon [0, {model.T}]")
@@ -210,14 +203,30 @@ class TimeGrid:
                 if self.t0 <= b <= self.T]
 
 
+def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
+    """rho, mu and sigma of each grid step, in rows 0, 1 and 2.
+
+    Step k takes its piece by grid index: runs of piece values change at
+    the indices of :meth:`TimeGrid.validate_model`, and no grid time is
+    compared with a breakpoint.  Every grid computation reads it."""
+    ks = grid.validate_model(model)
+    # the runs start at t0 and at the breakpoints validate_model indexed
+    starts = [grid.t0, *(b for b in model.breakpoints
+                         if grid.t0 <= b <= grid.T)]
+    table = np.empty((3, grid.n_steps))
+    for t, ka, kb in zip(starts, [0, *ks], [*ks, grid.n_steps]):
+        table[:, ka:kb] = [[model.rho(t)], [model.mu(t)], [model.sigma(t)]]
+    return table
+
+
 class StepTerms(NamedTuple):
     """Arrays of a model on a grid that are the same for every path.
 
-    The coefficients at the left end of each step, the deterministic part
-    ``(mu - sigma^2/2) h`` of each log-impact increment, and the resilience
-    factors ``exp(-r)`` and ``exp(r)``, r being the integral of rho from the
-    grid start to each grid point.  Built only by :func:`step_terms`; the
-    arrays are read-only.
+    The coefficients of each step (:func:`step_coefficients`), the
+    deterministic part ``(mu - sigma^2/2) h`` of each log-impact increment,
+    and the resilience factors ``exp(-r)`` and ``exp(r)``, r being the
+    integral of rho from the grid start to each grid point.  Built only by
+    :func:`step_terms`; the arrays are read-only.
     """
 
     rho: np.ndarray
@@ -236,13 +245,10 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
     chunk of a loop asks for the same pair.  Another model or grid is
     another key, never a stale entry.  The pair is validated with
     :meth:`TimeGrid.validate_model` on every miss; a pair that fails is
-    never cached.
+    never cached.  The solvers read :func:`step_coefficients` instead:
+    ``exp(r)`` overflows once r passes about 709.
     """
-    grid.validate_model(model)
-    t_left = grid.times[:-1]
-    rho = model.rho.sample(t_left)
-    mu = model.mu.sample(t_left)
-    sigma = model.sigma.sample(t_left)
+    rho, mu, sigma = step_coefficients(model, grid)
     # exact per-step resilience integrals (rho is constant on each step)
     r_cum = _cumsum0(rho * grid.h)
     terms = StepTerms(rho=rho, mu=mu, sigma=sigma,

@@ -129,9 +129,9 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     grid = strategy.grid
     gamma_eff = market.gamma
     if naive:
-        gamma_left = np.concatenate((gamma_eff[..., :1], gamma_eff[..., :-1]),
-                                    axis=-1)
-        gamma_eff = np.where(strategy.block_mask(), gamma_eff, gamma_left)
+        gamma_eff = market.gamma.copy()
+        np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
+                  where=~strategy.block_mask()[1:])
     terms = step_terms(model, grid)
     cum = gamma_eff * terms.growth
     cum *= strategy.trades

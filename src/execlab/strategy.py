@@ -128,19 +128,11 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
     terms = cache.get(key)
     if terms is not None:
         return terms
-    grid = market.grid
-    h = grid.h
-    rho, mu, sig, *_ = step_terms(model, grid)
-    if all(v == 0.0 for v in model.rho.values):
-        # zero resilience: the ratio is exactly 1 and the position is closed
-        # at once; enforcing this exactly avoids spurious round-off trades
-        beta = np.ones(grid.n_steps + 1)
-        beta_pre = beta
-        int_beta = np.full(grid.n_steps, h)
-    else:
-        beta = value_solution.beta_tilde[k0:]
-        beta_pre = value_solution.beta_pre[k0:]
-        int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
+    h = market.grid.h
+    rho, mu, sig, *_ = step_terms(model, market.grid)
+    beta = value_solution.beta_tilde[k0:]
+    beta_pre = value_solution.beta_pre[k0:]
+    int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
@@ -164,11 +156,12 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
 
     ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
     of the market's grid; the plan lives on the sub-grid [t, T].  With zero
-    resilience the feedback ratio is identically 1, so the plan closes the
-    position immediately.  The arrays that do not depend on the path are
-    computed once and kept on ``value_solution`` (see :class:`OptimalPlan`).
-    The path arrays are built in place; ``exp_q`` equals
-    ``stochastic_exponential(q_increments, q_quadratic)`` bit for bit.
+    resilience both solvers give y = 1/2 and a feedback ratio of exactly 1,
+    so the plan closes the position immediately.  The arrays that do not
+    depend on the path are computed once and kept on ``value_solution``
+    (see :class:`OptimalPlan`).  The path arrays are built in place;
+    ``exp_q`` equals ``stochastic_exponential(q_increments, q_quadratic)``
+    bit for bit.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -269,19 +262,17 @@ def example_beta_path(example: JumpExample, T: float,
     if not (0.0 < t0 < T) or rho <= 0.0:
         raise ValueError("requires 0 < t0 < T and rho > 0")
     _require_horizon(grid, T)
-    grid.index_of(t0)   # the interior block trade needs t0 on the grid
-    s = grid.times
+    k0 = grid.index_of(t0)   # the interior block trade needs t0 on the grid
+    s, k = grid.times, np.arange(grid.n_steps + 1)
     upper = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
                                  - 2.0 * rho**2 * np.exp(s - T))
     y_t0 = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
                                 - 2.0 * rho**2 * math.exp(t0 - T))
     lower = 1.0 / (1.0 / y_t0 + (t0 - s) * rho)
-    after = s >= t0 - 1e-12 * max(1.0, T)
-    y = np.where(after, upper, lower)
+    y = np.where(k >= k0, upper, lower)
     y[-1] = 0.5
-    beta = np.where(after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
-    strictly_after = s > t0 + 1e-12 * max(1.0, T)
-    beta_pre = np.where(strictly_after, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
+    beta = np.where(k >= k0, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
+    beta_pre = np.where(k > k0, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
     return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta_pre)
 
 

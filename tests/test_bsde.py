@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (TimeGrid, beta_tilde_at, build_model, constant_model,
+from execlab import (TimeGrid, build_model, constant_model,
                      discrete_value_recursion, driver, jump_example_model,
                      ode_residual, optimal_plan, simulate_path,
                      solve_y_deterministic, solve_y_ode)
@@ -71,7 +71,8 @@ def linear_w_reference(model, grid):
         else:
             w[ka:kb] = np.exp(-mu * tau) * w[kb] - q * np.expm1(-mu * tau) / mu
     y = 1.0 / (2.0 + w)
-    rho_t, mu_t = model.rho.sample(t), model.mu.sample(t)
+    rho_t = np.array([model.rho(s) for s in t])
+    mu_t = np.array([model.mu(s) for s in t])
     ratio = (rho_t + mu_t) / (2.0 * rho_t + mu_t) * 2.0
     ratio_left = np.concatenate((ratio[:1], ratio[:-1]))
     return {"y": y, "beta_tilde": ratio * y, "beta_pre": ratio_left * y}
@@ -368,7 +369,8 @@ def pointwise_driver_and_ratio(model, t, y):
     rho, mu, sig = model.rho(t), model.mu(t), model.sigma(t)
     denom = sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
     num = (rho + mu) * y
-    return -num * num / denom + mu * y, num / denom
+    ratio = (rho + mu) / (sig**2 * (y - 0.5) + (rho + 0.5 * mu)) * y
+    return -num * num / denom + mu * y, ratio
 
 
 def pointwise_residual(solution, model):
@@ -399,11 +401,9 @@ class TestDriverAndRatio:
         grid = TimeGrid(0.0, 3.0, 300)
         rng = np.random.default_rng(0)
         y = rng.uniform(0.0, 0.5, 301)
-        f = driver(THREE_PIECES, grid.times, y)
-        beta = beta_tilde_at(THREE_PIECES, grid.times, y)
+        f = driver(THREE_PIECES, grid, y)
         for k, t in enumerate(grid.times):
-            assert (f[k], beta[k]) == pointwise_driver_and_ratio(
-                THREE_PIECES, t, y[k])
+            assert f[k] == pointwise_driver_and_ratio(THREE_PIECES, t, y[k])[0]
 
     def test_residual_and_ratio_equal_the_pointwise_loops(self):
         grid = TimeGrid(0.0, 3.0, 600)
@@ -417,37 +417,41 @@ class TestDriverAndRatio:
                                        beta_tilde=y, beta_pre=y)
             assert ode_residual(rough, THREE_PIECES) == pointwise_residual(
                 rough, THREE_PIECES)
-        assert list(vs.beta_tilde) == [
-            pointwise_driver_and_ratio(THREE_PIECES, t, y)[1]
-            for t, y in zip(grid.times, vs.y)]
+        t = grid.times
+        for vs in (vs, solve_y_deterministic(THREE_PIECES, grid)):
+            assert list(vs.beta_tilde) == [
+                pointwise_driver_and_ratio(THREE_PIECES, s, y)[1]
+                for s, y in zip(t, vs.y)]
+            # the left limits take the coefficients of the step before
+            assert list(vs.beta_pre) == [
+                pointwise_driver_and_ratio(THREE_PIECES, s, y)[1]
+                for s, y in zip([t[0], *t[:-1]], vs.y)]
 
     def test_constant_resilience_driver(self):
         model = constant_model(1.0, 1.0, 0.5)
-        for y in (0.1, 0.3, 0.5):
-            assert driver(model, 0.0, y) == pytest.approx(-0.5 * y * y,
-                                                          rel=1e-14)
+        y = np.array([0.1, 0.3, 0.5])
+        np.testing.assert_allclose(driver(model, TimeGrid(0.0, 1.0, 2), y),
+                                   -0.5 * y * y, rtol=1e-14)
 
     def test_zero_resilience_driver_vanishes_at_half(self):
         model = constant_model(1.0, 1.0, 0.0, mu=0.3, sigma=0.4)
-        assert driver(model, 0.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+        f = driver(model, TimeGrid(0.0, 1.0, 4), 0.5)
+        assert np.max(np.abs(f)) <= 1e-15
 
     def test_ratio_deterministic_formula(self):
         model = constant_model(1.0, 1.0, 0.4, mu=0.2)
-        y = 0.3
-        expected = (0.4 + 0.2) * y / (0.5 * (2 * 0.4 + 0.2))
-        assert beta_tilde_at(model, 0.0, y) == pytest.approx(expected,
-                                                             rel=1e-14)
+        vs = solve_y_deterministic(model, TimeGrid(0.0, 1.0, 10))
+        expected = (0.4 + 0.2) * vs.y / (0.5 * (2 * 0.4 + 0.2))
+        np.testing.assert_allclose(vs.beta_tilde, expected, rtol=1e-14)
 
     def test_degenerate_denominator_rejected(self):
         model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+        grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            driver(model, 0.0, -3.0)
-        with pytest.raises(ValueError):
-            beta_tilde_at(model, 0.0, -3.0)
+            driver(model, grid, -3.0)
         # one degenerate point among many is enough
         with pytest.raises(ValueError, match="t=0.5"):
-            driver(model, np.array([0.0, 0.5, 1.0]),
-                   np.array([0.1, -3.0, 0.2]))
+            driver(model, grid, np.array([0.1, -3.0, 0.2]))
 
 
 def test_value_solution_refuses_nan():

@@ -37,30 +37,18 @@ class TestPiecewiseConstant:
         # both lookups once answered here, with different pieces
         with pytest.raises(ModelError, match="before 0"):
             f(-1.0)
-        with pytest.raises(ModelError, match="before 0"):
-            f.sample(np.array([0.5, -1.0]))
-
-    def test_sample_matches_call(self):
-        f = PiecewiseConstant((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
-        ts = np.array([0.0, 0.5, 1.0, 1.7, 2.0, 9.0])
-        assert np.array_equal(f.sample(ts), [f(t) for t in ts])
 
     @given(st.lists(st.floats(0.01, 10.0), max_size=4, unique=True),
            st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
            st.lists(st.floats(0.0, 12.0), max_size=20))
     @settings(max_examples=100, deadline=None)
-    def test_sample_matches_searchsorted(self, interior, values, extra):
+    def test_call_matches_searchsorted(self, interior, values, extra):
         breaks = (0.0,) + tuple(sorted(interior))
         f = PiecewiseConstant(breaks, tuple(values[:len(breaks)]))
-        # every breakpoint itself is sampled, plus arbitrary times
+        # every breakpoint itself is looked up, plus arbitrary times
         times = np.array(list(breaks) + extra)
         idx = np.searchsorted(breaks, times, side="right") - 1
-        assert np.array_equal(f.sample(times), np.asarray(f.values)[idx])
         assert [f(t) for t in times] == [f.values[i] for i in idx]
-        grid2d = np.stack([times, times[::-1]])
-        assert np.array_equal(f.sample(grid2d),
-                              np.stack([f.sample(times),
-                                        f.sample(times[::-1])]))
 
     @given(NON_FINITE, st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -164,6 +152,15 @@ class TestTimeGrid:
         assert g.index_of(4.0) == 400
         with pytest.raises(ModelError):
             g.index_of(4.0051)
+
+    @pytest.mark.parametrize("t0, T, n", [
+        (0.0, 1.0, 2.5), (0.0, 1.0, 10.0), (0.0, 1.0, "10"),
+        (math.nan, 1.0, 10), (0.0, math.nan, 10), (-math.inf, 1.0, 10),
+        (0.0, math.inf, 10)])
+    def test_refuses_fractional_steps_and_non_finite_ends(self, t0, T, n):
+        # TimeGrid(0, 1, 2.5) once had the times [0, 0.4, 0.8, 1.2]
+        with pytest.raises(ModelError):
+            TimeGrid(t0, T, n)
 
     def test_breakpoints_must_sit_on_grid(self):
         m = build_model(1.0, 1.0, [

@@ -201,14 +201,14 @@ class TestNaiveDeviation:
 
 
 def per_path_admissibility(model, grid, n_paths, seed, factory, d_pre=0.0):
-    """Reference: one simulate_path per id, sigma sampled on every path, and
+    """Reference: one simulate_path per id, sigma looked up on every path, and
     the integrals as (mean, standard error) of the per-path values."""
     a1, a2, a3 = [], [], []
     for i in range(n_paths):
         market = simulate_path(model, grid, seed, i)
         strat = factory(market)
         dev = deviation_path(model, market, strat, d_pre)
-        sig = model.sigma.sample(grid.times)
+        sig = np.array([model.sigma(t) for t in grid.times])
         g2a4 = market.gamma**2 * dev.impact_state**4
         a1.append(np.max(g2a4))
         a2.append(np.sqrt(np.sum(g2a4[:-1] * sig[:-1] ** 2) * grid.h))
