@@ -232,11 +232,13 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
 
     def rhs(tk, yv):
         rho, mu, sig = model.rho(tk), model.mu(tk), model.sigma(tk)
-        denom = sig**2 * yv + 0.5 * (2.0 * rho + mu - sig**2)
+        # the denominator of _solution: num / denom is exactly 1, and the
+        # rhs exactly 0, where rho = 0 and y = 1/2
+        denom = sig**2 * (yv - 0.5) + (rho + 0.5 * mu)
         if denom < eps / 4.0:
             raise ValueError(f"step rejected: denominator {denom} below eps/4")
         num = (rho + mu) * yv
-        return num * num / denom - mu * yv   # dY/ds with z == 0
+        return num * (num / denom) - mu * yv   # dY/ds with z == 0
 
     for k in range(n - 1, -1, -1):
         tm = t[k] + 0.5 * h  # coefficients are constant on [t_k, t_{k+1})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -287,10 +288,103 @@ class MarketPath:
                           self.path_id, self.master_seed)
 
 
-def _path_rng(master_seed: int, path_id: int) -> np.random.Generator:
-    # pure function of (master_seed, path_id): reproducible regardless of
-    # execution order or thread count
-    return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(path_id))))
+# NumPy's SeedSequence hash (a pool of 4 words) and PCG64's seeding
+# multiplier: the streams below are numpy's default_rng(SeedSequence(...)),
+# and the helpers mirror numpy/random/bit_generator.pyx step for step
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# path ids per seeding pass; it divides 2**32, so the ids of a block all
+# split into the same number of 32-bit words
+_STREAM_BLOCK = 1024
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of n, least significant first, as SeedSequence
+    splits an integer; a negative n raises ValueError as it does."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: list[int],
+             mult: int) -> np.ndarray:
+    """SeedSequence's word hash; it steps the running ``hash_const``."""
+    value = value ^ hash_const[0]
+    hash_const[0] = hash_const[0] * mult & _MASK32
+    value = value * hash_const[0]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word into a pool word."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+@lru_cache(maxsize=1)
+def _stream_block(master_seed: int, block: int) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
+    the ids i of one block, one row per id, from one vectorized pass.
+
+    Memoized like :func:`step_terms`: the paths of a chunk ask for the same
+    block.  The entropy is the seed's words, then the id's; only the id's
+    low word differs within a block.
+    """
+    lo = block * _STREAM_BLOCK
+    seed_words, high_words = _uint32_words(master_seed), _uint32_words(lo)[1:]
+    n_words = len(seed_words) + 1 + len(high_words)
+    entropy = np.zeros((max(4, n_words), _STREAM_BLOCK), dtype=np.uint32)
+    entropy[:n_words] = np.array(seed_words + [0] + high_words,
+                                 dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] += np.arange(lo & _MASK32,
+                                          (lo & _MASK32) + _STREAM_BLOCK,
+                                          dtype=np.uint32)
+    hash_const = [_INIT_A]
+    pool = [_hashmix(e, hash_const, _MULT_A) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], hash_const, _MULT_A))
+    for e in entropy[4:n_words]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(e, hash_const, _MULT_A))
+    state = np.empty((_STREAM_BLOCK, 8), dtype=np.uint32)
+    hash_const = [_INIT_B]
+    for k in range(8):
+        state[:, k] = _hashmix(pool[k % 4], hash_const, _MULT_B)
+    state.flags.writeable = False
+    return state.view("<u8")
+
+
+def _stream_state(master_seed: int, path_id: int) -> dict:
+    """The PCG64 state of ``default_rng(SeedSequence((master_seed,
+    path_id)))``, as PCG64's srandom builds it from the block's words:
+    ``inc = 2 seq + 1`` and ``state = (inc + init) M + inc`` modulo 2**128,
+    init being the first two words and seq the last two."""
+    block, row = divmod(path_id, _STREAM_BLOCK)
+    s0, s1, s2, s3 = _stream_block(master_seed, block)[row].tolist()
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+_DRAW_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _shared_generator() -> np.random.Generator:
+    # built on first draw: importing numpy.random costs milliseconds that a
+    # run drawing no path should not pay
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
@@ -307,8 +401,11 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
 
     An integer ``path_id`` gives one path; a ``range`` gives one row per
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
-    stream, so a row equals the single-path call bit for bit.  Each array is
-    scaled in place once it is drawn or summed.
+    stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
+    so a row equals the single-path call bit for bit.  Every row is drawn by
+    one shared generator, put into the row's state first; the states are
+    computed a block of ids at a time.  Each array is scaled in place once
+    it is drawn or summed.
     """
     terms = step_terms(model, grid)
     n = grid.n_steps
@@ -317,8 +414,12 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     chunk = isinstance(path_id, range)
     ids = path_id if chunk else (path_id,)
     z = np.empty((len(ids), n))
-    for row, i in zip(z, ids):
-        _path_rng(master_seed, i).standard_normal(out=row)
+    seed = int(master_seed)
+    with _DRAW_LOCK:
+        gen = _shared_generator()
+        for row, i in zip(z, ids):
+            gen.bit_generator.state = _stream_state(seed, int(i))
+            gen.standard_normal(out=row)
     dw = z if chunk else z[0]
     dw *= np.sqrt(grid.h)
     log_incr = terms.sigma * dw

@@ -22,12 +22,12 @@ from .deviation import (DeviationPath, Strategy, _check_shared_grid,
 
 # Bound on the path x grid-point values of one array in estimate_cost's
 # chunks.  2^13 doubles are 64 KiB.  An optimal-plan cost keeps at most
-# eleven arrays this size alive: six for the chunk being priced (w, gamma,
-# positions, trades, pre-trade deviation and one temporary) and five of
-# the chunk before, which the loop still holds.  So they stay under a
-# megabyte, and blocks this size are reused from the heap instead of being
-# paged in afresh for every chunk.  It bounds memory; it is not a speed
-# knob.
+# six arrays this size alive, all of the chunk being priced (w, gamma,
+# positions, trades, pre-trade deviation and one temporary): the chunk
+# loop drops a priced chunk before it draws the next.  So they stay under
+# half a megabyte, and blocks this size are reused from the heap instead
+# of being paged in afresh for every chunk.  It bounds memory; it is not a
+# speed knob.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -114,12 +114,16 @@ def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     they are computed once per loop, not once per chunk.
     ``strategy_factory`` follows the contract of :func:`estimate_cost`;
     ``naive_dynamics`` selects :func:`naive_deviation_path`.
+
+    The loop keeps no chunk it has yielded, so a caller that deletes its
+    loop targets once a chunk is priced holds one chunk at a time.
     """
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
     for ids in path_chunks(n_paths, grid):
         market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
         yield ids, market, strat, dev_fn(model, market, strat, d_pre)
+        del market, strat
 
 
 def _require_finite(what: str, *samples: np.ndarray) -> None:
@@ -165,6 +169,7 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
                                               strategy_factory, d_pre,
                                               naive_dynamics):
         costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
+        del market, strat, dev  # priced: not kept while the next is drawn
     _require_finite("cost", costs)
     mean, std_error = _mean_se(costs)
     return CostEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
@@ -210,6 +215,7 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
         dev_int[rows] = np.sqrt(np.sum(dev.values[..., :-1] ** 4
                                        * market.alpha[..., :-1] ** 2 * sig2,
                                        axis=-1) * grid.h)
+        del market, _, dev, g2a4  # priced: not kept while the next is drawn
     _require_finite("admissibility integral", sup, impact, dev_int)
     return AdmissibilityReport(sup_moment=_mean_se(sup),
                                impact_integral=_mean_se(impact),

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from execlab.cli import (CHECKS, EXPERIMENTS, ExperimentConfig,
-                         default_out_dir, main, reproduce_figure,
-                         reproducible_artifacts, run, selftest, write_csv,
-                         OUTPUT_DIR_ENV)
+                         default_out_dir, figure_plan, main,
+                         reproduce_figure, reproducible_artifacts, run,
+                         selftest, write_csv, OUTPUT_DIR_ENV)
 
 
 class TestWriteCsv:
@@ -27,6 +27,23 @@ class TestWriteCsv:
                          for ln in lines[1:]])
         assert np.array_equal(back[:, 0], t)
         assert np.array_equal(back[:, 1], y)
+
+    @pytest.mark.parametrize("name", ["lambertw", "jump", "negres"])
+    def test_figure_bytes_match_a_per_scalar_writer(self, tmp_path, name):
+        # the reference formats each numpy scalar on its own
+        def reference_csv(path, header, columns):
+            with open(path, "w", newline="\n") as fh:
+                fh.write(",".join(header) + "\n")
+                for i in range(len(columns[0])):
+                    fh.write(",".join("%.17g" % c[i] for c in columns) + "\n")
+
+        path = reproduce_figure(name, tmp_path)
+        plan = figure_plan(name)
+        reference_csv(tmp_path / "ref.csv",
+                      ["t", "X_star", "D_star", "gamma", "beta", "exp_q"],
+                      [plan.grid.times, plan.x_star.values, plan.d_star.values,
+                       plan.market.gamma, plan.beta, plan.exp_q])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_column_length_checked(self, tmp_path):
         with pytest.raises(ValueError):

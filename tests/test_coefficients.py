@@ -1,16 +1,23 @@
 """Market model, path simulation and stochastic exponential tests."""
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import execlab
 from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
                      constant_model, jump_example_model, model_from_config,
                      simulate_path, solve_y_deterministic, solve_y_ode,
                      step_terms, stochastic_exponential)
+from execlab.coefficients import _stream_block
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -291,6 +298,74 @@ class TestSimulatePath:
         sub = TimeGrid(0.5, 1.0, 10)
         p = simulate_path(m, sub, 0, 0)
         assert p.gamma[0] == pytest.approx(2.0 * np.exp(0.4 * 0.5), rel=1e-14)
+
+
+class TestPathStreams:
+    """Row i of a path draw is numpy's stream ``(seed, i)``, bit for bit."""
+
+    MODEL = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+    GRID = TimeGrid(0.0, 1.0, 50)
+
+    def reference_w(self, seed, i):
+        return (np.random.default_rng(np.random.SeedSequence((seed, i)))
+                .standard_normal(self.GRID.n_steps) * np.sqrt(self.GRID.h))
+
+    def check_rows(self, seed, ids):
+        chunk = simulate_path(self.MODEL, self.GRID, seed, ids)
+        for row, i in zip(chunk.w, ids):
+            assert np.array_equal(row, self.reference_w(seed, i))
+            # an int id draws the row of the matching range
+            assert np.array_equal(
+                simulate_path(self.MODEL, self.GRID, seed, i).w, row)
+
+    @pytest.mark.parametrize("seed", [0, 987654321, 2**40 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("ids", [range(4), range(1020, 1030),
+                                     range(2**32 - 3, 2**32 + 3)],
+                             ids=["first", "block_edge", "word_edge"])
+    def test_rows_are_seed_sequence_streams(self, seed, ids):
+        self.check_rows(seed, ids)
+
+    def test_alternating_seeds_miss_the_block_memo(self):
+        for _ in range(3):
+            for seed in (5, 6):
+                self.check_rows(seed, range(1022, 1026))
+        _stream_block.cache_clear()
+        for seed in (5, 6, 5, 6):
+            simulate_path(self.MODEL, self.GRID, seed, 7)
+        assert _stream_block.cache_info().misses == 4
+
+    @pytest.mark.parametrize("seed, ids", [(-1, 0), (0, -1), (3, range(-2, 2))])
+    def test_negative_seed_or_id_raises_like_seed_sequence(self, seed, ids):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((seed, ids[0] if isinstance(ids, range)
+                                    else ids))
+        with pytest.raises(ValueError):
+            simulate_path(self.MODEL, self.GRID, seed, ids)
+
+    def test_threads_draw_their_own_streams(self):
+        # the shared generator is set and drawn under one lock: a row drawn
+        # after another thread reset the state would not be its stream
+        ids = range(1020, 1030)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(simulate_path, self.MODEL, self.GRID,
+                                       seed % 3, ids) for seed in range(96)]
+                draws = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, market in enumerate(draws):
+            for row, i in zip(market.w, ids):
+                assert np.array_equal(row, self.reference_w(seed % 3, i))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the shared generator is made at the first draw, not at import
+        src = str(Path(execlab.__file__).resolve().parents[1])
+        code = ("import sys, execlab; "
+                "sys.exit('numpy.random' in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestStochasticExponential:

@@ -1,6 +1,7 @@
 """Cost functionals, Monte Carlo estimation and closed forms."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      pathwise_cost_naive, quadratic_representation_rhs,
                      simulate_path, solve_y_deterministic, value_function)
 from execlab import step_terms
+from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS
 
 
@@ -194,6 +196,25 @@ class TestChunkedEstimate:
             estimate_cost(self.MODEL, grid, n_paths, 17, factory, d_pre=0.5,
                           naive_dynamics=naive_dynamics)
             assert step_terms.cache_info().misses == 1
+
+    def test_priced_chunk_is_released_before_the_next_is_drawn(self):
+        # one path per chunk: the peak holds the six arrays of the chunk
+        # being priced, and none of the chunk before
+        grid = TimeGrid(0.0, 10.0, 10_000)
+        vs = solve_y_deterministic(SHOWCASE, grid)
+
+        def estimate():
+            return estimate_cost(SHOWCASE, grid, 6, 1, lambda m: optimal_plan(
+                SHOWCASE, vs, m, 0.0, 100.0, 0.0).x_star)
+
+        estimate()  # the memos of the step terms and the streams
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * (grid.n_steps + 1)
 
 
 class TestValueFunction:

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from execlab import (JumpExample, TimeGrid, build_model, example_beta_path,
-                     immediate_close, jump_example_model, optimal_plan,
-                     simulate_path, solve_y_deterministic, solve_y_ode,
-                     step_coefficients, step_terms)
+from execlab import (JumpExample, TimeGrid, build_model, constant_model,
+                     example_beta_path, immediate_close, jump_example_model,
+                     optimal_plan, simulate_path, solve_y_deterministic,
+                     solve_y_ode, step_coefficients, step_terms)
 
 GRID = TimeGrid(0.0, 1.0, 206)
 MODEL = jump_example_model(0.3, 0.5, 1.0)
@@ -105,6 +105,9 @@ TWO_ZERO_RESILIENCE_PIECES = (build_model(2.0, 1.0, [
 
 @given(zero_resilience_models())
 @example(TWO_ZERO_RESILIENCE_PIECES)
+# RK4's stage rhs was once 2.2e-16 at y = 1/2 here, ending y at 1/2 - 5.6e-17
+@example((constant_model(0.5, 1.0, 0.0, mu=2.944878177134831),
+          TimeGrid(0.0, 0.5, 2)))
 @settings(max_examples=60, deadline=None)
 def test_zero_resilience_closes_at_once_in_both_solvers(model_and_grid):
     # rho = 0 on every piece: y = 1/2 and the ratio is exactly 1, so the
