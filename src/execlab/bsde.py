@@ -314,15 +314,6 @@ def _backward_recursion(h: float, times: np.ndarray,
     return DiscreteValue(h=h, times=times, y_h=y)
 
 
-def discrete_value_recursion_raw(rho: float, mu: float, sigma: float,
-                                 T: float, h: float) -> DiscreteValue:
-    """Backward recursion for constant coefficients (see the model version);
-    it accepts coefficient triples the model validator would reject."""
-    n = _steps(T, h)
-    return _backward_recursion(h, np.linspace(0.0, T, n + 1),
-                               np.tile([[rho], [mu], [sigma]], n))
-
-
 def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue:
     """Discrete-time value factor with exact lognormal conditional moments.
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,10 @@ from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic
                    solve_y_ode)
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
                            model_from_config, simulate_path)
-from .cost import (chunk_runs, closed_form_cost_gbm, closed_form_naive_brownian,
+from .cost import (_mean_se, closed_form_cost_gbm, closed_form_naive_brownian,
                    estimate_cost, path_chunks, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
-                   value_function)
+                   sample_paths, value_function)
 from .deviation import deviation_path
 from .strategy import (OptimalPlan, counterexample_brownian,
                        counterexample_gbm, dynamic_consistency_check,
@@ -88,8 +88,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
+        """The config in a JSON file; a file that is not an object of the
+        fields, the required ones included, raises ValueError."""
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a config is a JSON object, not a "
+                             f"{type(raw).__name__}")
+        unknown = sorted(raw.keys() - {f.name for f in fields(ExperimentConfig)})
+        missing = [f.name for f in fields(ExperimentConfig) if f.name not in raw
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if unknown or missing:
+            raise ValueError(f"{path}: unknown keys {unknown}, missing keys "
+                             f"{missing}")
         return ExperimentConfig(**raw)
 
 
@@ -389,7 +400,8 @@ def discrete_recursion_convergence(n_paths: int, mc_steps: int) -> dict:
 
 def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     """Quadratic cost representation of a hold-then-close strategy: pathwise
-    with deterministic impact, in the mean with stochastic impact."""
+    with deterministic impact; with stochastic impact, in the mean (paired SE)
+    and against the closed cost E[gamma_T] x^2 / 2 = gamma_0 exp(mu T) / 2."""
     model = constant_model(1.0, 1.0, 0.5)
     grid = TimeGrid(0.0, 1.0, 100_000)
     market = simulate_path(model, grid, SELFTEST_SEED, 0)
@@ -402,18 +414,18 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     grid = TimeGrid(0.0, 10.0, mc_steps)
     vs = solve_y_deterministic(SHOWCASE, grid)
     hold = immediate_close(grid, 10.0, 1.0)
-    lhs, rhs = np.empty(n_paths), np.empty(n_paths)
-    for ids, m, _, dv in chunk_runs(SHOWCASE, grid, n_paths, SELFTEST_SEED,
-                                    lambda _: hold):
-        lhs[ids.start:ids.stop] = pathwise_cost(hold, dv, m)
-        rhs[ids.start:ids.stop] = quadratic_representation_rhs(
-            SHOWCASE, vs, m, hold, dv, 1.0, 0.0)
-        del m, dv  # priced: not kept while the next chunk is drawn
-    gap = lhs.mean() - rhs.mean()
-    se = np.sqrt(lhs.var(ddof=1) / n_paths + rhs.var(ddof=1) / n_paths)
+    lhs, rhs = sample_paths(
+        SHOWCASE, grid, n_paths, SELFTEST_SEED, lambda _: hold,
+        lambda s, dv, m: (pathwise_cost(s, dv, m), quadratic_representation_rhs(
+            SHOWCASE, vs, m, s, dv, 1.0, 0.0)))
+    gap, se = _mean_se(lhs - rhs)
+    cost, cost_se = _mean_se(lhs)
+    closed_form = SHOWCASE.gamma0 * np.exp(SHOWCASE.mu.values[0] * 10.0) / 2.0
     return _check("quadratic_representation",
-                  det_gap <= 1e-6 and abs(gap) <= 3.0 * se,
-                  deterministic_gap=det_gap, mc_gap=gap, combined_se=se)
+                  det_gap <= 1e-6 and abs(gap) <= 3.0 * se
+                  and abs(cost - closed_form) <= 3.0 * cost_se,
+                  deterministic_gap=det_gap, mc_gap=gap, paired_se=se,
+                  cost=cost, cost_se=cost_se, closed_form=closed_form)
 
 
 def structural_invariants(n_paths: int, mc_steps: int) -> dict:

@@ -20,14 +20,13 @@ from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
-# Bound on the path x grid-point values of one array in estimate_cost's
-# chunks.  2^13 doubles are 64 KiB.  An optimal-plan cost keeps at most
-# six arrays this size alive, all of the chunk being priced (w, gamma,
-# positions, trades, pre-trade deviation and one temporary): the chunk
-# loop drops a priced chunk before it draws the next.  So they stay under
-# half a megabyte, and blocks this size are reused from the heap instead
-# of being paged in afresh for every chunk.  It bounds memory; it is not a
-# speed knob.
+# Bound on the path x grid-point values of one array in a chunk of
+# sample_paths.  2^13 doubles are 64 KiB.  An optimal-plan cost keeps at
+# most six arrays this size alive, all of the chunk being priced (w, gamma,
+# positions, trades, pre-trade deviation and one temporary): sample_paths
+# drops a priced chunk before it draws the next.  So they stay under half a
+# megabyte, and blocks this size are reused from the heap instead of being
+# paged in afresh for every chunk.  It bounds memory; it is not a speed knob.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -101,37 +100,39 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     return _per_path(linear + 0.5 * np.sum(charge, axis=-1))
 
 
-def chunk_runs(model: CoefficientModel, grid: TimeGrid, n_paths: int,
-               seed: int, strategy_factory: Callable[[MarketPath], Strategy],
-               d_pre: float = 0.0, naive_dynamics: bool = False
-               ) -> Iterator[tuple[range, MarketPath, Strategy, DeviationPath]]:
-    """The Monte Carlo chunk loop: ``(ids, market, strategy, deviation)``
-    for each chunk of :func:`path_chunks`.
+def sample_paths(model: CoefficientModel, grid: TimeGrid, n_paths: int,
+                 seed: int, strategy_factory: Callable[[MarketPath], Strategy],
+                 price: Callable[[Strategy, DeviationPath, MarketPath], object],
+                 d_pre: float = 0.0, naive_dynamics: bool = False
+                 ) -> np.ndarray:
+    """Per-path samples of ``price``: one row per value it returns, one
+    column per path.
 
-    Path i is always drawn from the stream ``(seed, i)``, so what a caller
-    computes per path does not depend on the chunking.  The arrays that no
-    path changes come from :func:`execlab.coefficients.step_terms`, so
-    they are computed once per loop, not once per chunk.
+    Draws the chunks of :func:`path_chunks` one at a time and calls
+    ``price(strategy, deviation, market)`` on each; it returns one value per
+    path of the chunk, or a tuple of such values.  A chunk is dropped once
+    it is priced, before the next is drawn.  Path i is always drawn from the
+    stream ``(seed, i)``, so the samples do not depend on the chunking.
     ``strategy_factory`` follows the contract of :func:`estimate_cost`;
-    ``naive_dynamics`` selects :func:`naive_deviation_path`.
-
-    The loop keeps no chunk it has yielded, so a caller that deletes its
-    loop targets once a chunk is priced holds one chunk at a time.
+    ``naive_dynamics`` selects :func:`naive_deviation_path`.  Raises
+    ``ArithmeticError`` naming the first path with a non-finite value.
     """
     dev_fn = naive_deviation_path if naive_dynamics else deviation_path
+    samples = None
     for ids in path_chunks(n_paths, grid):
         market = simulate_path(model, grid, seed, ids)
         strat = strategy_factory(market)
-        yield ids, market, strat, dev_fn(model, market, strat, d_pre)
-        del market, strat
-
-
-def _require_finite(what: str, *samples: np.ndarray) -> None:
-    """Raise ArithmeticError naming the first path with a non-finite value."""
-    finite = np.logical_and.reduce([np.isfinite(s) for s in samples])
+        rows = np.atleast_2d(price(strat, dev_fn(model, market, strat, d_pre),
+                                   market))
+        del market, strat  # priced: not kept while the next chunk is drawn
+        if samples is None:
+            samples = np.empty((len(rows), n_paths))
+        samples[:, ids.start:ids.stop] = rows
+    finite = np.isfinite(samples).all(axis=0)
     if not finite.all():
         raise ArithmeticError(f"path {int(np.argmin(finite))} gives a "
-                              f"non-finite {what}")
+                              "non-finite value")
+    return samples
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -152,7 +153,7 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     ``naive`` switches the cost functional, ``naive_dynamics`` the deviation
     dynamics (no covariation term); both default to the corrected model.
 
-    Paths are simulated by :func:`chunk_runs`, in chunks of at most
+    The costs are sampled by :func:`sample_paths`, in chunks of at most
     ``CHUNK_ELEMENTS`` grid-point values per array.  ``strategy_factory``
     receives a :class:`MarketPath` whose arrays carry a leading path axis,
     and must return a :class:`Strategy` that broadcasts against it (1-D
@@ -163,15 +164,10 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    costs = np.empty(n_paths)
-    cost_fn = pathwise_cost_naive if naive else pathwise_cost
-    for ids, market, strat, dev in chunk_runs(model, grid, n_paths, seed,
-                                              strategy_factory, d_pre,
-                                              naive_dynamics):
-        costs[ids.start:ids.stop] = cost_fn(strat, dev, market)
-        del market, strat, dev  # priced: not kept while the next is drawn
-    _require_finite("cost", costs)
-    mean, std_error = _mean_se(costs)
+    costs = sample_paths(model, grid, n_paths, seed, strategy_factory,
+                         pathwise_cost_naive if naive else pathwise_cost,
+                         d_pre, naive_dynamics)
+    mean, std_error = _mean_se(costs[0])
     return CostEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
                         h=grid.h, seed=seed, model_hash=model.content_hash())
 
@@ -196,31 +192,31 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
                               d_pre: float = 0.0) -> AdmissibilityReport:
     """Estimate the admissibility integrals for a strategy family over paths.
 
-    Runs the chunk loop of :func:`estimate_cost`, with the same arguments
-    and the same strategy contract, on the corrected dynamics.  The
-    integrals are left-endpoint sums on the grid, A being the impact state
-    of the deviation.  Raises ``ArithmeticError`` naming the first path
-    with an integral that is not finite.
+    Samples the three integrals per path by :func:`sample_paths`, with the
+    arguments and the strategy contract of :func:`estimate_cost`, on the
+    corrected dynamics.  The integrals are left-endpoint sums on the grid,
+    A being the impact state of the deviation.  Raises ``ArithmeticError``
+    naming the first path with an integral that is not finite.
     """
     if n_paths < 100:
         raise ValueError("admissibility diagnostics need at least 100 paths")
-    sup, impact, dev_int = (np.empty(n_paths) for _ in range(3))
     sig2 = step_terms(model, grid).sigma ** 2
-    for ids, market, _, dev in chunk_runs(model, grid, n_paths, seed,
-                                          strategy_factory, d_pre):
-        rows = slice(ids.start, ids.stop)
-        g2a4 = market.gamma**2 * dev.impact_state**4
-        sup[rows] = np.max(g2a4, axis=-1)
-        impact[rows] = np.sqrt(np.sum(g2a4[..., :-1] * sig2, axis=-1) * grid.h)
-        dev_int[rows] = np.sqrt(np.sum(dev.values[..., :-1] ** 4
-                                       * market.alpha[..., :-1] ** 2 * sig2,
-                                       axis=-1) * grid.h)
-        del market, _, dev, g2a4  # priced: not kept while the next is drawn
-    _require_finite("admissibility integral", sup, impact, dev_int)
-    return AdmissibilityReport(sup_moment=_mean_se(sup),
-                               impact_integral=_mean_se(impact),
-                               deviation_integral=_mean_se(dev_int),
-                               n_paths=n_paths)
+
+    def integrals(strategy, dev, market):
+        # built in place: one full-size array per integrand
+        g2a4 = dev.impact_state**4
+        g2a4 *= market.gamma**2
+        sup = np.max(g2a4, axis=-1)
+        g2a4[..., :-1] *= sig2
+        d4a2 = dev.values[..., :-1] ** 4
+        d4a2 *= market.alpha[..., :-1] ** 2
+        d4a2 *= sig2
+        return (sup, np.sqrt(np.sum(g2a4[..., :-1], axis=-1) * grid.h),
+                np.sqrt(np.sum(d4a2, axis=-1) * grid.h))
+
+    samples = sample_paths(model, grid, n_paths, seed, strategy_factory,
+                           integrals, d_pre)
+    return AdmissibilityReport(*map(_mean_se, samples), n_paths=n_paths)
 
 
 def _value(y_t, gamma_t, x, d):

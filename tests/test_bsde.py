@@ -14,13 +14,21 @@ from execlab import (TimeGrid, build_model, constant_model,
                      ode_residual, optimal_plan, simulate_path,
                      solve_y_deterministic, solve_y_ode)
 from execlab import bsde
-from execlab.bsde import discrete_value_recursion_raw, solve_y_lambert
+from execlab.bsde import solve_y_lambert
 from execlab.cli import SHOWCASE
 
 
 def ow_hyperbola(rho, T, s):
     """Oracle for constant resilience without drift: y = 1 / (2 + (T - s) rho)."""
     return 1.0 / (2.0 + (T - s) * rho)
+
+
+def discrete_value_recursion_raw(rho, mu, sigma, T, h):
+    """The backward recursion for constant coefficients, on the engine's own
+    loop; unlike a model it takes triples the model validator rejects."""
+    n = bsde._steps(T, h)
+    return bsde._backward_recursion(h, np.linspace(0.0, T, n + 1),
+                                    np.tile([[rho], [mu], [sigma]], n))
 
 
 def negres_closed_form(rho, mu, T, s):

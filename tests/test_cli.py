@@ -72,6 +72,18 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_file(cfg_path)
         assert cfg.tag == "ow_value" and cfg.n_steps == 100
 
+    @pytest.mark.parametrize("raw, match", [
+        ({"tag": "ow_value", "model": {}, "nsteps": 5},
+         r"unknown keys \['nsteps'\], missing keys \['n_steps'\]"),
+        ({"model": {}, "n_steps": 5}, r"missing keys \['tag'\]"),
+        ([{"tag": "ow_value", "model": {}, "n_steps": 5}], "not a list"),
+    ], ids=["unknown_key", "missing_key", "list"])
+    def test_from_file_refuses_other_shapes(self, tmp_path, raw, match):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_file(cfg_path)
+
     def test_start_time_fields_rejected(self):
         # the runners always start at time 0; t and t0 must not be ignored
         for extra in ({"t": 3.0}, {"t0": 2.0}, {"t": 3.0, "t0": 2.0}):
