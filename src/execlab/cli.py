@@ -80,6 +80,18 @@ class ExperimentConfig:
         if self.tag not in EXPERIMENTS:
             raise ValueError(f"unknown experiment tag {self.tag!r}; "
                              f"known: {sorted(EXPERIMENTS)}")
+        # the types JSON gives them, so a summary can echo them back
+        for name in ("n_steps", "n_paths", "seed"):
+            if not _is_number(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer: "
+                                 f"{getattr(self, name)!r}")
+        for name in ("x", "d", "t", "nu", "t0"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value, (int, float)):
+                raise ValueError(f"{name} must be a real number: {value!r}")
+        # its keys are checked by the runners that read it
+        if not isinstance(self.model, dict):
+            raise ValueError(f"model must be an object: {self.model!r}")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be positive")
         if self.t != 0.0 or self.t0 is not None:
@@ -102,6 +114,11 @@ class ExperimentConfig:
             raise ValueError(f"{path}: unknown keys {unknown}, missing keys "
                              f"{missing}")
         return ExperimentConfig(**raw)
+
+
+def _is_number(value, types) -> bool:
+    """Whether value is of ``types``; a bool is not a number here."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _plan_cost_convergence(model: CoefficientModel, x: float, d: float,
@@ -129,6 +146,10 @@ def _plan_cost_convergence(model: CoefficientModel, x: float, d: float,
 def _regime_model(cfg: ExperimentConfig, *zero: str) -> CoefficientModel:
     """The config's model if it is one piece with the ``zero`` coefficients 0;
     runners refuse other models rather than price them from their first piece."""
+    missing = sorted({"T", "gamma0", "pieces"} - cfg.model.keys())
+    if missing:
+        raise ValueError(f"{cfg.tag} needs a model with the keys T, gamma0 "
+                         f"and pieces; missing {missing}")
     model = model_from_config(cfg.model)
     if model.breakpoints:
         raise ValueError(f"{cfg.tag} needs a single-piece model")
@@ -404,10 +425,11 @@ def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
     and against the closed cost E[gamma_T] x^2 / 2 = gamma_0 exp(mu T) / 2."""
     model = constant_model(1.0, 1.0, 0.5)
     grid = TimeGrid(0.0, 1.0, 100_000)
+    # solved first: the solver's temporaries are freed before the path is drawn
+    vs = solve_y_deterministic(model, grid)
     market = simulate_path(model, grid, SELFTEST_SEED, 0)
     hold = immediate_close(grid, 1.0, 1.0)
     dev = deviation_path(model, market, hold)
-    vs = solve_y_deterministic(model, grid)
     det_gap = abs(pathwise_cost(hold, dev, market) - quadratic_representation_rhs(
         model, vs, market, hold, dev, 1.0, 0.0))
 

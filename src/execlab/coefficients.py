@@ -228,6 +228,12 @@ class StepTerms(NamedTuple):
     and the resilience factors ``exp(-r)`` and ``exp(r)``, r being the
     integral of rho from the grid start to each grid point.  Built only by
     :func:`step_terms`; the arrays are read-only.
+
+    When sigma is 0 on every step, the impact factor is the same on every
+    path: ``gamma`` is that one impact path, as :func:`simulate_path`
+    computes it, and ``gamma_growth`` its product with ``growth``.  Every
+    path and chunk shares them, so nothing may write into a market's
+    ``gamma``.  Both are None when sigma > 0 on any step.
     """
 
     rho: np.ndarray
@@ -236,6 +242,8 @@ class StepTerms(NamedTuple):
     log_drift: np.ndarray
     decay: np.ndarray
     growth: np.ndarray
+    gamma: np.ndarray | None
+    gamma_growth: np.ndarray | None
 
 
 @lru_cache(maxsize=1)
@@ -252,12 +260,31 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
     rho, mu, sigma = step_coefficients(model, grid)
     # exact per-step resilience integrals (rho is constant on each step)
     r_cum = _cumsum0(rho * grid.h)
-    terms = StepTerms(rho=rho, mu=mu, sigma=sigma,
-                      log_drift=(mu - 0.5 * sigma**2) * grid.h,
-                      decay=np.exp(-r_cum), growth=np.exp(r_cum))
+    log_drift = (mu - 0.5 * sigma**2) * grid.h
+    growth = np.exp(r_cum)
+    gamma = gamma_growth = None
+    if not sigma.any():
+        # sigma * dW is +-0 on every step: it adds nothing to log_drift
+        gamma = _cumsum0(log_drift)
+        np.exp(gamma, out=gamma)
+        gamma *= _start_level(model, grid)
+        gamma_growth = gamma * growth
+    terms = StepTerms(rho=rho, mu=mu, sigma=sigma, log_drift=log_drift,
+                      decay=np.exp(-r_cum), growth=growth, gamma=gamma,
+                      gamma_growth=gamma_growth)
     for a in terms:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return terms
+
+
+def _start_level(model: CoefficientModel, grid: TimeGrid) -> float:
+    """The impact level at the grid start.  gamma0 is the level at time 0:
+    a grid starting at t0 > 0 starts from gamma0 carried forward by the
+    drift alone, gamma0 * exp(int_0^t0 mu)."""
+    if grid.t0 == 0.0:
+        return model.gamma0
+    return model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
 
 
 @dataclass(frozen=True)
@@ -406,6 +433,11 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     one shared generator, put into the row's state first; the states are
     computed a block of ids at a time.  Each array is scaled in place once
     it is drawn or summed.
+
+    When sigma is 0 on every step of the grid, ``gamma`` is a read-only
+    view of the one impact path of :func:`step_terms`, shared by every row
+    and every call: the same bits the lognormal stepping gives, since
+    sigma * dW is +-0 there.  Write into a copy, never into ``gamma``.
     """
     terms = step_terms(model, grid)
     n = grid.n_steps
@@ -422,14 +454,17 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
             gen.standard_normal(out=row)
     dw = z if chunk else z[0]
     dw *= np.sqrt(grid.h)
-    log_incr = terms.sigma * dw
-    log_incr += terms.log_drift
-    gamma = _cumsum0(log_incr)
-    np.exp(gamma, out=gamma)
-    # gamma0 is the level at time 0: a grid starting at t0 > 0 starts from
-    # gamma0 carried forward by the drift alone, gamma0 * exp(int_0^t0 mu)
-    gamma *= model.gamma0 if grid.t0 == 0.0 else \
-        model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+    if terms.gamma is not None:
+        # np.broadcast_to's view, built directly: it costs a fifth as much,
+        # and a view of a read-only buffer is read-only
+        gamma = np.ndarray(dw.shape[:-1] + (n + 1,), buffer=terms.gamma,
+                           strides=(0,) * (dw.ndim - 1) + terms.gamma.strides)
+    else:
+        log_incr = terms.sigma * dw
+        log_incr += terms.log_drift
+        gamma = _cumsum0(log_incr)
+        np.exp(gamma, out=gamma)
+        gamma *= _start_level(model, grid)
     return MarketPath(grid=grid, w=dw, gamma=gamma, path_id=path_id,
                       master_seed=master_seed)
 

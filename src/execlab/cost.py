@@ -249,12 +249,15 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     rho, mu, sig, *_ = step_terms(model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]
-    beta = value_solution.beta_tilde[:-1]
-    gamma = market.gamma[..., :-1]
-    gx = gamma * strategy.values[..., :-1]
     dv = deviation.values[..., :-1]
-    integrand = (1.0 / gamma) * (beta * (gx - dv) + dv) ** 2 \
-        * (sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2))
+    # built in place, one full-size array: gamma X, then the formula's steps
+    integrand = market.gamma[..., :-1] * strategy.values[..., :-1]
+    integrand -= dv
+    integrand *= value_solution.beta_tilde[:-1]
+    integrand += dv
+    integrand **= 2
+    integrand *= market.alpha[..., :-1]
+    integrand *= sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
     head = _value(value_solution.y[0], market.gamma[..., 0], x, d)
     return _per_path(head + np.sum(integrand, axis=-1) * h)
 

@@ -123,7 +123,8 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
     gamma on trades that are not block trades.  The resilience factors do
-    not depend on the path: they come from :func:`step_terms`.
+    not depend on the path: they come from :func:`step_terms`, and so does
+    gamma * exp(r) when the impact is deterministic (sigma = 0 on the grid).
     """
     _check_shared_grid(market.grid, strategy.grid)
     grid = strategy.grid
@@ -133,8 +134,15 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
         np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
                   where=~strategy.block_mask()[1:])
     terms = step_terms(model, grid)
-    cum = gamma_eff * terms.growth
-    cum *= strategy.trades
+    # the memo holds gamma * exp(r) only for the impact path that
+    # simulate_path shares on this model and grid, not for other gammas
+    if terms.gamma is None or gamma_eff.base is not terms.gamma:
+        cum = gamma_eff * terms.growth
+        cum *= strategy.trades
+    else:
+        # the shape of the chunk, also when the strategy is one shared row
+        cum = np.empty(gamma_eff.shape)
+        np.multiply(terms.gamma_growth, strategy.trades, out=cum)
     np.cumsum(cum, axis=-1, out=cum)
     cum += d_pre
     pre_trade = np.empty_like(cum)

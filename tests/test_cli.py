@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from execlab.cli import (CHECKS, EXPERIMENTS, ExperimentConfig,
                          default_out_dir, figure_plan, main,
-                         reproduce_figure, reproducible_artifacts, run,
-                         selftest, write_csv, OUTPUT_DIR_ENV)
+                         quadratic_representation, reproduce_figure,
+                         reproducible_artifacts, run, selftest, write_csv,
+                         OUTPUT_DIR_ENV)
 
 
 class TestWriteCsv:
@@ -83,6 +85,26 @@ class TestExperimentConfig:
         cfg_path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_file(cfg_path)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"n_steps": "5"}, "n_steps must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"x": "1"}, "x must be a real number"),
+        ({"model": {"T": 1.0, "pieces": []}}, r"missing \['gamma0'\]"),
+        ({"model": {}}, r"missing \['T', 'gamma0', 'pieces'\]"),
+        ({"model": [1.0]}, "model must be an object"),
+    ], ids=["string_steps", "bool_seed", "string_x", "no_gamma0",
+            "unset_model", "list_model"])
+    def test_wrongly_typed_fields_raise_value_error(self, tmp_path, change,
+                                                     match):
+        raw = {"tag": "ow_value", "n_steps": 10, "x": 1.0,
+               "out_dir": str(tmp_path),
+               "model": {"T": 1.0, "gamma0": 1.0, "pieces": [
+                   {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0}]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw | change))
+        with pytest.raises(ValueError, match=match):
+            run(ExperimentConfig.from_file(cfg_path))
 
     def test_start_time_fields_rejected(self):
         # the runners always start at time 0; t and t0 must not be ignored
@@ -302,6 +324,21 @@ class TestVerificationBattery:
                 called += [name for name in names if name in used]
                 assert len(used & set(names)) == 1, node.name
         assert sorted(called) == sorted(names)
+
+
+    def test_quadratic_representation_memory(self):
+        # its 10^5-step pathwise part solves y before drawing the path and
+        # builds the integrand in one array: the peak stays under 22 arrays
+        # of 10^5 doubles (23.5 with the solve after the draw and the
+        # integrand built from temporaries)
+        quadratic_representation(100, 200)  # the memos of the MC part
+        tracemalloc.start()
+        try:
+            quadratic_representation(100, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 8 * 100_001
 
 
 class TestFigures:

@@ -197,12 +197,55 @@ class TestTimeGrid:
             fn(model, TimeGrid(-1.0, 5.0, 600))
 
 
+THREE_PIECES = [
+    {"t_from": 0.0, "rho": 0.5, "mu": 0.1, "sigma": 0.0},
+    {"t_from": 1.0, "rho": -0.2, "mu": 0.7, "sigma": 0.0},
+    {"t_from": 2.0, "rho": 0.4, "mu": -0.3, "sigma": 0.0},
+]
+# sigma = 0 on every step: one piece with gamma0 != 1, three pieces with
+# drift jumps and a negative resilience, and a grid starting at t0 > 0
+DETERMINISTIC = {
+    "one_piece": (constant_model(2.0, 1.5, 0.5, mu=0.1),
+                  TimeGrid(0.0, 2.0, 40)),
+    "three_pieces": (build_model(3.0, 0.8, THREE_PIECES),
+                     TimeGrid(0.0, 3.0, 60)),
+    "started": (build_model(3.0, 0.8, THREE_PIECES),
+                TimeGrid(0.5, 3.0, 50)),
+}
+
+
 class TestStepTerms:
     MODEL = jump_example_model(0.3, 4.0, 5.0)
 
+    @pytest.mark.parametrize("case", DETERMINISTIC)
+    def test_deterministic_impact_path(self, case):
+        model, grid = DETERMINISTIC[case]
+        terms = step_terms(model, grid)
+        start = model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+        want = start * np.exp(np.concatenate(([0.0],
+                                              np.cumsum(terms.log_drift))))
+        assert np.array_equal(terms.gamma, want)
+        assert np.array_equal(terms.gamma_growth, want * terms.growth)
+        # the level at time s is gamma0 exp(int_0^s mu)
+        exact = [model.gamma0 * np.exp(model.mu.integral(0.0, s))
+                 for s in grid.times]
+        assert np.allclose(terms.gamma, exact, rtol=1e-13)
+        for a in (terms.gamma, terms.gamma_growth):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("piece", range(3))
+    def test_stochastic_impact_on_one_piece_has_no_impact_path(self, piece):
+        pieces = [dict(p) for p in THREE_PIECES]
+        pieces[piece]["sigma"] = 0.3
+        terms = step_terms(build_model(3.0, 0.8, pieces),
+                           TimeGrid(0.0, 3.0, 60))
+        assert terms.gamma is None and terms.gamma_growth is None
+
     def test_arrays_are_read_only(self):
+        # sigma = 0: the shared impact path and its product are built too
         terms = step_terms(self.MODEL, TimeGrid(0.0, 5.0, 50))
-        assert len(terms) == 6
+        assert len(terms) == 8
         for a in terms:
             with pytest.raises(ValueError):
                 a[0] = 0.0

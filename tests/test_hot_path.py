@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from execlab import (MarketPath, Strategy, TimeGrid,
-                     admissibility_diagnostics, constant_model,
+                     admissibility_diagnostics, build_model, constant_model,
                      counterexample_brownian, counterexample_gbm,
                      deviation_path, estimate_cost, immediate_close,
                      naive_deviation_path, optimal_plan, pathwise_cost,
@@ -37,8 +37,9 @@ def ref_market(model, grid, seed, ids):
     z = np.stack([np.random.default_rng(np.random.SeedSequence((seed, i)))
                   .standard_normal(grid.n_steps) for i in ids])
     dw = z * np.sqrt(grid.h)
-    gamma = model.gamma0 * np.exp(ref_cumsum0(terms.log_drift
-                                              + terms.sigma * dw))
+    start = model.gamma0 if grid.t0 == 0.0 else \
+        model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+    gamma = start * np.exp(ref_cumsum0(terms.log_drift + terms.sigma * dw))
     return dw, gamma, 1.0 / gamma
 
 
@@ -202,27 +203,110 @@ class TestInputsUnchanged:
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_market_strategy_and_shared_terms(self, naive):
+        # sigma > 0, and sigma = 0 with its shared impact path
+        for model in (MODEL, constant_model(2.0, 1.5, 0.5, mu=0.1)):
+            self.check_model(model, naive)
+
+    def check_model(self, model, naive):
         grid = TimeGrid(0.0, 2.0, 40)
-        market = simulate_path(MODEL, grid, 4, range(3))
-        vs = solve_y_deterministic(MODEL, grid)
+        market = simulate_path(model, grid, 4, range(3))
+        vs = solve_y_deterministic(model, grid)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((3, 41))
         values[:, -1] = 0.0
         caller = Strategy(grid, 0.7, values, rng.random(41) < 0.5)
-        plan = optimal_plan(MODEL, vs, market, 0.0, X, D)
-        kept = [a.copy() for a in (market.w, market.gamma, values,
-                                   *step_terms(MODEL, grid), *plan.terms)]
+        plan = optimal_plan(model, vs, market, 0.0, X, D)
+        # the impact path and its product are None when sigma > 0
+        shared = [a for a in step_terms(model, grid) if a is not None]
+        kept = [a.copy() for a in (market.w, market.gamma, values, *shared,
+                                   *plan.terms)]
         dev_fn = naive_deviation_path if naive else deviation_path
         cost_fn = pathwise_cost_naive if naive else pathwise_cost
         for strat in (plan.x_star, caller):
-            dev = dev_fn(MODEL, market, strat, D)
+            dev = dev_fn(model, market, strat, D)
             cost_fn(strat, dev, market)
             dev.values, dev.impact_state  # noqa: B018
         plan.q_increments, plan.d_star.impact_state  # noqa: B018
-        now = (market.w, market.gamma, caller.values,
-               *step_terms(MODEL, grid), *plan.terms)
+        now = (market.w, market.gamma, caller.values, *shared, *plan.terms)
         for before, after in zip(kept, now, strict=True):
             assert np.array_equal(before, after)
+
+
+THREE_PIECES = [
+    {"t_from": 0.0, "rho": 0.5, "mu": 0.1, "sigma": 0.0},
+    {"t_from": 1.0, "rho": -0.2, "mu": 0.7, "sigma": 0.0},
+    {"t_from": 2.0, "rho": 0.4, "mu": -0.3, "sigma": 0.0},
+]
+# sigma = 0 on every step: one piece with gamma0 != 1, three pieces with
+# drift jumps and a negative resilience, and a grid starting at t0 > 0
+DETERMINISTIC = {
+    "one_piece": (constant_model(2.0, 1.5, 0.5, mu=0.1),
+                  TimeGrid(0.0, 2.0, 40)),
+    "three_pieces": (build_model(3.0, 0.8, THREE_PIECES),
+                     TimeGrid(0.0, 3.0, 60)),
+    "started": (build_model(3.0, 0.8, THREE_PIECES),
+                TimeGrid(0.5, 3.0, 50)),
+}
+
+
+@pytest.mark.parametrize("case", DETERMINISTIC)
+class TestDeterministicImpact:
+    """With sigma = 0 every path shares one read-only impact path, and the
+    corrected deviation reads gamma * exp(r) from step_terms: the same bits
+    as the lognormal stepping and the per-chunk product."""
+
+    @pytest.mark.parametrize("ids", [range(3, 7), 5], ids=["chunk", "path"])
+    def test_gamma_is_the_lognormal_stepping(self, case, ids):
+        model, grid = DETERMINISTIC[case]
+        market = simulate_path(model, grid, 9, ids)
+        dw, gamma, alpha = ref_market(model, grid, 9,
+                                      ids if isinstance(ids, range) else [ids])
+        if not isinstance(ids, range):
+            dw, gamma, alpha = dw[0], gamma[0], alpha[0]
+        assert np.array_equal(market.w, dw)
+        assert np.array_equal(market.gamma, gamma)
+        assert np.array_equal(market.alpha, alpha)
+        assert market.gamma.shape == market.w.shape[:-1] + (grid.n_steps + 1,)
+        with pytest.raises(ValueError):
+            market.gamma[..., 0] = 1.0
+
+    @pytest.mark.parametrize("fn, naive", [(deviation_path, False),
+                                           (naive_deviation_path, True)])
+    @pytest.mark.parametrize("shared_row", [False, True],
+                             ids=["rows", "shared_close"])
+    def test_deviations_and_costs(self, case, fn, naive, shared_row):
+        model, grid = DETERMINISTIC[case]
+        market = simulate_path(model, grid, 4, range(3))
+        if shared_row:
+            strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
+        else:
+            rng = np.random.default_rng(2)
+            values = rng.standard_normal((3, grid.n_steps + 1))
+            values[:, -1] = 0.0
+            strat = Strategy(grid, 0.7, values,
+                             rng.random(grid.n_steps + 1) < 0.5)
+        dev = fn(model, market, strat, 0.4)
+        _, gamma, alpha = ref_market(model, grid, 4, range(3))
+        ref = ref_deviation(model, grid, gamma, alpha, strat, 0.4, naive)
+        assert dev.pre_trade.shape == gamma.shape
+        for got, want in zip((dev.pre_trade, dev.values, dev.impact_state),
+                             ref, strict=True):
+            assert np.array_equal(got, want)
+        for cost_fn, cost_naive in ((pathwise_cost, False),
+                                    (pathwise_cost_naive, True)):
+            assert np.array_equal(cost_fn(strat, dev, market),
+                                  ref_cost(strat, ref[0], gamma, cost_naive))
+
+    def test_other_gamma_is_not_read_from_the_memo(self, case):
+        # a market drawn under another sigma = 0 model keeps its own gamma
+        model, grid = DETERMINISTIC[case]
+        other = constant_model(model.T, 1.0, 0.3, mu=0.9)
+        market = simulate_path(other, grid, 4, range(3))
+        strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
+        dev = deviation_path(model, market, strat, 0.4)
+        ref = ref_deviation(model, grid, market.gamma, market.alpha, strat,
+                            0.4, False)
+        assert np.array_equal(dev.pre_trade, ref[0])
 
 
 class TestTrades:
