@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -116,6 +117,17 @@ class CoefficientModel:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_PIECE_KEYS = ("t_from", "rho", "mu", "sigma")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float if it is a real number, numpy scalars included;
+    a bool, a string or any other object raises ModelError naming ``name``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ModelError(f"{name} must be a real number: {value!r}")
+    return float(value)
+
+
 def build_model(
     T: float,
     gamma0: float,
@@ -131,22 +143,34 @@ def build_model(
 
     Raises
     ------
-    ModelError if 2*rho + mu - sigma^2 <= 0 on some piece.
+    ModelError if a value is not a real number, a piece misses a key, or
+    2*rho + mu - sigma^2 <= 0 on some piece.
     """
+    if not isinstance(pieces, (list, tuple)):
+        raise ModelError(f"pieces must be a list: {pieces!r}")
     if not pieces:
         raise ModelError("at least one coefficient piece is required")
-    starts = [float(p["t_from"]) for p in pieces]
+    columns = {key: [] for key in _PIECE_KEYS}
+    for i, piece in enumerate(pieces):
+        if not isinstance(piece, dict):
+            raise ModelError(f"pieces[{i}] must be an object: {piece!r}")
+        for key, column in columns.items():
+            if key not in piece:
+                raise ModelError(f"pieces[{i}] has no key {key!r}")
+            column.append(_real(f"pieces[{i}].{key}", piece[key]))
+    starts = columns["t_from"]
     if starts != sorted(starts) or len(set(starts)) != len(starts):
         raise ModelError("piece start times must be strictly increasing")
+    T = _real("T", T)
     if any(s >= T for s in starts[1:]):
         raise ModelError("piece start times must lie in [0, T)")
     breaks = tuple(starts)
     return CoefficientModel(
-        T=float(T),
-        gamma0=float(gamma0),
-        rho=PiecewiseConstant(breaks, tuple(float(p["rho"]) for p in pieces)),
-        mu=PiecewiseConstant(breaks, tuple(float(p["mu"]) for p in pieces)),
-        sigma=PiecewiseConstant(breaks, tuple(float(p["sigma"]) for p in pieces)),
+        T=T,
+        gamma0=_real("gamma0", gamma0),
+        rho=PiecewiseConstant(breaks, tuple(columns["rho"])),
+        mu=PiecewiseConstant(breaks, tuple(columns["mu"])),
+        sigma=PiecewiseConstant(breaks, tuple(columns["sigma"])),
     )
 
 
@@ -157,7 +181,12 @@ def constant_model(T: float, gamma0: float, rho: float, mu: float = 0.0,
 
 
 def model_from_config(cfg: dict) -> CoefficientModel:
-    """Read a model from the JSON config schema: T, gamma0, pieces."""
+    """Read a model from the JSON config schema: T, gamma0, pieces.  A
+    missing key raises ModelError naming every missing one."""
+    missing = sorted({"T", "gamma0", "pieces"} - cfg.keys())
+    if missing:
+        raise ModelError("a model needs the keys T, gamma0 and pieces; "
+                         f"missing {missing}")
     return build_model(cfg["T"], cfg["gamma0"], cfg["pieces"])
 
 
@@ -246,16 +275,18 @@ class StepTerms(NamedTuple):
     gamma_growth: np.ndarray | None
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
     """The :class:`StepTerms` of ``model`` on ``grid``.
 
-    Memoized on the pair, so a Monte Carlo loop computes them once: every
-    chunk of a loop asks for the same pair.  Another model or grid is
-    another key, never a stale entry.  The pair is validated with
-    :meth:`TimeGrid.validate_model` on every miss; a pair that fails is
-    never cached.  The solvers read :func:`step_coefficients` instead:
-    ``exp(r)`` overflows once r passes about 709.
+    Memoized on the last two pairs, so a Monte Carlo pass computes them
+    once: every chunk asks for the same pairs, and a pass that prices two
+    models on one grid (:func:`execlab.cost.sample_paths`) keeps both.
+    Another model or grid is another key, never a stale entry.  The pair
+    is validated with :meth:`TimeGrid.validate_model` on every miss; a pair
+    that fails is never cached.  The solvers read
+    :func:`step_coefficients` instead: ``exp(r)`` overflows once r passes
+    about 709.
     """
     rho, mu, sigma = step_coefficients(model, grid)
     # exact per-step resilience integrals (rho is constant on each step)
@@ -422,42 +453,41 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
-                  path_id: int | range) -> MarketPath:
-    """Simulate impact paths with exact lognormal stepping.
+def _increments(grid: TimeGrid, master_seed: int,
+                ids: range | tuple[int]) -> np.ndarray:
+    """Brownian increments of the paths ``ids``, one read-only row each.
 
-    An integer ``path_id`` gives one path; a ``range`` gives one row per
-    path id.  Each row is drawn from its own ``(master_seed, path_id)``
-    stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
-    so a row equals the single-path call bit for bit.  Every row is drawn by
-    one shared generator, put into the row's state first; the states are
-    computed a block of ids at a time.  Each array is scaled in place once
-    it is drawn or summed.
-
-    When sigma is 0 on every step of the grid, ``gamma`` is a read-only
-    view of the one impact path of :func:`step_terms`, shared by every row
-    and every call: the same bits the lognormal stepping gives, since
-    sigma * dW is +-0 there.  Write into a copy, never into ``gamma``.
+    Row i is drawn from the stream ``(master_seed, ids[i])``; they depend on
+    the grid and the ids only, so markets under several models can share
+    them.  Every row is drawn by one shared generator, put into the row's
+    state first; the states are computed a block of ids at a time.
     """
-    terms = step_terms(model, grid)
-    n = grid.n_steps
-    # the Brownian driver is always drawn: strategies may use it even when
-    # the impact factor itself is deterministic (sigma == 0)
-    chunk = isinstance(path_id, range)
-    ids = path_id if chunk else (path_id,)
-    z = np.empty((len(ids), n))
+    dw = np.empty((len(ids), grid.n_steps))
     seed = int(master_seed)
     with _DRAW_LOCK:
         gen = _shared_generator()
-        for row, i in zip(z, ids):
+        for row, i in zip(dw, ids):
             gen.bit_generator.state = _stream_state(seed, int(i))
             gen.standard_normal(out=row)
-    dw = z if chunk else z[0]
     dw *= np.sqrt(grid.h)
+    dw.flags.writeable = False
+    return dw
+
+
+def _market(model: CoefficientModel, grid: TimeGrid, master_seed: int,
+            path_id: int | range, dw: np.ndarray) -> MarketPath:
+    """The market of ``model`` on the increments ``dw`` of ``path_id``.
+
+    ``gamma`` is built by exact lognormal stepping and made read-only, or
+    is a view of the one impact path of :func:`step_terms` when sigma is 0
+    on every step of the grid.
+    """
+    terms = step_terms(model, grid)
     if terms.gamma is not None:
         # np.broadcast_to's view, built directly: it costs a fifth as much,
         # and a view of a read-only buffer is read-only
-        gamma = np.ndarray(dw.shape[:-1] + (n + 1,), buffer=terms.gamma,
+        gamma = np.ndarray(dw.shape[:-1] + (grid.n_steps + 1,),
+                           buffer=terms.gamma,
                            strides=(0,) * (dw.ndim - 1) + terms.gamma.strides)
     else:
         log_incr = terms.sigma * dw
@@ -465,8 +495,33 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
         gamma = _cumsum0(log_incr)
         np.exp(gamma, out=gamma)
         gamma *= _start_level(model, grid)
+        gamma.flags.writeable = False
     return MarketPath(grid=grid, w=dw, gamma=gamma, path_id=path_id,
                       master_seed=master_seed)
+
+
+def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
+                  path_id: int | range) -> MarketPath:
+    """Simulate impact paths with exact lognormal stepping.
+
+    An integer ``path_id`` gives one path; a ``range`` gives one row per
+    path id.  Each row is drawn from its own ``(master_seed, path_id)``
+    stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
+    so a row equals the single-path call bit for bit.
+
+    ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
+    the grid, ``gamma`` is a view of the one impact path of
+    :func:`step_terms`, shared by every row and every call: the same bits
+    the lognormal stepping gives, since sigma * dW is +-0 there.  Write
+    into a copy, never into a market's arrays.
+    """
+    # the Brownian driver is always drawn: strategies may use it even when
+    # the impact factor itself is deterministic (sigma == 0)
+    if isinstance(path_id, range):
+        dw = _increments(grid, master_seed, path_id)
+    else:
+        dw = _increments(grid, master_seed, (path_id,))[0]
+    return _market(model, grid, master_seed, path_id, dw)
 
 
 def stochastic_exponential(q_increments: np.ndarray,

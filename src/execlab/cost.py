@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
-                           simulate_path, step_terms)
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _increments,
+                           _market, step_terms)
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
 # Bound on the path x grid-point values of one array in a chunk of
-# sample_paths.  2^13 doubles are 64 KiB.  An optimal-plan cost keeps at
-# most six arrays this size alive, all of the chunk being priced (w, gamma,
-# positions, trades, pre-trade deviation and one temporary): sample_paths
-# drops a priced chunk before it draws the next.  So they stay under half a
-# megabyte, and blocks this size are reused from the heap instead of being
-# paged in afresh for every chunk.  It bounds memory; it is not a speed knob.
+# sample_paths.  2^13 doubles are 64 KiB.  A chunk keeps alive its w, one
+# gamma per model (and 1/gamma once an entry reads it), and the arrays of
+# the one entry being priced: an optimal-plan cost has positions, trades,
+# pre-trade deviation and one temporary, six arrays with w and gamma.
+# sample_paths drops a priced chunk before it draws the next.  So a pass
+# stays under a megabyte, and blocks this size are reused from the heap
+# instead of being paged in afresh for every chunk.  It bounds memory; it
+# is not a speed knob.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -47,6 +49,17 @@ class CostEstimate:
              "n_paths": self.n_paths, "h": self.h, "seed": self.seed,
              "model_hash": self.model_hash},
             sort_keys=True)
+
+    @classmethod
+    def from_costs(cls, costs: np.ndarray, grid: TimeGrid, seed: int | None,
+                   model: CoefficientModel) -> "CostEstimate":
+        """Sample mean and standard error of the per-path ``costs`` of
+        ``model`` on ``grid``; they need at least 2 paths."""
+        if len(costs) < 2:
+            raise ValueError("need at least 2 paths for a standard error")
+        mean, std_error = _mean_se(costs)
+        return cls(mean=mean, std_error=std_error, n_paths=len(costs),
+                   h=grid.h, seed=seed, model_hash=model.content_hash())
 
 
 @dataclass(frozen=True)
@@ -100,38 +113,67 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     return _per_path(linear + 0.5 * np.sum(charge, axis=-1))
 
 
-def sample_paths(model: CoefficientModel, grid: TimeGrid, n_paths: int,
-                 seed: int, strategy_factory: Callable[[MarketPath], Strategy],
-                 price: Callable[[Strategy, DeviationPath, MarketPath], object],
-                 d_pre: float = 0.0, naive_dynamics: bool = False
-                 ) -> np.ndarray:
-    """Per-path samples of ``price``: one row per value it returns, one
-    column per path.
+class Pricing(NamedTuple):
+    """One entry of :func:`sample_paths`: what it prices on the paths.
 
-    Draws the chunks of :func:`path_chunks` one at a time and calls
-    ``price(strategy, deviation, market)`` on each; it returns one value per
-    path of the chunk, or a tuple of such values.  A chunk is dropped once
-    it is priced, before the next is drawn.  Path i is always drawn from the
-    stream ``(seed, i)``, so the samples do not depend on the chunking.
-    ``strategy_factory`` follows the contract of :func:`estimate_cost`;
-    ``naive_dynamics`` selects :func:`naive_deviation_path`.  Raises
-    ``ArithmeticError`` naming the first path with a non-finite value.
+    ``strategy_factory`` follows the contract of :func:`estimate_cost`.
+    ``price(strategy, deviation, market)`` returns one value per path of
+    the chunk, or a tuple of such values.  The deviation starts from
+    ``d_pre``; ``naive_dynamics`` selects :func:`naive_deviation_path`.
     """
-    dev_fn = naive_deviation_path if naive_dynamics else deviation_path
-    samples = None
+
+    model: CoefficientModel
+    strategy_factory: Callable[[MarketPath], Strategy]
+    price: Callable[[Strategy, DeviationPath, MarketPath], object]
+    d_pre: float = 0.0
+    naive_dynamics: bool = False
+
+
+def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
+                 pricings: Sequence[Pricing]) -> list[np.ndarray]:
+    """Per-path samples of every entry of ``pricings`` on the same paths:
+    for each entry, one row per value its ``price`` returns and one column
+    per path.
+
+    Walks the chunks of :func:`path_chunks` one at a time.  A chunk's
+    Brownian increments are drawn once and shared, read-only, by every
+    entry; one market is built from them per distinct model, and the
+    entries are priced on it in turn.  The chunk is dropped before the next
+    is drawn.  Path i is always drawn from the stream ``(seed, i)``, so the
+    samples depend neither on the chunking nor on the other entries.
+    Raises ``ValueError`` for fewer than one path or no entry, and
+    ``ArithmeticError`` naming the entry and the first path with a
+    non-finite value.
+    """
+    if n_paths < 1:
+        raise ValueError(f"need at least 1 path: {n_paths}")
+    if not pricings:
+        raise ValueError("need at least one pricing")
+    # the distinct models, and each entry's index among them: compared
+    # once here, not hashed per chunk
+    models = list(dict.fromkeys(p.model for p in pricings))
+    slots = [models.index(p.model) for p in pricings]
+    samples = [None] * len(pricings)
     for ids in path_chunks(n_paths, grid):
-        market = simulate_path(model, grid, seed, ids)
-        strat = strategy_factory(market)
-        rows = np.atleast_2d(price(strat, dev_fn(model, market, strat, d_pre),
-                                   market))
-        del market, strat  # priced: not kept while the next chunk is drawn
-        if samples is None:
-            samples = np.empty((len(rows), n_paths))
-        samples[:, ids.start:ids.stop] = rows
-    finite = np.isfinite(samples).all(axis=0)
-    if not finite.all():
-        raise ArithmeticError(f"path {int(np.argmin(finite))} gives a "
-                              "non-finite value")
+        dw = _increments(grid, seed, ids)
+        markets = [_market(model, grid, seed, ids, dw) for model in models]
+        for k, p in enumerate(pricings):
+            market = markets[slots[k]]
+            dev_fn = (naive_deviation_path if p.naive_dynamics
+                      else deviation_path)
+            strat = p.strategy_factory(market)
+            rows = np.atleast_2d(p.price(
+                strat, dev_fn(p.model, market, strat, p.d_pre), market))
+            del strat  # priced: not kept while the next entry is priced
+            if samples[k] is None:
+                samples[k] = np.empty((len(rows), n_paths))
+            samples[k][:, ids.start:ids.stop] = rows
+        del dw, markets, market  # not kept while the next chunk is drawn
+    for k, values in enumerate(samples):
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            raise ArithmeticError(f"path {int(np.argmin(finite))} of entry "
+                                  f"{k} gives a non-finite value")
     return samples
 
 
@@ -159,17 +201,15 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     and must return a :class:`Strategy` that broadcasts against it (1-D
     values are shared by every path); its block flags stay 1-D.
 
-    Raises ``ArithmeticError`` naming the first path whose cost is not
-    finite, such as one whose impact overflowed.
+    Raises ``ValueError`` for fewer than 2 paths, and ``ArithmeticError``
+    naming the first path whose cost is not finite, such as one whose
+    impact overflowed.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths for a standard error")
-    costs = sample_paths(model, grid, n_paths, seed, strategy_factory,
-                         pathwise_cost_naive if naive else pathwise_cost,
-                         d_pre, naive_dynamics)
-    mean, std_error = _mean_se(costs[0])
-    return CostEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
-                        h=grid.h, seed=seed, model_hash=model.content_hash())
+    costs, = sample_paths(grid, n_paths, seed, [Pricing(
+        model, strategy_factory,
+        pathwise_cost_naive if naive else pathwise_cost, d_pre,
+        naive_dynamics)])
+    return CostEstimate.from_costs(costs[0], grid, seed, model)
 
 
 @dataclass(frozen=True)
@@ -214,8 +254,8 @@ def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
         return (sup, np.sqrt(np.sum(g2a4[..., :-1], axis=-1) * grid.h),
                 np.sqrt(np.sum(d4a2, axis=-1) * grid.h))
 
-    samples = sample_paths(model, grid, n_paths, seed, strategy_factory,
-                           integrals, d_pre)
+    samples, = sample_paths(grid, n_paths, seed, [
+        Pricing(model, strategy_factory, integrals, d_pre)])
     return AdmissibilityReport(*map(_mean_se, samples), n_paths=n_paths)
 
 

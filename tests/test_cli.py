@@ -311,6 +311,17 @@ class TestVerificationBattery:
         # benchmarks/workloads.py reads this standard error
         assert checks["stochastic_value_match"]["detail"]["std_error"] > 0.0
 
+    def test_selftest_writes_what_each_check_gives_alone(self, tmp_path):
+        # selftest prices its Monte Carlo checks on one pass; the acceptance
+        # tests run each check alone.  Three chunks of 81 paths here.
+        selftest(tmp_path / "battery", 200, 100)
+        summary = json.loads(
+            (tmp_path / "battery" / "selftest_summary.json").read_text())
+        for fn, written in zip(CHECKS, summary["checks"], strict=True):
+            alone = (fn(200, 100, tmp_path / "alone")
+                     if fn is reproducible_artifacts else fn(200, 100))
+            assert written == json.loads(json.dumps(alone)), fn.__name__
+
     def test_every_check_has_one_acceptance_test(self):
         # criterion 10 runs the artifacts check through two selftests
         names = ["selftest" if fn is reproducible_artifacts else fn.__name__

@@ -137,6 +137,45 @@ class TestModelValidation:
                 {"t_from": 0.0, "rho": 1.0, "mu": 0.0, "sigma": 0.0},
             ])
 
+    PIECE = {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.2}
+
+    def test_missing_piece_key_is_named(self):
+        piece = {k: v for k, v in self.PIECE.items() if k != "sigma"}
+        with pytest.raises(ModelError,
+                           match=r"pieces\[0\] has no key 'sigma'"):
+            build_model(1.0, 1.0, [piece])
+
+    def test_missing_config_key_is_named(self):
+        with pytest.raises(ModelError, match=r"missing \['gamma0'\]"):
+            model_from_config({"T": 1.0, "pieces": [self.PIECE]})
+
+    def test_pieces_must_be_a_list(self):
+        with pytest.raises(ModelError, match="pieces must be a list"):
+            model_from_config({"T": 1.0, "gamma0": 1.0, "pieces": {"a": 1}})
+
+    def test_piece_must_be_an_object(self):
+        with pytest.raises(ModelError, match=r"pieces\[1\] must be an object"):
+            build_model(2.0, 1.0, [self.PIECE, 0.5])
+
+    @pytest.mark.parametrize("field", ["T", "gamma0", "t_from", "rho", "mu",
+                                       "sigma"])
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+    def test_value_must_be_a_real_number(self, field, bad):
+        cfg = {"T": 1.0, "gamma0": 1.0, "pieces": [dict(self.PIECE)]}
+        if field in ("T", "gamma0"):
+            cfg[field] = bad
+        else:
+            cfg["pieces"][0][field] = bad
+        with pytest.raises(ModelError, match=f"{field} must be a real number"):
+            model_from_config(cfg)
+
+    def test_numpy_scalars_are_accepted(self):
+        m = build_model(np.float32(2.0), np.int64(1), [
+            {"t_from": np.float64(0.0), "rho": np.float32(0.5),
+             "mu": np.int32(0), "sigma": np.float64(0.2)}])
+        assert m == constant_model(2.0, 1.0, 0.5, sigma=0.2)
+        assert type(m.T) is float and type(m.sigma.values[0]) is float
+
     def test_config_roundtrip_and_hash(self):
         m = build_model(2.0, 1.5, [
             {"t_from": 0.0, "rho": 0.4, "mu": 0.1, "sigma": 0.2},

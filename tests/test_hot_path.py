@@ -8,6 +8,8 @@ each comparison is bit for bit.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from execlab import (MarketPath, Strategy, TimeGrid,
                      admissibility_diagnostics, build_model, constant_model,
@@ -17,7 +19,7 @@ from execlab import (MarketPath, Strategy, TimeGrid,
                      pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, step_terms,
                      stochastic_exponential)
-from execlab.cost import CHUNK_ELEMENTS, path_chunks
+from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.strategy import _beta_ds_integrals
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
@@ -338,3 +340,105 @@ class TestNonFiniteRefused:
             with pytest.raises(ArithmeticError, match="path 0 "):
                 admissibility_diagnostics(self.MODEL, self.GRID, 100, 3,
                                           self.factory)
+
+    def test_sample_paths_names_the_entry(self):
+        # the first entry prices a model whose impact stays finite
+        finite = constant_model(100.0, 1.0, 0.5)
+        pricings = [Pricing(finite, self.factory, pathwise_cost),
+                    Pricing(self.MODEL, self.factory, pathwise_cost)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="path 0 of entry 1 "):
+                sample_paths(self.GRID, 50, 3, pricings)
+
+
+SIGMA_ZERO = constant_model(2.0, 1.5, 0.5, mu=0.1)
+ENTRY_MODELS = {"stochastic": MODEL, "sigma_zero": SIGMA_ZERO}
+
+
+def entry_factory(model, grid, kind):
+    """A strategy factory of one kind: the plan, the two round trips (one
+    row per path) or an immediate close (one row shared by the chunk)."""
+    if kind == "optimal":
+        vs = solve_y_deterministic(model, grid)
+        return lambda m: optimal_plan(model, vs, m, 0.0, X, D).x_star
+    if kind == "close":
+        return lambda m: immediate_close(grid, grid.times[grid.n_steps // 2],
+                                         2.0)
+    return FACTORIES[kind]
+
+
+PRICES = {
+    "cost": pathwise_cost,
+    "naive": pathwise_cost_naive,
+    "both": lambda s, dv, m: (pathwise_cost(s, dv, m),
+                              pathwise_cost_naive(s, dv, m)),
+}
+
+
+class TestSharedPass:
+    """sample_paths draws each chunk once and prices every entry on it."""
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_equals_one_pass_per_entry(self, data):
+        grid, n_paths = data.draw(st.sampled_from([
+            (TimeGrid(0.0, 2.0, 50), 2 * (CHUNK_ELEMENTS // 51) + 3),
+            (TimeGrid(0.0, 2.0, CHUNK_ELEMENTS), 3)]),
+            label="grid")
+        entries = data.draw(st.lists(st.tuples(
+            st.sampled_from(sorted(ENTRY_MODELS)),
+            st.sampled_from(["optimal", "brownian", "gbm", "close"]),
+            st.sampled_from(sorted(PRICES)),
+            st.sampled_from([0.0, D]),
+            st.booleans()), min_size=1, max_size=4), label="entries")
+        pricings = [Pricing(ENTRY_MODELS[m],
+                            entry_factory(ENTRY_MODELS[m], grid, kind),
+                            PRICES[price], d_pre, naive_dynamics)
+                    for m, kind, price, d_pre, naive_dynamics in entries]
+        shared = sample_paths(grid, n_paths, 23, pricings)
+        assert len(shared) == len(pricings)
+        for pricing, got in zip(pricings, shared, strict=True):
+            alone, = sample_paths(grid, n_paths, 23, [pricing])
+            assert got.shape == alone.shape
+            assert got.shape[1] == n_paths
+            assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("ids", [range(3, 7), 5], ids=["chunk", "path"])
+    @pytest.mark.parametrize("model", [MODEL, SIGMA_ZERO],
+                             ids=["stochastic", "sigma_zero"])
+    def test_market_arrays_are_read_only(self, model, ids):
+        market = simulate_path(model, TimeGrid(0.0, 2.0, 40), 9, ids)
+        with pytest.raises(ValueError):
+            market.w[..., 0] = 1.0
+        with pytest.raises(ValueError):
+            market.gamma[..., 0] = 1.0
+
+    def test_a_factory_cannot_write_into_the_shared_increments(self):
+        grid = TimeGrid(0.0, 2.0, 40)
+
+        def factory(market):
+            market.w[..., 0] = 0.0
+            return immediate_close(grid, 1.0, 2.0)
+
+        with pytest.raises(ValueError):
+            sample_paths(grid, 4, 1, [Pricing(MODEL, factory, pathwise_cost)])
+
+    @pytest.mark.parametrize("n_paths, pricings, match", [
+        (0, [Pricing(MODEL, FACTORIES["close"], pathwise_cost)],
+         "at least 1 path"),
+        (4, [], "at least one pricing"),
+    ], ids=["no_paths", "no_pricings"])
+    def test_refuses_an_empty_pass(self, n_paths, pricings, match):
+        with pytest.raises(ValueError, match=match):
+            sample_paths(TimeGrid(0.0, 2.0, 40), n_paths, 1, pricings)
+
+    def test_two_models_miss_step_terms_once_each(self):
+        grid = TimeGrid(0.0, 2.0, 50)
+        n_paths = 3 * (CHUNK_ELEMENTS // 51) + 1  # four chunks
+        assert len(list(path_chunks(n_paths, grid))) >= 3
+        pricings = [Pricing(model, FACTORIES["gbm"], pathwise_cost,
+                            naive_dynamics=True)
+                    for model in (MODEL, SIGMA_ZERO, MODEL)]
+        step_terms.cache_clear()
+        sample_paths(grid, n_paths, 5, pricings)
+        assert step_terms.cache_info().misses == 2
