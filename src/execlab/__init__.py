@@ -3,10 +3,9 @@ with stochastic depth and resilience.
 
 Submodules
 ----------
-coefficients : market model, impact-path simulation, stochastic exponentials
+coefficients : market model, impact-path simulation
 deviation    : deviation dynamics and impact state for grid strategies
-cost         : pathwise/Monte-Carlo costs, admissibility diagnostics, value
-               formula, closed forms
+cost         : pathwise/Monte-Carlo costs, value formula, closed forms
 bsde         : value-factor solvers (exact, RK4 check, discrete recursion)
 strategy     : optimal plans, counterexample strategies, consistency checks
 cli          : experiment runner, figure data, selftest
@@ -17,10 +16,8 @@ from .bsde import (DiscreteValue, ValueSolution, discrete_value_recursion,
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
                            PiecewiseConstant, StepTerms, TimeGrid, build_model,
                            constant_model, model_from_config, simulate_path,
-                           step_coefficients, step_terms,
-                           stochastic_exponential)
-from .cost import (AdmissibilityReport, CostEstimate, ValueQuote,
-                   admissibility_diagnostics, closed_form_cost_gbm,
+                           step_coefficients, step_terms)
+from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
                    value_function)
@@ -29,7 +26,6 @@ from .deviation import (DeviationPath, GridMismatch, Strategy, deviation_path,
 from .strategy import (JumpExample, OptimalPlan, counterexample_brownian,
                        counterexample_gbm, dynamic_consistency_check,
                        example_beta_path, immediate_close,
-                       initial_block_classification, jump_example_model,
-                       optimal_plan)
+                       jump_example_model, optimal_plan)
 
 __version__ = "0.1.0"

@@ -550,8 +550,7 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
     for model, vs, g in cases:
         market = simulate_path(model, g, SELFTEST_SEED, 0)
         plan = optimal_plan(model, vs, market, 0.0, 2.0, 0.5)
-        state = (plan.x_star.values
-                 - market.alpha * plan.d_star.values) / plan.exp_q
+        state = plan.d_star.impact_state / plan.exp_q
         dv = plan.d_star.values[:-1]
         d_const = np.max(np.abs(plan.d_star.pre_trade[1:-1] - dv[:-1]))
         rows.append((max(np.max(vs.y) - 0.5, -np.min(vs.y)),

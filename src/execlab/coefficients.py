@@ -1,4 +1,4 @@
-"""Market model: piecewise-constant coefficients, impact paths, stochastic exponentials.
+"""Market model: piecewise-constant coefficients and impact paths.
 
 The price impact factor gamma follows dgamma = gamma * (mu dt + sigma dW) and is
 stepped by exact lognormal increments, so the only discretization error in the
@@ -42,10 +42,6 @@ class PiecewiseConstant:
         if not (np.all(np.isfinite(self.breaks))
                 and np.all(np.isfinite(self.values))):
             raise ModelError("breakpoints and values must be finite")
-
-    @staticmethod
-    def constant(value: float) -> "PiecewiseConstant":
-        return PiecewiseConstant((0.0,), (float(value),))
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -199,7 +195,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not isinstance(self.n_steps, (int, np.integer)):
+        # checked, not converted: a grid compares and hashes as it was given
+        _real("t0", self.t0)
+        _real("T", self.T)
+        if (not isinstance(self.n_steps, (int, np.integer))
+                or isinstance(self.n_steps, bool)):
             raise ModelError(f"n_steps must be an integer: {self.n_steps!r}")
         if self.n_steps < 1:
             raise ModelError("n_steps must be positive")
@@ -322,15 +322,12 @@ def _start_level(model: CoefficientModel, grid: TimeGrid) -> float:
 class MarketPath:
     """Realizations of the Brownian driver and the impact factor on a grid.
 
-    One path has 1-D arrays and an integer ``path_id``; a chunk of paths has
-    a leading path axis and ``path_id`` is the ``range`` of its paths.
+    One path has 1-D arrays; a chunk of paths has a leading path axis.
     """
 
     grid: TimeGrid
     w: np.ndarray        # Brownian increments per step, n_steps on the last axis
     gamma: np.ndarray    # impact per grid point, n_steps + 1 on the last axis
-    path_id: int | range
-    master_seed: int
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -342,8 +339,7 @@ class MarketPath:
         """Sub-path on the grid starting at grid index k."""
         g = self.grid
         sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
-        return MarketPath(sub, self.w[..., k:], self.gamma[..., k:],
-                          self.path_id, self.master_seed)
+        return MarketPath(sub, self.w[..., k:], self.gamma[..., k:])
 
 
 # NumPy's SeedSequence hash (a pool of 4 words) and PCG64's seeding
@@ -474,9 +470,9 @@ def _increments(grid: TimeGrid, master_seed: int,
     return dw
 
 
-def _market(model: CoefficientModel, grid: TimeGrid, master_seed: int,
-            path_id: int | range, dw: np.ndarray) -> MarketPath:
-    """The market of ``model`` on the increments ``dw`` of ``path_id``.
+def _market(model: CoefficientModel, grid: TimeGrid,
+            dw: np.ndarray) -> MarketPath:
+    """The market of ``model`` on the Brownian increments ``dw``.
 
     ``gamma`` is built by exact lognormal stepping and made read-only, or
     is a view of the one impact path of :func:`step_terms` when sigma is 0
@@ -496,8 +492,7 @@ def _market(model: CoefficientModel, grid: TimeGrid, master_seed: int,
         np.exp(gamma, out=gamma)
         gamma *= _start_level(model, grid)
         gamma.flags.writeable = False
-    return MarketPath(grid=grid, w=dw, gamma=gamma, path_id=path_id,
-                      master_seed=master_seed)
+    return MarketPath(grid=grid, w=dw, gamma=gamma)
 
 
 def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
@@ -507,7 +502,8 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     An integer ``path_id`` gives one path; a ``range`` gives one row per
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
     stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
-    so a row equals the single-path call bit for bit.
+    so a row equals the single-path call bit for bit.  The market holds
+    the grid, ``w`` and ``gamma``, not the seed or the ids they came from.
 
     ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
     the grid, ``gamma`` is a view of the one impact path of
@@ -521,21 +517,5 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
         dw = _increments(grid, master_seed, path_id)
     else:
         dw = _increments(grid, master_seed, (path_id,))[0]
-    return _market(model, grid, master_seed, path_id, dw)
+    return _market(model, grid, dw)
 
-
-def stochastic_exponential(q_increments: np.ndarray,
-                           q_quadratic: np.ndarray) -> np.ndarray:
-    """Doleans-Dade exponential of a continuous semimartingale on a grid.
-
-    Given per-step increments of Q and of its quadratic variation on the
-    last axis (leading path axes broadcast), returns the path
-    exp(sum dQ - 0.5 * sum d[Q]), one longer on the last axis and starting
-    at 1.
-    """
-    dq = np.asarray(q_increments, dtype=float)
-    dqv = np.asarray(q_quadratic, dtype=float)
-    if dq.shape[-1:] != dqv.shape[-1:]:
-        raise ValueError("increment arrays must share a grid")
-    log_e = _cumsum0(dq - 0.5 * dqv)
-    return np.exp(log_e, out=log_e)

@@ -67,10 +67,6 @@ class ValueQuote:
     """Minimal expected cost V = (y/gamma)(d - gamma x)^2 - d^2/(2 gamma)."""
 
     v: float
-    y_t: float
-    gamma_t: float
-    x: float
-    d: float
 
 
 def path_chunks(n_paths: int, grid: TimeGrid) -> Iterator[range]:
@@ -156,7 +152,7 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     samples = [None] * len(pricings)
     for ids in path_chunks(n_paths, grid):
         dw = _increments(grid, seed, ids)
-        markets = [_market(model, grid, seed, ids, dw) for model in models]
+        markets = [_market(model, grid, dw) for model in models]
         for k, p in enumerate(pricings):
             market = markets[slots[k]]
             dev_fn = (naive_deviation_path if p.naive_dynamics
@@ -212,53 +208,6 @@ def estimate_cost(model: CoefficientModel, grid: TimeGrid, n_paths: int,
     return CostEstimate.from_costs(costs[0], grid, seed, model)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Monte Carlo estimates of the three admissibility integrals at t = 0.
-
-    These are sample estimates of conditional expectations; finite sampling
-    cannot certify admissibility, so this is a diagnostic, not a proof.
-    """
-
-    sup_moment: tuple[float, float]        # E[sup gamma^2 A^4]: (mean, stderr)
-    impact_integral: tuple[float, float]   # E[(int gamma^2 A^4 sigma^2 dt)^(1/2)]
-    deviation_integral: tuple[float, float]  # E[(int D^4 alpha^2 sigma^2 dt)^(1/2)]
-    n_paths: int
-
-
-def admissibility_diagnostics(model: CoefficientModel, grid: TimeGrid,
-                              n_paths: int, seed: int,
-                              strategy_factory: Callable[[MarketPath], Strategy],
-                              d_pre: float = 0.0) -> AdmissibilityReport:
-    """Estimate the admissibility integrals for a strategy family over paths.
-
-    Samples the three integrals per path by :func:`sample_paths`, with the
-    arguments and the strategy contract of :func:`estimate_cost`, on the
-    corrected dynamics.  The integrals are left-endpoint sums on the grid,
-    A being the impact state of the deviation.  Raises ``ArithmeticError``
-    naming the first path with an integral that is not finite.
-    """
-    if n_paths < 100:
-        raise ValueError("admissibility diagnostics need at least 100 paths")
-    sig2 = step_terms(model, grid).sigma ** 2
-
-    def integrals(strategy, dev, market):
-        # built in place: one full-size array per integrand
-        g2a4 = dev.impact_state**4
-        g2a4 *= market.gamma**2
-        sup = np.max(g2a4, axis=-1)
-        g2a4[..., :-1] *= sig2
-        d4a2 = dev.values[..., :-1] ** 4
-        d4a2 *= market.alpha[..., :-1] ** 2
-        d4a2 *= sig2
-        return (sup, np.sqrt(np.sum(g2a4[..., :-1], axis=-1) * grid.h),
-                np.sqrt(np.sum(d4a2, axis=-1) * grid.h))
-
-    samples, = sample_paths(grid, n_paths, seed, [
-        Pricing(model, strategy_factory, integrals, d_pre)])
-    return AdmissibilityReport(*map(_mean_se, samples), n_paths=n_paths)
-
-
 def _value(y_t, gamma_t, x, d):
     """V = (y/gamma)(d - gamma x)^2 - d^2/(2 gamma), elementwise."""
     return (y_t / gamma_t) * (d - gamma_t * x) ** 2 - d**2 / (2.0 * gamma_t)
@@ -268,8 +217,7 @@ def value_function(y_t: float, gamma_t: float, x: float, d: float) -> ValueQuote
     """Closed-form minimal expected cost given the value factor y_t."""
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
-    return ValueQuote(v=float(_value(y_t, gamma_t, x, d)), y_t=y_t,
-                      gamma_t=gamma_t, x=x, d=d)
+    return ValueQuote(v=float(_value(y_t, gamma_t, x, d)))
 
 
 def quadratic_representation_rhs(model: CoefficientModel, value_solution,

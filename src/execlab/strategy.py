@@ -159,9 +159,10 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     resilience both solvers give y = 1/2 and a feedback ratio of exactly 1,
     so the plan closes the position immediately.  The arrays that do not
     depend on the path are computed once and kept on ``value_solution``
-    (see :class:`OptimalPlan`).  The path arrays are built in place;
-    ``exp_q`` equals ``stochastic_exponential(q_increments, q_quadratic)``
-    bit for bit.
+    (see :class:`OptimalPlan`).  The path arrays are built in place.
+    ``exp_q`` is the stochastic exponential of Q on the grid,
+    exp_q[k] = exp(sum_{j<k} (dQ_j - d[Q]_j / 2)) with dQ the
+    ``q_increments`` and d[Q] the ``q_quadratic``; exp_q[0] = 1.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -284,21 +285,6 @@ def jump_example_model(rho: float, t0: float, T: float,
         {"t_from": 0.0, "rho": rho, "mu": 0.0, "sigma": 0.0},
         {"t_from": t0, "rho": rho, "mu": 1.0, "sigma": 0.0},
     ])
-
-
-def initial_block_classification(x: float, d: float, gamma0: float,
-                                 beta0: float, tol: float = 1e-12) -> bool:
-    """Whether the optimal plan opens with a block trade.
-
-    The plan starts without a block trade exactly when the initial deviation
-    sits at d = -beta0/(1-beta0) * gamma0 * x; equality is tested to ``tol``
-    relative to the magnitudes involved.
-    """
-    if beta0 == 1.0:
-        return x != 0.0  # immediate close of any nonzero position
-    critical = -beta0 / (1.0 - beta0) * gamma0 * x
-    scale = max(abs(d), abs(critical), abs(gamma0 * x), 1.0)
-    return abs(d - critical) > tol * scale
 
 
 def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:

@@ -1,4 +1,4 @@
-"""Market model, path simulation and stochastic exponential tests."""
+"""Market model and path simulation tests."""
 
 import math
 import os
@@ -16,7 +16,7 @@ import execlab
 from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
                      constant_model, jump_example_model, model_from_config,
                      simulate_path, solve_y_deterministic, solve_y_ode,
-                     step_terms, stochastic_exponential)
+                     step_terms)
 from execlab.coefficients import _stream_block
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -24,7 +24,7 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 class TestPiecewiseConstant:
     def test_constant_value_everywhere(self):
-        f = PiecewiseConstant.constant(2.5)
+        f = PiecewiseConstant((0.0,), (2.5,))
         assert f(0.0) == 2.5 and f(17.3) == 2.5
 
     def test_right_continuity_at_breaks(self):
@@ -38,8 +38,8 @@ class TestPiecewiseConstant:
         assert f.integral(1.5, 2.5) == 0.5 + 5.0
 
     @pytest.mark.parametrize("f", [
-        jump_example_model(0.3, 4.0, 5.0).mu, PiecewiseConstant.constant(2.5)],
-        ids=["two_pieces", "one_piece"])
+        jump_example_model(0.3, 4.0, 5.0).mu,
+        PiecewiseConstant((0.0,), (2.5,))], ids=["two_pieces", "one_piece"])
     def test_undefined_before_zero(self, f):
         # both lookups once answered here, with different pieces
         with pytest.raises(ModelError, match="before 0"):
@@ -208,6 +208,16 @@ class TestTimeGrid:
         with pytest.raises(ModelError):
             TimeGrid(t0, T, n)
 
+    @pytest.mark.parametrize("t0, T, n, field", [
+        (0.0, 1.0, True, "n_steps"), (0.0, True, 4, "T"),
+        (0.0, "1", 4, "T"), ("0", 1.0, 4, "t0")],
+        ids=["bool_steps", "bool_end", "str_end", "str_start"])
+    def test_refuses_bools_and_strings_by_name(self, t0, T, n, field):
+        # a bool was a one-step grid or an end at 1; a string ended in
+        # TypeError from np.isfinite
+        with pytest.raises(ModelError, match=f"^{field} must be"):
+            TimeGrid(t0, T, n)
+
     def test_breakpoints_must_sit_on_grid(self):
         m = build_model(1.0, 1.0, [
             {"t_from": 0.0, "rho": 1.0, "mu": 0.0, "sigma": 0.0},
@@ -359,7 +369,6 @@ class TestSimulatePath:
         chunk = simulate_path(m, g, 13, range(lo, hi))
         assert chunk.w.shape == (hi - lo, 70)
         assert chunk.gamma.shape == chunk.alpha.shape == (hi - lo, 71)
-        assert chunk.path_id == range(lo, hi)
         for row, i in enumerate(range(lo, hi)):
             p = simulate_path(m, g, 13, i)
             assert np.array_equal(chunk.w[row], p.w)
@@ -449,32 +458,3 @@ class TestPathStreams:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
-
-class TestStochasticExponential:
-    def test_deterministic_drift_only(self):
-        dq = np.full(100, 0.02)
-        e = stochastic_exponential(dq, np.zeros(100))
-        assert e[0] == 1.0
-        assert e[-1] == pytest.approx(np.exp(2.0), rel=1e-12)
-
-    def test_quadratic_variation_correction(self):
-        rng = np.random.default_rng(0)
-        dw = rng.standard_normal(1000) * 0.01
-        dq = 0.5 * dw
-        e = stochastic_exponential(dq, (0.5 * 0.01) ** 2 * np.ones(1000) * 0.0
-                                   + 0.25 * dw**2 * 0.0 + 0.25 * 1e-4)
-        manual = np.exp(np.cumsum(dq - 0.5 * 0.25 * 1e-4))
-        assert np.allclose(e[1:], manual, rtol=1e-13)
-
-    def test_path_axis_broadcasts_against_shared_quadratic(self):
-        rng = np.random.default_rng(4)
-        dq = rng.standard_normal((3, 50)) * 0.1
-        dqv = np.full(50, 0.01)
-        e = stochastic_exponential(dq, dqv)
-        assert e.shape == (3, 51)
-        for row in range(3):
-            assert np.array_equal(e[row], stochastic_exponential(dq[row], dqv))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            stochastic_exponential(np.zeros(3), np.zeros(4))

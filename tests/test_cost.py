@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (Strategy, TimeGrid, admissibility_diagnostics,
-                     closed_form_cost_gbm, closed_form_naive_brownian,
-                     constant_model, counterexample_brownian,
-                     counterexample_gbm, deviation_path, estimate_cost,
-                     immediate_close, naive_deviation_path, optimal_plan,
-                     pathwise_cost, pathwise_cost_naive,
-                     quadratic_representation_rhs, simulate_path,
-                     solve_y_deterministic, value_function)
+from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
+                     closed_form_naive_brownian, constant_model,
+                     counterexample_brownian, counterexample_gbm,
+                     deviation_path, estimate_cost, immediate_close,
+                     naive_deviation_path, optimal_plan, pathwise_cost,
+                     pathwise_cost_naive, quadratic_representation_rhs,
+                     simulate_path, solve_y_deterministic, value_function)
 from execlab import step_terms
 from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS
@@ -216,26 +215,6 @@ class TestChunkedEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 8 * (grid.n_steps + 1)
-
-    def test_admissibility_integrands_are_built_in_place(self):
-        # one path per chunk: besides the chunk's arrays, each integrand
-        # holds one array of its own, not a product of temporaries
-        grid = TimeGrid(0.0, 10.0, 10_000)
-        vs = solve_y_deterministic(SHOWCASE, grid)
-
-        def diagnose():
-            return admissibility_diagnostics(
-                SHOWCASE, grid, 100, 1, lambda m: optimal_plan(
-                    SHOWCASE, vs, m, 0.0, 100.0, 0.0).x_star)
-
-        diagnose()  # the memos of the step terms and the streams
-        tracemalloc.start()
-        try:
-            diagnose()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12.5 * 8 * (grid.n_steps + 1)
 
 
 class TestValueFunction:

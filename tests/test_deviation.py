@@ -1,16 +1,13 @@
-"""Deviation dynamics, impact state and admissibility diagnostics."""
+"""Deviation dynamics and impact state."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (GridMismatch, Strategy, TimeGrid,
-                     admissibility_diagnostics, constant_model,
-                     counterexample_brownian, deviation_path, immediate_close,
-                     naive_deviation_path, optimal_plan, simulate_path,
-                     solve_y_deterministic)
-from execlab.cost import CHUNK_ELEMENTS
+from execlab import (GridMismatch, Strategy, TimeGrid, constant_model,
+                     deviation_path, immediate_close, naive_deviation_path,
+                     simulate_path)
 
 
 def make_setup(n=100, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
@@ -199,84 +196,3 @@ class TestNaiveDeviation:
         # the trade at k=1 is charged at gamma_0, not gamma_1
         assert dev.values[1] == pytest.approx(market.gamma[0] * 1.0, rel=1e-14)
 
-
-def per_path_admissibility(model, grid, n_paths, seed, factory, d_pre=0.0):
-    """Reference: one simulate_path per id, sigma looked up on every path, and
-    the integrals as (mean, standard error) of the per-path values."""
-    a1, a2, a3 = [], [], []
-    for i in range(n_paths):
-        market = simulate_path(model, grid, seed, i)
-        strat = factory(market)
-        dev = deviation_path(model, market, strat, d_pre)
-        sig = np.array([model.sigma(t) for t in grid.times])
-        g2a4 = market.gamma**2 * dev.impact_state**4
-        a1.append(np.max(g2a4))
-        a2.append(np.sqrt(np.sum(g2a4[:-1] * sig[:-1] ** 2) * grid.h))
-        a3.append(np.sqrt(np.sum(dev.values[:-1] ** 4 * market.alpha[:-1] ** 2
-                                 * sig[:-1] ** 2) * grid.h))
-    return [(float(np.mean(a)), float(np.std(a, ddof=1) / np.sqrt(n_paths)))
-            for a in (a1, a2, a3)]
-
-
-class TestAdmissibilityDiagnostics:
-    def test_immediate_close_at_flat_state_vanishes(self):
-        model = constant_model(1.0, 2.0, 0.5, sigma=0.4)
-        grid = TimeGrid(0.0, 1.0, 20)
-        d = 3.0
-        x = d / 2.0  # d / gamma0: closing leaves zero deviation
-        rep = admissibility_diagnostics(
-            model, grid, 120, 0, lambda m: immediate_close(grid, 0.0, x),
-            d_pre=d)
-        assert rep.sup_moment == (0.0, 0.0)
-        assert rep.impact_integral == (0.0, 0.0)
-        assert rep.deviation_integral == (0.0, 0.0)
-        assert rep.n_paths == 120
-
-    def test_deterministic_impact_kills_stochastic_integrals(self):
-        model = constant_model(1.0, 0.05, 0.5)
-        grid = TimeGrid(0.0, 1.0, 20)
-        rep = admissibility_diagnostics(
-            model, grid, 100, 0, lambda m: counterexample_brownian(2.0, m))
-        assert rep.impact_integral == (0.0, 0.0)
-        assert rep.deviation_integral == (0.0, 0.0)
-        assert rep.sup_moment[0] > 0.0
-
-    def test_requires_hundred_paths(self):
-        model = constant_model(1.0, 1.0, 0.5)
-        grid = TimeGrid(0.0, 1.0, 5)
-        built = []
-
-        def factory(m):
-            built.append(m)
-            return Strategy(grid=grid, x_pre=0.0, values=np.zeros(6))
-
-        with pytest.raises(ValueError):
-            admissibility_diagnostics(model, grid, 99, 0, factory)
-        assert built == []  # refused before any path was simulated
-
-    MODEL = constant_model(2.0, 1.0, 0.5, sigma=0.8)
-
-    @pytest.mark.parametrize("n_steps, n_paths", [(20, 783), (9000, 100)],
-                             ids=["many_per_chunk", "one_per_chunk"])
-    @pytest.mark.parametrize("kind", ["optimal", "brownian"])
-    def test_chunks_equal_the_per_path_loop(self, n_steps, n_paths, kind):
-        grid = TimeGrid(0.0, 2.0, n_steps)
-        chunk = max(1, CHUNK_ELEMENTS // (n_steps + 1))
-        assert (chunk == 1) == (n_steps > CHUNK_ELEMENTS)
-        assert chunk == 1 or n_paths % chunk  # a partial last chunk
-        if kind == "optimal":
-            vs = solve_y_deterministic(self.MODEL, grid)
-            d = 0.5
-            factory = lambda m: optimal_plan(  # noqa: E731
-                self.MODEL, vs, m, 0.0, 10.0, d).x_star
-        else:
-            d = 0.0
-            factory = lambda m: counterexample_brownian(2.0, m)  # noqa: E731
-        rep = admissibility_diagnostics(self.MODEL, grid, n_paths, 17,
-                                        factory, d_pre=d)
-        ref = per_path_admissibility(self.MODEL, grid, n_paths, 17, factory,
-                                     d_pre=d)
-        got = [rep.sup_moment, rep.impact_integral, rep.deviation_integral]
-        for (mean, se), (ref_mean, ref_se) in zip(got, ref):
-            assert mean == ref_mean
-            assert se > 0.0 and abs(se - ref_se) <= 4e-16 * ref_se

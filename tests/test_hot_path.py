@@ -11,14 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (MarketPath, Strategy, TimeGrid,
-                     admissibility_diagnostics, build_model, constant_model,
-                     counterexample_brownian, counterexample_gbm,
-                     deviation_path, estimate_cost, immediate_close,
-                     naive_deviation_path, optimal_plan, pathwise_cost,
-                     pathwise_cost_naive, simulate_path,
-                     solve_y_deterministic, step_terms,
-                     stochastic_exponential)
+from execlab import (MarketPath, Strategy, TimeGrid, build_model,
+                     constant_model, counterexample_brownian,
+                     counterexample_gbm, deviation_path, estimate_cost,
+                     immediate_close, naive_deviation_path, optimal_plan,
+                     pathwise_cost, pathwise_cost_naive, simulate_path,
+                     solve_y_deterministic, step_terms)
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.strategy import _beta_ds_integrals
 
@@ -103,7 +101,7 @@ def ref_estimate(model, grid, n_paths, seed, kind, d_pre=0.0, naive=False,
             strat = Strategy(grid, X, ref_plan(model, vs, grid, dw, gamma,
                                                X, D)[2])
         else:
-            strat = FACTORIES[kind](MarketPath(grid, dw, gamma, ids, seed))
+            strat = FACTORIES[kind](MarketPath(grid, dw, gamma))
         pre_trade = ref_deviation(model, grid, gamma, alpha, strat, d_pre,
                                   naive_dynamics)[0]
         costs[ids.start:ids.stop] = ref_cost(strat, pre_trade, gamma, naive)
@@ -195,8 +193,6 @@ class TestLazyArrays:
                                     X, D)
         assert np.array_equal(plan.q_increments, q_inc)
         assert np.array_equal(plan.exp_q, exp_q)
-        assert np.array_equal(plan.exp_q, stochastic_exponential(
-            plan.q_increments, plan.q_quadratic))
         assert np.array_equal(plan.x_star.values, xs)
 
 
@@ -334,12 +330,6 @@ class TestNonFiniteRefused:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="path 0 "):
                 estimate_cost(self.MODEL, self.GRID, 50, 3, self.factory)
-
-    def test_admissibility_diagnostics(self):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            with pytest.raises(ArithmeticError, match="path 0 "):
-                admissibility_diagnostics(self.MODEL, self.GRID, 100, 3,
-                                          self.factory)
 
     def test_sample_paths_names_the_entry(self):
         # the first entry prices a model whose impact stays finite

@@ -11,11 +11,11 @@ from execlab import (JumpExample, ModelError, TimeGrid,
                      constant_model, counterexample_brownian,
                      counterexample_gbm, deviation_path,
                      dynamic_consistency_check, example_beta_path,
-                     immediate_close, initial_block_classification,
-                     jump_example_model, naive_deviation_path, ode_residual,
-                     optimal_plan, pathwise_cost, pathwise_cost_naive,
-                     simulate_path, solve_y_deterministic, solve_y_ode,
-                     step_terms)
+                     immediate_close, jump_example_model,
+                     naive_deviation_path, ode_residual, optimal_plan,
+                     pathwise_cost, pathwise_cost_naive, simulate_path,
+                     solve_y_deterministic, solve_y_ode, step_terms)
+from execlab.cli import SHOWCASE
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -404,14 +404,41 @@ class TestDynamicConsistency:
         assert dynamic_consistency_check(plan, 5.0) <= 1e-10
 
 
-class TestInitialBlockClassification:
-    def test_ratio_one_regime(self):
-        assert initial_block_classification(1.0, 0.0, 1.0, 1.0)
-        assert not initial_block_classification(0.0, 0.5, 1.0, 1.0)
+class TestOpeningBlockTrade:
+    """The plan opens without a block trade exactly when
+    d = -beta0 gamma0 x / (1 - beta0)."""
 
-    def test_critical_deviation_skips_the_block(self):
-        beta0, gamma0, x = 1.0 / 7.0, 2.0, 3.0
-        critical = -beta0 / (1.0 - beta0) * gamma0 * x
-        assert not initial_block_classification(x, critical, gamma0, beta0)
-        assert initial_block_classification(x, critical + 0.1, gamma0, beta0)
-        assert initial_block_classification(x, 0.0, gamma0, beta0)
+    X = 3.0
+    MODELS = {"showcase": SHOWCASE,
+              "constant": constant_model(10.0, 2.0, 0.5),
+              "negres": NEGRES,
+              "jump": jump_example_model(0.3, 4.0, 5.0)}
+
+    def opening(self, model):
+        """beta0, and the opening trades of the plan from (0, x, d) on four
+        paths as a function of d."""
+        grid = TimeGrid(0.0, model.T, 2000)
+        vs = solve_y_deterministic(model, grid)
+        market = simulate_path(model, grid, 5, range(4))
+        return vs.beta_tilde[0], lambda d: optimal_plan(
+            model, vs, market, 0.0, self.X, d).x_star.trades[:, 0]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_no_block_at_the_critical_deviation(self, name):
+        model = self.MODELS[name]
+        beta0, trades = self.opening(model)
+        critical = -beta0 * model.gamma0 * self.X / (1.0 - beta0)
+        assert np.all(np.abs(trades(critical)) <= 1e-15 * self.X)
+        for d in (critical + 0.1, 0.0):
+            # (x - d/gamma0)(1 - beta0) - x
+            want = -beta0 * self.X - d * (1.0 - beta0) / model.gamma0
+            assert abs(want) > 1e-3 * self.X
+            assert trades(d) == pytest.approx(np.full(4, want), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, -2.0, 6.0])
+    def test_zero_resilience_closes_for_every_deviation(self, d):
+        # rho = 0: beta0 = 1, the opening trade is -x whatever d is
+        model = constant_model(5.0, 1.0, 0.0, mu=0.3, sigma=0.4)
+        beta0, trades = self.opening(model)
+        assert beta0 == 1.0
+        assert np.all(trades(d) == -self.X)
