@@ -1,0 +1,145 @@
+"""Paired benchmark runs of a base revision against the working tree.
+
+    python3 scripts/bench_pairs.py --base REV --out BENCH_<n>.json \\
+        [--pairs 10] [--seconds 20] [--seeds 1 7919] [--workloads NAME ...]
+
+Run from anywhere inside the repository.  The base revision's committed
+files are unpacked with ``git archive`` into a temporary directory; the
+other side is the working tree this script sits in.  For every workload and
+seed, each pair runs ``benchmarks/run.py --trace 0`` once on each side, the
+side that goes first alternating from pair to pair, so a drift of the host
+speed falls on both sides alike.
+
+The output holds, per workload, seed and end-to-end metric of
+``BENCHMARK.json``: the per-pair values of both sides, their medians and
+quartiles, the number of pairs the working tree wins, and whether the
+median gap exceeds the interquartile range of the base runs.  It also
+records the host, the core count and the Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """The committed files of ``rev`` under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """The last output line of one untraced benchmark run, as a dict."""
+    out = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            **{k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def summarize(base: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles and wins of paired values of one metric."""
+    def quartiles(values):
+        if len(values) < 2:
+            return [values[0]] * 3
+        return statistics.quantiles(values, n=4, method="inclusive")
+
+    wins = sum((c < b) if better == "lower" else (c > b)
+               for b, c in zip(base, change))
+    qb, qc = quartiles(base), quartiles(change)
+    gap = qc[1] - qb[1]
+    return {"base": base, "change": change,
+            "base_median": qb[1], "change_median": qc[1],
+            "base_quartiles": [qb[0], qb[2]],
+            "change_quartiles": [qc[0], qc[2]],
+            "median_change_rel": gap / qb[1] if qb[1] else None,
+            "wins": wins, "pairs": len(base),
+            "gap_exceeds_base_iqr": abs(gap) > qb[2] - qb[0]}
+
+
+def environment() -> dict:
+    import numpy
+    return {"host": platform.node(), "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True,
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="JSON file to write, relative to the current "
+                             "directory")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    parser.add_argument("--workloads", nargs="+", choices=names,
+                        default=names)
+    args = parser.parse_args(argv)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    record = {"base": _git("rev-parse", args.base),
+              "change": {"head": _git("rev-parse", "HEAD"),
+                         "dirty": bool(_git("status", "--porcelain",
+                                            "--untracked-files=no"))},
+              "pairs": args.pairs, "seconds": args.seconds,
+              "environment": environment(), "started": time.strftime(
+                  "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+              "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = Path(tmp)
+        unpack(args.base, base_dir)
+        sides = {"base": base_dir, "change": ROOT}
+        for workload in args.workloads:
+            per_seed = record["workloads"].setdefault(workload, {})
+            for seed in args.seeds:
+                runs = {"base": [], "change": []}
+                for i in range(args.pairs):
+                    order = ("base", "change") if i % 2 == 0 \
+                        else ("change", "base")
+                    for side in order:
+                        runs[side].append(run_once(sides[side], workload,
+                                                   seed, args.seconds))
+                    print(f"{workload} seed {seed} pair {i + 1}: " + "  ".join(
+                        f"{side} {runs[side][-1].get('wall_s', float('nan')):.4f}"
+                        for side in ("base", "change")), flush=True)
+                per_seed[str(seed)] = {
+                    "correct": {side: all(r["correct"] for r in rs)
+                                for side, rs in runs.items()},
+                    "metrics": {name: summarize(
+                        [r[name] for r in runs["base"]],
+                        [r[name] for r in runs["change"]], better[name])
+                        for name in better
+                        if all(name in r for rs in runs.values()
+                               for r in rs)}}
+    record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

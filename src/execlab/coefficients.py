@@ -7,13 +7,16 @@ engine comes from the trading scheme, never from gamma itself.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import numbers
+import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -333,7 +336,9 @@ class MarketPath:
     def alpha(self) -> np.ndarray:
         """1/gamma per grid point, computed on first access: a cost
         estimate never reads it."""
-        return 1.0 / self.gamma
+        alpha = _empty(self.gamma.shape)
+        np.divide(1.0, self.gamma, out=alpha)
+        return alpha
 
     def tail(self, k: int) -> "MarketPath":
         """Sub-path on the grid starting at grid index k."""
@@ -441,11 +446,83 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
+def _buffer_refs() -> int:
+    """The reference count :meth:`_ChunkPool.take` reads for a buffer that
+    only the pool holds, measured in a loop like its own: the list's slot,
+    the loop variable and getrefcount's argument make 3 on CPython 3.11.
+    Measured, not written down, so that an interpreter that counts
+    otherwise cannot make the pool hand out a buffer that is still held."""
+    for buffer in [np.empty(0)]:
+        return sys.getrefcount(buffer)
+
+
+_FREE_REFS = _buffer_refs()
+
+
+class _ChunkPool:
+    """Chunk-shaped arrays that a Monte Carlo pass reuses from chunk to chunk.
+
+    :meth:`take` hands out a buffer again only once nothing but the pool
+    holds it, so a buffer is reused exactly where it would otherwise have
+    been freed.  An array that a factory, a price, a memo or a live view
+    still holds is never handed out twice.  Reusing the memory of the chunk
+    before spares the page faults of freeing large arrays and allocating
+    them afresh for every chunk.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A writeable float array of ``shape``; its values are garbage."""
+        buffers = self._buffers.setdefault(shape, [])
+        for buffer in buffers:
+            if sys.getrefcount(buffer) == _FREE_REFS:
+                buffer.flags.writeable = True
+                return buffer
+        buffer = np.empty(shape)
+        buffers.append(buffer)
+        return buffer
+
+
+# the pool of the Monte Carlo pass running in this context, None outside
+# one.  A context variable, so each thread's pass has its own pool.
+_POOL: contextvars.ContextVar[_ChunkPool | None] = contextvars.ContextVar(
+    "execlab_chunk_pool", default=None)
+
+
+@contextmanager
+def _chunk_pool() -> Iterator[None]:
+    """A fresh pool for :func:`_empty` while the block runs, for one Monte
+    Carlo pass (:func:`execlab.cost.sample_paths`)."""
+    token = _POOL.set(_ChunkPool())
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)``, from the running pass's pool inside one."""
+    pool = _POOL.get()
+    return np.empty(shape) if pool is None else pool.take(shape)
+
+
 def _cumsum0(x: np.ndarray) -> np.ndarray:
     """Running sums along the last axis, starting from 0 (one longer)."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out = _empty(x.shape[:-1] + (x.shape[-1] + 1,))
     out[..., 0] = 0.0
-    np.cumsum(x, axis=-1, out=out[..., 1:])
+    np.add.accumulate(x, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _accumulate0(out: np.ndarray) -> np.ndarray:
+    """:func:`_cumsum0` of the increments written into ``out[..., 1:]``,
+    in place.  The same view is the input and the output, so numpy adds
+    in place without copying the input first."""
+    out[..., 0] = 0.0
+    increments = out[..., 1:]
+    np.add.accumulate(increments, axis=-1, out=increments)
     return out
 
 
@@ -458,7 +535,7 @@ def _increments(grid: TimeGrid, master_seed: int,
     them.  Every row is drawn by one shared generator, put into the row's
     state first; the states are computed a block of ids at a time.
     """
-    dw = np.empty((len(ids), grid.n_steps))
+    dw = _empty((len(ids), grid.n_steps))
     seed = int(master_seed)
     with _DRAW_LOCK:
         gen = _shared_generator()
@@ -486,9 +563,12 @@ def _market(model: CoefficientModel, grid: TimeGrid,
                            buffer=terms.gamma,
                            strides=(0,) * (dw.ndim - 1) + terms.gamma.strides)
     else:
-        log_incr = terms.sigma * dw
+        # the log-increments are built in the buffer that sums them
+        gamma = _empty(dw.shape[:-1] + (grid.n_steps + 1,))
+        log_incr = gamma[..., 1:]
+        np.multiply(terms.sigma, dw, out=log_incr)
         log_incr += terms.log_drift
-        gamma = _cumsum0(log_incr)
+        _accumulate0(gamma)
         np.exp(gamma, out=gamma)
         gamma *= _start_level(model, grid)
         gamma.flags.writeable = False

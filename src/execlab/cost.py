@@ -15,21 +15,28 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _increments,
-                           _market, step_terms)
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
+                           _chunk_pool, _empty, _increments, _market,
+                           step_terms)
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
 # Bound on the path x grid-point values of one array in a chunk of
-# sample_paths.  2^13 doubles are 64 KiB.  A chunk keeps alive its w, one
-# gamma per model (and 1/gamma once an entry reads it), and the arrays of
-# the one entry being priced: an optimal-plan cost has positions, trades,
-# pre-trade deviation and one temporary, six arrays with w and gamma.
-# sample_paths drops a priced chunk before it draws the next.  So a pass
-# stays under a megabyte, and blocks this size are reused from the heap
-# instead of being paged in afresh for every chunk.  It bounds memory; it
-# is not a speed knob.
-CHUNK_ELEMENTS = 2**13
+# sample_paths.  2^15 doubles are 256 KiB: 3 paths at 10^4 steps, 16 at
+# 2 000, 32 at 1 000.  A chunk keeps alive its w, one gamma per model (and
+# 1/gamma once an entry reads it), and the arrays of the one entry being
+# priced: an optimal-plan cost has positions, trades, pre-trade deviation
+# and one temporary, six arrays with w and gamma.  Each chunk writes into
+# the arrays of the chunk before (coefficients._ChunkPool), so a pass holds
+# about that many, 1.5 MB.  Fewer chunks pay the fixed Python and numpy
+# cost of a chunk less often.  The bound was 2^13 while every chunk freed
+# its arrays: glibc returns a freed array that large to the system, so the
+# next chunk faulted it in again.  Without the pool, one pass of the
+# criterion-3 plan over 1 000 paths at 10^4 steps took 0 minor faults at
+# 2^13, 48 000 at 2^15 and 131 000 at 2^16, and was slower at both sizes;
+# with it, 281 at 2^15.  2^16 was a few per cent faster again, but raised
+# the peak RSS of a pass by about 4 MB against 1 MB.
+CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,12 @@ def pathwise_cost(strategy: Strategy, deviation: DeviationPath,
     """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path."""
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
-    charge = 0.5 * market.gamma
+    charge = _empty(market.gamma.shape)
+    np.multiply(0.5, market.gamma, out=charge)
     charge *= xi
     charge += deviation.pre_trade
     charge *= xi
-    return _per_path(np.sum(charge, axis=-1))
+    return _per_path(np.add.reduce(charge, axis=-1))
 
 
 def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
@@ -103,10 +111,13 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
     blocks = strategy.block_mask()
-    linear = np.sum(deviation.pre_trade * xi, axis=-1)
+    products = _empty(np.broadcast_shapes(deviation.pre_trade.shape,
+                                          xi.shape))
+    np.multiply(deviation.pre_trade, xi, out=products)
+    linear = np.add.reduce(products, axis=-1)
     charge = market.gamma[..., blocks]  # the mask selects a copy
     charge *= xi[..., blocks] ** 2
-    return _per_path(linear + 0.5 * np.sum(charge, axis=-1))
+    return _per_path(linear + 0.5 * np.add.reduce(charge, axis=-1))
 
 
 class Pricing(NamedTuple):
@@ -135,7 +146,9 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     Brownian increments are drawn once and shared, read-only, by every
     entry; one market is built from them per distinct model, and the
     entries are priced on it in turn.  The chunk is dropped before the next
-    is drawn.  Path i is always drawn from the stream ``(seed, i)``, so the
+    is drawn, and the next chunk reuses the memory of its arrays where
+    nothing else holds them, so a factory or a ``price`` may keep what it is
+    handed.  Path i is always drawn from the stream ``(seed, i)``, so the
     samples depend neither on the chunking nor on the other entries.
     Raises ``ValueError`` for fewer than one path or no entry, and
     ``ArithmeticError`` naming the entry and the first path with a
@@ -150,21 +163,24 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     models = list(dict.fromkeys(p.model for p in pricings))
     slots = [models.index(p.model) for p in pricings]
     samples = [None] * len(pricings)
-    for ids in path_chunks(n_paths, grid):
-        dw = _increments(grid, seed, ids)
-        markets = [_market(model, grid, dw) for model in models]
-        for k, p in enumerate(pricings):
-            market = markets[slots[k]]
-            dev_fn = (naive_deviation_path if p.naive_dynamics
-                      else deviation_path)
-            strat = p.strategy_factory(market)
-            rows = np.atleast_2d(p.price(
-                strat, dev_fn(p.model, market, strat, p.d_pre), market))
-            del strat  # priced: not kept while the next entry is priced
-            if samples[k] is None:
-                samples[k] = np.empty((len(rows), n_paths))
-            samples[k][:, ids.start:ids.stop] = rows
-        del dw, markets, market  # not kept while the next chunk is drawn
+    # every chunk-shaped array of the pass comes from one pool (see
+    # coefficients._ChunkPool): a chunk reuses the memory of the one before
+    with _chunk_pool():
+        for ids in path_chunks(n_paths, grid):
+            dw = _increments(grid, seed, ids)
+            markets = [_market(model, grid, dw) for model in models]
+            for k, p in enumerate(pricings):
+                market = markets[slots[k]]
+                dev_fn = (naive_deviation_path if p.naive_dynamics
+                          else deviation_path)
+                strat = p.strategy_factory(market)
+                rows = np.atleast_2d(p.price(
+                    strat, dev_fn(p.model, market, strat, p.d_pre), market))
+                del strat  # priced: its arrays are free for the next entry
+                if samples[k] is None:
+                    samples[k] = np.empty((len(rows), n_paths))
+                samples[k][:, ids.start:ids.stop] = rows
+            del dw, markets, market  # free for the next chunk
     for k, values in enumerate(samples):
         finite = np.isfinite(values).all(axis=0)
         if not finite.all():
@@ -239,7 +255,9 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     y = value_solution.y[:-1]
     dv = deviation.values[..., :-1]
     # built in place, one full-size array: gamma X, then the formula's steps
-    integrand = market.gamma[..., :-1] * strategy.values[..., :-1]
+    gamma, x_values = market.gamma[..., :-1], strategy.values[..., :-1]
+    integrand = _empty(np.broadcast_shapes(gamma.shape, x_values.shape))
+    np.multiply(gamma, x_values, out=integrand)
     integrand -= dv
     integrand *= value_solution.beta_tilde[:-1]
     integrand += dv
@@ -247,7 +265,7 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     integrand *= market.alpha[..., :-1]
     integrand *= sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
     head = _value(value_solution.y[0], market.gamma[..., 0], x, d)
-    return _per_path(head + np.sum(integrand, axis=-1) * h)
+    return _per_path(head + np.add.reduce(integrand, axis=-1) * h)
 
 
 def closed_form_naive_brownian(gamma: float, rho: float, T: float,

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import CoefficientModel, MarketPath, TimeGrid, step_terms
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _empty,
+                           step_terms)
 
 
 class GridMismatch(ValueError):
@@ -45,7 +46,7 @@ class Strategy:
         values = np.asarray(self.values)
         if values.shape[-1:] != (n_points,):
             raise GridMismatch("strategy values must cover every grid point")
-        if (values[..., -1] != 0.0).any():
+        if values[..., -1].any():
             raise ValueError("terminal position must be 0 (liquidation constraint)")
         if self.is_block is not None and np.shape(self.is_block) != (n_points,):
             raise GridMismatch("block flags must cover every grid point")
@@ -58,7 +59,7 @@ class Strategy:
         cost of a strategy both read it.
         """
         x = np.asarray(self.values)
-        xi = np.empty(x.shape)
+        xi = _empty(x.shape)
         xi[..., 0] = x[..., 0] - self.x_pre
         np.subtract(x[..., 1:], x[..., :-1], out=xi[..., 1:])
         xi.flags.writeable = False
@@ -111,7 +112,7 @@ class DeviationPath:
 def _check_shared_grid(*grids: TimeGrid) -> None:
     g0 = grids[0]
     for g in grids[1:]:
-        if g != g0:
+        if g is not g0 and g != g0:
             raise GridMismatch("operands are defined on different grids")
 
 
@@ -130,22 +131,23 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     grid = strategy.grid
     gamma_eff = market.gamma
     if naive:
-        gamma_eff = market.gamma.copy()
+        gamma_eff = _empty(market.gamma.shape)
+        np.copyto(gamma_eff, market.gamma)
         np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
                   where=~strategy.block_mask()[1:])
     terms = step_terms(model, grid)
+    # the shape of the chunk, also when the strategy is one shared row
+    cum = _empty(gamma_eff.shape)
     # the memo holds gamma * exp(r) only for the impact path that
     # simulate_path shares on this model and grid, not for other gammas
     if terms.gamma is None or gamma_eff.base is not terms.gamma:
-        cum = gamma_eff * terms.growth
+        np.multiply(gamma_eff, terms.growth, out=cum)
         cum *= strategy.trades
     else:
-        # the shape of the chunk, also when the strategy is one shared row
-        cum = np.empty(gamma_eff.shape)
         np.multiply(terms.gamma_growth, strategy.trades, out=cum)
-    np.cumsum(cum, axis=-1, out=cum)
+    np.add.accumulate(cum, axis=-1, out=cum)
     cum += d_pre
-    pre_trade = np.empty_like(cum)
+    pre_trade = _empty(cum.shape)
     pre_trade[..., 0] = d_pre
     np.multiply(terms.decay[1:], cum[..., :-1], out=pre_trade[..., 1:])
     return DeviationPath(grid=grid, d_pre=d_pre, pre_trade=pre_trade,

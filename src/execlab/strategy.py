@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bsde import ValueSolution, _require_horizon
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _cumsum0,
-                           step_terms)
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
+                           _accumulate0, _cumsum0, _empty, step_terms)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
@@ -172,14 +172,17 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     grid = market.grid
     pt = _plan_terms(model, value_solution, market, k0)
 
-    log_inc = pt.neg_beta_sigma * market.w
+    exp_q = _empty(market.gamma.shape)
+    log_inc = exp_q[..., 1:]
+    np.multiply(pt.neg_beta_sigma, market.w, out=log_inc)
     log_inc -= pt.drift
     log_inc -= pt.half_q_quadratic
-    exp_q = _cumsum0(log_inc)
+    _accumulate0(exp_q)
     np.exp(exp_q, out=exp_q)
 
     scale = x - d / market.gamma[..., 0]
-    xs = scale[..., None] * exp_q
+    xs = _empty(exp_q.shape)
+    np.multiply(scale[..., None], exp_q, out=xs)
     xs *= pt.one_minus_beta
     xs[..., -1] = 0.0
     x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=pt.blocks)
@@ -213,7 +216,8 @@ def counterexample_brownian(nu: float, market: MarketPath) -> Strategy:
     only the terminal trade is a block.
     """
     grid = market.grid
-    values = nu * _cumsum0(market.w)
+    values = _cumsum0(market.w)
+    values *= nu
     values[..., -1] = 0.0
     blocks = np.zeros(grid.n_steps + 1, dtype=bool)
     blocks[-1] = True
@@ -230,9 +234,13 @@ def counterexample_gbm(nu: float, x: float, market: MarketPath) -> Strategy:
     covariation makes the optimization ill-posed.
     """
     grid = market.grid
-    h = grid.h
-    log_incr = nu * market.w - 0.5 * nu**2 * h
-    values = x * np.exp(_cumsum0(log_incr))
+    values = _empty(market.w.shape[:-1] + (grid.n_steps + 1,))
+    log_incr = values[..., 1:]
+    np.multiply(nu, market.w, out=log_incr)
+    log_incr -= 0.5 * nu**2 * grid.h
+    _accumulate0(values)
+    np.exp(values, out=values)
+    values *= x
     values[..., -1] = 0.0
     blocks = np.zeros(grid.n_steps + 1, dtype=bool)
     blocks[-1] = True

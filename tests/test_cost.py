@@ -17,7 +17,7 @@ from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
                      simulate_path, solve_y_deterministic, value_function)
 from execlab import step_terms
 from execlab.cli import SHOWCASE
-from execlab.cost import CHUNK_ELEMENTS
+from execlab.cost import CHUNK_ELEMENTS, path_chunks
 
 
 def make_setup(n=50, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
@@ -198,10 +198,12 @@ class TestChunkedEstimate:
             assert step_terms.cache_info().misses == 1
 
     def test_priced_chunk_is_released_before_the_next_is_drawn(self):
-        # one path per chunk: the peak holds the six arrays of the chunk
-        # being priced, and none of the chunk before
+        # the peak holds the six arrays of the chunk being priced, and none
+        # of the chunk before: the next chunk reuses their memory
         grid = TimeGrid(0.0, 10.0, 10_000)
         vs = solve_y_deterministic(SHOWCASE, grid)
+        chunks = list(path_chunks(6, grid))
+        assert len(chunks) >= 2
 
         def estimate():
             return estimate_cost(SHOWCASE, grid, 6, 1, lambda m: optimal_plan(
@@ -214,7 +216,7 @@ class TestChunkedEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 8 * (grid.n_steps + 1)
+        assert peak < 7 * 8 * len(chunks[0]) * (grid.n_steps + 1)
 
 
 class TestValueFunction:

@@ -6,6 +6,10 @@ below keeps the earlier out-of-place formulas, operation by operation, so
 each comparison is bit for bit.
 """
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
                      immediate_close, naive_deviation_path, optimal_plan,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, step_terms)
+from execlab import coefficients
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.strategy import _beta_ds_integrals
 
@@ -432,3 +437,121 @@ class TestSharedPass:
         step_terms.cache_clear()
         sample_paths(grid, n_paths, 5, pricings)
         assert step_terms.cache_info().misses == 2
+
+
+def chunk_rows(grid):
+    """The paths in a full chunk on ``grid``."""
+    return len(next(path_chunks(1 << 20, grid)))
+
+
+class TestChunkPool:
+    """A pass reuses a chunk array only once nothing but its pool holds it,
+    and only inside sample_paths."""
+
+    def test_kept_arrays_are_never_reused(self):
+        grid = TimeGrid(0.0, 2.0, 40)
+        n_paths = 4 * chunk_rows(grid) + 1
+        vs = solve_y_deterministic(MODEL, grid)
+        kept, copies, seen = [], [], []
+
+        def keep(*arrays):
+            kept.extend(arrays)
+            copies.extend(a.copy() for a in arrays)
+
+        def factory(market):
+            if seen:  # a later chunk's market is read-only as well
+                for a in (market.w, market.gamma):
+                    with pytest.raises(ValueError):
+                        a[..., 0] = 1.0
+            seen.append(len(market.w))
+            strat = optimal_plan(MODEL, vs, market, 0.0, X, D).x_star
+            keep(market.w, market.gamma, market.gamma[..., :5], strat.values)
+            return strat
+
+        def price(strat, dev, market):
+            keep(dev.pre_trade)
+            return pathwise_cost(strat, dev, market)
+
+        gbm = Pricing(MODEL, FACTORIES["gbm"], pathwise_cost,
+                      naive_dynamics=True)
+        got = sample_paths(grid, n_paths, 7, [Pricing(MODEL, factory, price),
+                                              gbm])
+        assert len(seen) >= 4
+        for a, b in zip(kept, copies, strict=True):
+            assert np.array_equal(a, b)
+        plain = sample_paths(grid, n_paths, 7, [
+            Pricing(MODEL, entry_factory(MODEL, grid, "optimal"),
+                    pathwise_cost), gbm])
+        for a, b in zip(got, plain, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_pool_is_set_only_inside_a_pass(self):
+        grid = TimeGrid(0.0, 2.0, 40)
+        inside = []
+
+        def price(strat, dev, market):
+            inside.append(coefficients._POOL.get())
+            return pathwise_cost(strat, dev, market)
+
+        sample_paths(grid, 4, 1, [Pricing(MODEL, FACTORIES["close"], price)])
+        assert inside[0] is not None
+        assert coefficients._POOL.get() is None
+
+        def failing(strat, dev, market):
+            raise RuntimeError("priced nothing")
+
+        with pytest.raises(RuntimeError, match="priced nothing"):
+            sample_paths(grid, 4, 1,
+                         [Pricing(MODEL, FACTORIES["close"], failing)])
+        assert coefficients._POOL.get() is None
+
+    def test_pool_does_not_grow_with_the_chunk_count(self):
+        # a guard that never matches would keep every chunk's arrays
+        grid = TimeGrid(0.0, 2.0, CHUNK_ELEMENTS // 4 - 1)
+        few, many = 2 * chunk_rows(grid), 40 * chunk_rows(grid)
+        vs = solve_y_deterministic(MODEL, grid)
+        pricings = [
+            Pricing(MODEL, lambda m: optimal_plan(MODEL, vs, m, 0.0, X,
+                                                  D).x_star, pathwise_cost),
+            Pricing(MODEL, FACTORIES["gbm"], pathwise_cost_naive,
+                    naive_dynamics=True)]
+
+        def peak(n_paths):
+            sample_paths(grid, n_paths, 3, pricings)  # the memos
+            tracemalloc.start()
+            try:
+                sample_paths(grid, n_paths, 3, pricings)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk_array = 8 * chunk_rows(grid) * (grid.n_steps + 1)
+        assert peak(many) <= peak(few) + chunk_array
+
+
+class TestThreads:
+    def test_each_thread_has_its_own_pool(self):
+        grid = TimeGrid(0.0, 2.0, 40)
+        n_paths = 6 * chunk_rows(grid)
+        pricings = [Pricing(ENTRY_MODELS[m], entry_factory(ENTRY_MODELS[m],
+                                                           grid, kind),
+                            PRICES[price], D, naive_dynamics)
+                    for m, kind, price, naive_dynamics in (
+                        ("stochastic", "optimal", "both", False),
+                        ("sigma_zero", "gbm", "cost", True),
+                        ("stochastic", "close", "naive", False))]
+        seeds = (3, 4)
+        serial = [sample_paths(grid, n_paths, seed, pricings)
+                  for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the passes interleave chunk by chunk
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(
+                    lambda seed: sample_paths(grid, n_paths, seed, pricings),
+                    seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
