@@ -3,7 +3,7 @@ with stochastic depth and resilience.
 
 Submodules
 ----------
-coefficients : market model, impact-path simulation
+coefficients : market model (one piece table), impact-path simulation
 deviation    : deviation dynamics and impact state for grid strategies
 cost         : pathwise/Monte-Carlo costs, value formula, closed forms
 bsde         : value-factor solvers (exact, RK4 check, discrete recursion)
@@ -14,8 +14,8 @@ cli          : experiment runner, figure data, selftest
 from .bsde import (DiscreteValue, ValueSolution, discrete_value_recursion,
                    driver, ode_residual, solve_y_deterministic, solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
-                           PiecewiseConstant, StepTerms, TimeGrid, build_model,
-                           constant_model, model_from_config, simulate_path,
+                           StepTerms, TimeGrid, build_model, constant_model,
+                           model_from_config, simulate_path,
                            step_coefficients, step_terms)
 from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,

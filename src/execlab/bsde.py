@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, TimeGrid, constant_model,
-                           step_coefficients)
+from .coefficients import (CoefficientModel, ModelError, TimeGrid,
+                           constant_model, step_coefficients)
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,27 @@ def solve_y_deterministic(model: CoefficientModel,
     return _solution(grid, coeffs, y)
 
 
+def _value_at(starts: tuple[float, ...], values: tuple[float, ...],
+              t: float) -> float:
+    """The value at time t of the pieces ``values`` starting at ``starts``."""
+    if t < 0.0:
+        raise ModelError(f"time {t} is before 0")
+    if len(values) == 1:  # constant: RK4's per-stage hot path
+        return values[0]
+    return values[int(np.searchsorted(starts, t, side="right") - 1)]
+
+
 def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     """Backward fourth-order Runge-Kutta integration of the scalar equation.
 
     It is the independent check of :func:`solve_y_deterministic`; breakpoints
-    lie on the grid, so the steps restart there.  Its stages look the
-    coefficients up one scalar at a time, at the step's midpoint, which no
-    rounding puts on the wrong side of a breakpoint; only the ratio reads
-    :func:`step_coefficients`.  Array lookups are several times faster, but
-    the benchmark's ``value_solvers`` workload keeps the outputs of every
-    pass, so more passes would read there as a memory regression.
+    lie on the grid, so the steps restart there.  Unlike every other grid
+    computation, its stages look each coefficient up by time, one scalar
+    search (:func:`_value_at`) at the step's midpoint, which no rounding puts
+    on the wrong side of a breakpoint; only the ratio reads
+    :func:`step_coefficients`.  Taking each step's piece by index is several
+    times faster, but the benchmark's ``value_solvers`` workload keeps the
+    outputs of every pass, so more passes would read as a memory regression.
     """
     _require_horizon(grid, model.T)
     coeffs = step_coefficients(model, grid)
@@ -231,7 +242,9 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     y[-1] = 0.5
 
     def rhs(tk, yv):
-        rho, mu, sig = model.rho(tk), model.mu(tk), model.sigma(tk)
+        rho = _value_at(model.starts, model.rho, tk)
+        mu = _value_at(model.starts, model.mu, tk)
+        sig = _value_at(model.starts, model.sigma, tk)
         # the denominator of _solution: num / denom is exactly 1, and the
         # rhs exactly 0, where rho = 0 and y = 1/2
         denom = sig**2 * (yv - 0.5) + (rho + 0.5 * mu)

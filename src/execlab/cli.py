@@ -130,7 +130,7 @@ def _plan_cost_convergence(model: CoefficientModel, x: float, d: float,
     trades, so the grid cost must not charge the quadratic term on the O(h)
     sampled increments; that reading converges to the value at first order.
     """
-    v = value_function(1.0 / (2.0 + model.T * model.rho.values[0]),
+    v = value_function(1.0 / (2.0 + model.T * model.rho[0]),
                        model.gamma0, x, d).v
     costs = []
     for n in steps:
@@ -150,7 +150,7 @@ def _regime_model(cfg: ExperimentConfig, *zero: str) -> CoefficientModel:
     model = model_from_config(cfg.model)
     if model.breakpoints:
         raise ValueError(f"{cfg.tag} needs a single-piece model")
-    if any(getattr(model, c).values[0] != 0.0 for c in zero):
+    if any(getattr(model, c)[0] != 0.0 for c in zero):
         raise ValueError(f"{cfg.tag} needs {' = '.join(zero)} = 0")
     return model
 
@@ -197,7 +197,7 @@ def _naive_brownian(model: CoefficientModel, nu: float) -> _Experiment:
         Pricing(model, lambda m: counterexample_brownian(nu, m),
                 pathwise_cost_naive),
         "closed_form", closed_form_naive_brownian(
-            model.gamma0, model.rho.values[0], model.T, nu))
+            model.gamma0, model.rho[0], model.T, nu))
 
 
 def _naive_gbm(model: CoefficientModel, x: float, nu: float) -> _Experiment:
@@ -207,8 +207,7 @@ def _naive_gbm(model: CoefficientModel, x: float, nu: float) -> _Experiment:
         Pricing(model, lambda m: counterexample_gbm(nu, x, m), pathwise_cost,
                 naive_dynamics=True),
         "closed_form", closed_form_cost_gbm(
-            model.gamma0, x, model.sigma.values[0], model.rho.values[0],
-            model.T, nu))
+            model.gamma0, x, model.sigma[0], model.rho[0], model.T, nu))
 
 
 def _mc_result(experiment: _Experiment, grid: TimeGrid, seed: int,
@@ -514,7 +513,7 @@ def _quadratic_representation(grid: TimeGrid):
         gap, se = _mean_se(lhs - rhs)
         cost, cost_se = _mean_se(lhs)
         closed_form = (SHOWCASE.gamma0
-                       * np.exp(SHOWCASE.mu.values[0] * 10.0) / 2.0)
+                       * np.exp(SHOWCASE.mu[0] * 10.0) / 2.0)
         return _check("quadratic_representation",
                       det_gap <= 1e-6 and abs(gap) <= 3.0 * se
                       and abs(cost - closed_form) <= 3.0 * cost_se,
@@ -555,7 +554,7 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
         d_const = np.max(np.abs(plan.d_star.pre_trade[1:-1] - dv[:-1]))
         rows.append((max(np.max(vs.y) - 0.5, -np.min(vs.y)),
                      np.max(np.abs(state - plan.scale)) / abs(plan.scale),
-                     0.0 if any(model.sigma.values)
+                     0.0 if any(model.sigma)
                      else d_const / np.max(np.abs(dv)),
                      dynamic_consistency_check(plan, g.times[g.n_steps // 2])))
     y_range, *tol = np.max(rows, axis=0)

@@ -1,4 +1,5 @@
-"""Market model: piecewise-constant coefficients and impact paths.
+"""Market model: one table of piecewise-constant coefficients, and impact
+paths.
 
 The price impact factor gamma follows dgamma = gamma * (mu dt + sigma dW) and is
 stepped by exact lognormal increments, so the only discretization error in the
@@ -7,9 +8,11 @@ engine comes from the trading scheme, never from gamma itself.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import hashlib
 import json
+import math
 import numbers
 import sys
 import threading
@@ -26,64 +29,37 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant:
-    """Right-continuous piecewise-constant function of time on [0, T].
-
-    ``breaks[i]`` is the left endpoint of piece ``i``; ``breaks[0]`` must be 0.
-    """
-
-    breaks: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.breaks) != len(self.values) or not self.breaks:
-            raise ModelError("breaks and values must be non-empty and equal length")
-        if self.breaks[0] != 0.0:
-            raise ModelError("first breakpoint must be 0")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-            raise ModelError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(self.breaks))
-                and np.all(np.isfinite(self.values))):
-            raise ModelError("breakpoints and values must be finite")
-
-    def __call__(self, t: float) -> float:
-        if t < 0.0:
-            raise ModelError(f"time {t} is before 0")
-        if len(self.values) == 1:  # constant: the solvers' per-step hot path
-            return self.values[0]
-        # right-continuous: value on [breaks[i], breaks[i+1])
-        i = int(np.searchsorted(self.breaks, t, side="right") - 1)
-        return self.values[i]
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] (a <= b)."""
-        if b < a:
-            raise ValueError("integration bounds out of order")
-        total = 0.0
-        edges = list(self.breaks) + [np.inf]
-        for i, v in enumerate(self.values):
-            lo = max(a, edges[i])
-            hi = min(b, edges[i + 1])
-            if hi > lo:
-                total += v * (hi - lo)
-        return total
-
-
-@dataclass(frozen=True)
 class CoefficientModel:
-    """Exogenous market inputs: horizon, initial impact and resilience/drift/vol."""
+    """Exogenous market inputs: horizon, initial impact and one piece table.
+
+    Piece i holds ``rho[i]``, ``mu[i]`` and ``sigma[i]`` on [``starts[i]``,
+    ``starts[i+1]``), the last piece up to T.  The columns are tuples, so a
+    model hashes and compares by value."""
 
     T: float
     gamma0: float
-    rho: PiecewiseConstant
-    mu: PiecewiseConstant
-    sigma: PiecewiseConstant
+    starts: tuple[float, ...]
+    rho: tuple[float, ...]
+    mu: tuple[float, ...]
+    sigma: tuple[float, ...]
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):
             raise ModelError("horizon T must be finite and positive")
         if not (np.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ModelError("gamma0 must be finite and positive")
+        columns = (self.starts, self.rho, self.mu, self.sigma)
+        if not self.starts or any(len(c) != len(self.starts) for c in columns):
+            raise ModelError("at least one piece is required, with as many "
+                             "starts as rho, mu and sigma values")
+        if self.starts[0] != 0.0:
+            raise ModelError("the first piece must start at 0")
+        if any(a >= b for a, b in zip(self.starts, self.starts[1:])):
+            raise ModelError("piece start times must be strictly increasing")
+        if not all(math.isfinite(v) for c in columns for v in c):
+            raise ModelError("piece start times and values must be finite")
+        if self.starts[-1] >= self.T:
+            raise ModelError("piece start times must lie in [0, T)")
         if self.epsilon <= 0.0:
             raise ModelError(
                 "model violates the positivity condition: "
@@ -92,23 +68,20 @@ class CoefficientModel:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        pts = sorted(set(self.rho.breaks) | set(self.mu.breaks) | set(self.sigma.breaks))
-        return tuple(p for p in pts if 0.0 < p < self.T)
+        """The times in (0, T) where a piece starts."""
+        return self.starts[1:]
 
     @property
     def epsilon(self) -> float:
         """Attained minimum of 2*rho + mu - sigma^2 over the pieces; the
         positivity condition is epsilon > 0."""
-        pts = [0.0] + list(self.breakpoints)
-        return min(2.0 * self.rho(t) + self.mu(t) - self.sigma(t) ** 2
-                   for t in pts)
+        return min(2.0 * r + m - s ** 2
+                   for r, m, s in zip(self.rho, self.mu, self.sigma))
 
     def to_dict(self) -> dict:
-        pts = [0.0] + list(self.breakpoints)
-        pieces = [
-            {"t_from": t, "rho": self.rho(t), "mu": self.mu(t), "sigma": self.sigma(t)}
-            for t in pts
-        ]
+        pieces = [{"t_from": t, "rho": r, "mu": m, "sigma": s}
+                  for t, r, m, s in zip(self.starts, self.rho, self.mu,
+                                        self.sigma)]
         return {"T": self.T, "gamma0": self.gamma0, "pieces": pieces}
 
     def content_hash(self) -> str:
@@ -143,12 +116,12 @@ def build_model(
     Raises
     ------
     ModelError if a value is not a real number, a piece misses a key, or
+    :class:`CoefficientModel` refuses the table: start times not strictly
+    increasing from 0 and below T, non-finite values, or
     2*rho + mu - sigma^2 <= 0 on some piece.
     """
     if not isinstance(pieces, (list, tuple)):
         raise ModelError(f"pieces must be a list: {pieces!r}")
-    if not pieces:
-        raise ModelError("at least one coefficient piece is required")
     columns = {key: [] for key in _PIECE_KEYS}
     for i, piece in enumerate(pieces):
         if not isinstance(piece, dict):
@@ -157,19 +130,14 @@ def build_model(
             if key not in piece:
                 raise ModelError(f"pieces[{i}] has no key {key!r}")
             column.append(_real(f"pieces[{i}].{key}", piece[key]))
-    starts = columns["t_from"]
-    if starts != sorted(starts) or len(set(starts)) != len(starts):
-        raise ModelError("piece start times must be strictly increasing")
-    T = _real("T", T)
-    if any(s >= T for s in starts[1:]):
-        raise ModelError("piece start times must lie in [0, T)")
-    breaks = tuple(starts)
     return CoefficientModel(
-        T=T,
+        T=_real("T", T),
         gamma0=_real("gamma0", gamma0),
-        rho=PiecewiseConstant(breaks, tuple(columns["rho"])),
-        mu=PiecewiseConstant(breaks, tuple(columns["mu"])),
-        sigma=PiecewiseConstant(breaks, tuple(columns["sigma"])),
+        # + 0.0: a first start of -0.0 is kept, written and hashed as 0.0
+        starts=tuple(t + 0.0 for t in columns["t_from"]),
+        rho=tuple(columns["rho"]),
+        mu=tuple(columns["mu"]),
+        sigma=tuple(columns["sigma"]),
     )
 
 
@@ -243,12 +211,14 @@ def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
     the indices of :meth:`TimeGrid.validate_model`, and no grid time is
     compared with a breakpoint.  Every grid computation reads it."""
     ks = grid.validate_model(model)
-    # the runs start at t0 and at the breakpoints validate_model indexed
-    starts = [grid.t0, *(b for b in model.breakpoints
-                         if grid.t0 <= b <= grid.T)]
+    # validate_model indexed the breakpoints from starts[j] on, so the run
+    # before the first of them takes piece j - 1, the one holding the grid
+    # start, and the run after each breakpoint its own piece
+    j = bisect.bisect_left(model.starts, grid.t0, 1)
     table = np.empty((3, grid.n_steps))
-    for t, ka, kb in zip(starts, [0, *ks], [*ks, grid.n_steps]):
-        table[:, ka:kb] = [[model.rho(t)], [model.mu(t)], [model.sigma(t)]]
+    for i, ka, kb in zip(range(j - 1, len(model.starts)), [0, *ks],
+                         [*ks, grid.n_steps]):
+        table[:, ka:kb] = [[model.rho[i]], [model.mu[i]], [model.sigma[i]]]
     return table
 
 
@@ -315,10 +285,16 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
 def _start_level(model: CoefficientModel, grid: TimeGrid) -> float:
     """The impact level at the grid start.  gamma0 is the level at time 0:
     a grid starting at t0 > 0 starts from gamma0 carried forward by the
-    drift alone, gamma0 * exp(int_0^t0 mu)."""
+    drift alone, gamma0 * exp(int_0^t0 mu), summed over the pieces that
+    start before t0."""
     if grid.t0 == 0.0:
         return model.gamma0
-    return model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+    drift = 0.0
+    for start, end, mu in zip(model.starts, (*model.starts[1:], math.inf),
+                              model.mu):
+        if start < grid.t0:
+            drift += mu * (min(grid.t0, end) - start)
+    return model.gamma0 * np.exp(drift)
 
 
 @dataclass(frozen=True)
@@ -467,19 +443,24 @@ class _ChunkPool:
     been freed.  An array that a factory, a price, a memo or a live view
     still holds is never handed out twice.  Reusing the memory of the chunk
     before spares the page faults of freeing large arrays and allocating
-    them afresh for every chunk.
+    them afresh for every chunk.  The shorter last chunk of a pass takes
+    the leading rows of full-size buffers, so it allocates nothing.
     """
 
     def __init__(self):
+        # keyed by the shape after the first axis, the chunk's paths
         self._buffers: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A writeable float array of ``shape``; its values are garbage."""
-        buffers = self._buffers.setdefault(shape, [])
+        """A writeable float array of ``shape``; its values are garbage.
+        It is a free buffer, or a view of its leading rows when the buffer
+        has more; the view holds the buffer, which is then not free."""
+        rows = shape[0]
+        buffers = self._buffers.setdefault(shape[1:], [])
         for buffer in buffers:
-            if sys.getrefcount(buffer) == _FREE_REFS:
+            if len(buffer) >= rows and sys.getrefcount(buffer) == _FREE_REFS:
                 buffer.flags.writeable = True
-                return buffer
+                return buffer if len(buffer) == rows else buffer[:rows]
         buffer = np.empty(shape)
         buffers.append(buffer)
         return buffer

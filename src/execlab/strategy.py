@@ -155,11 +155,12 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     """Construct the cost-minimizing plan started at (t, x, d).
 
     ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
-    of the market's grid; the plan lives on the sub-grid [t, T].  With zero
-    resilience both solvers give y = 1/2 and a feedback ratio of exactly 1,
-    so the plan closes the position immediately.  The arrays that do not
-    depend on the path are computed once and kept on ``value_solution``
-    (see :class:`OptimalPlan`).  The path arrays are built in place.
+    of the market's grid before T; the plan lives on the sub-grid [t, T].
+    With zero resilience both solvers give y = 1/2 and a feedback ratio of
+    exactly 1, so the plan closes the position immediately.  The arrays that
+    do not depend on the path are computed once and kept on
+    ``value_solution`` (see :class:`OptimalPlan`).  The path arrays are
+    built in place.
     ``exp_q`` is the stochastic exponential of Q on the grid,
     exp_q[k] = exp(sum_{j<k} (dQ_j - d[Q]_j / 2)) with dQ the
     ``q_increments`` and d[Q] the ``q_quadratic``; exp_q[0] = 1.
@@ -167,6 +168,9 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
     k0 = market.grid.index_of(t)
+    if k0 == market.grid.n_steps:
+        raise ValueError(f"a plan needs a step before T: t = {t} is "
+                         f"T = {market.grid.T}")
     if k0 > 0:
         market = market.tail(k0)
     grid = market.grid
@@ -296,7 +300,8 @@ def jump_example_model(rho: float, t0: float, T: float,
 
 
 def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:
-    """Rebuild the plan from its own state just before u; compare the tails.
+    """Rebuild the plan from its own state just before u, a grid point
+    before T; compare the tails.
 
     Returns the maximum relative discrepancy over grid points, across both
     the position and the deviation paths.

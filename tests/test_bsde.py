@@ -16,6 +16,7 @@ from execlab import (TimeGrid, build_model, constant_model,
 from execlab import bsde
 from execlab.bsde import solve_y_lambert
 from execlab.cli import SHOWCASE
+from piece_lookup import value_at
 
 
 def ow_hyperbola(rho, T, s):
@@ -71,7 +72,7 @@ def linear_w_reference(model, grid):
     w = np.zeros(grid.n_steps + 1)
     for start, end, ka, kb in reversed(list(zip(starts, ends, k_starts,
                                                 k_ends))):
-        rho, mu = model.rho(start), model.mu(start)
+        rho, mu = value_at(model, "rho", start), value_at(model, "mu", start)
         q = rho * (2.0 * rho / (2.0 * rho + mu))
         tau = end - t[ka:kb]
         if mu == 0.0:
@@ -79,8 +80,8 @@ def linear_w_reference(model, grid):
         else:
             w[ka:kb] = np.exp(-mu * tau) * w[kb] - q * np.expm1(-mu * tau) / mu
     y = 1.0 / (2.0 + w)
-    rho_t = np.array([model.rho(s) for s in t])
-    mu_t = np.array([model.mu(s) for s in t])
+    rho_t = np.array([value_at(model, "rho", s) for s in t])
+    mu_t = np.array([value_at(model, "mu", s) for s in t])
     ratio = (rho_t + mu_t) / (2.0 * rho_t + mu_t) * 2.0
     ratio_left = np.concatenate((ratio[:1], ratio[:-1]))
     return {"y": y, "beta_tilde": ratio * y, "beta_pre": ratio_left * y}
@@ -374,7 +375,8 @@ class TestRk4Solver:
 
 def pointwise_driver_and_ratio(model, t, y):
     """Reference: the generator and the ratio at one point, in floats."""
-    rho, mu, sig = model.rho(t), model.mu(t), model.sigma(t)
+    rho, mu, sig = (value_at(model, name, t)
+                    for name in ("rho", "mu", "sigma"))
     denom = sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
     num = (rho + mu) * y
     ratio = (rho + mu) / (sig**2 * (y - 0.5) + (rho + 0.5 * mu)) * y

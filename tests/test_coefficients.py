@@ -13,75 +13,118 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import execlab
-from execlab import (ModelError, PiecewiseConstant, TimeGrid, build_model,
+from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
                      constant_model, jump_example_model, model_from_config,
                      simulate_path, solve_y_deterministic, solve_y_ode,
-                     step_terms)
-from execlab.coefficients import _stream_block
+                     step_coefficients, step_terms)
+from execlab.bsde import _value_at
+from execlab.cli import SHOWCASE
+from execlab.coefficients import _start_level, _stream_block
+from piece_lookup import integral, value_at
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+def piece(t_from, rho=0.5, mu=0.0, sigma=0.0):
+    return {"t_from": t_from, "rho": rho, "mu": mu, "sigma": sigma}
+
+
+THREE_PIECE_MODEL = build_model(3.0, 0.8, [piece(0.0, 0.5, 0.1),
+                                           piece(1.0, -0.2, 0.7, 0.3),
+                                           piece(2.0, 0.4, -0.3, 0.2)])
+
+
 class TestPiecewiseConstant:
+    """The model's piecewise-constant coefficients: one table of pieces,
+    each right-continuous at its start."""
+
     def test_constant_value_everywhere(self):
-        f = PiecewiseConstant((0.0,), (2.5,))
-        assert f(0.0) == 2.5 and f(17.3) == 2.5
+        m = constant_model(20.0, 1.0, 2.5)
+        assert m.starts == (0.0,) and m.breakpoints == ()
+        assert np.all(step_coefficients(m, TimeGrid(0.0, 20.0, 7))[0] == 2.5)
+        assert _value_at(m.starts, m.rho, 0.0) == 2.5
+        assert _value_at(m.starts, m.rho, 17.3) == 2.5
 
     def test_right_continuity_at_breaks(self):
-        f = PiecewiseConstant((0.0, 1.0), (3.0, 7.0))
-        assert f(0.999999) == 3.0
-        assert f(1.0) == 7.0
+        m = build_model(2.0, 1.0, [piece(0.0, rho=3.0), piece(1.0, rho=7.0)])
+        assert _value_at(m.starts, m.rho, 0.999999) == 3.0
+        assert _value_at(m.starts, m.rho, 1.0) == 7.0
+        # the step that starts at the breakpoint takes the new piece
+        table = step_coefficients(m, TimeGrid(0.0, 2.0, 4))
+        assert table[0].tolist() == [3.0, 3.0, 7.0, 7.0]
+
+    @pytest.mark.parametrize("t0, T, n", [
+        (0.0, 3.0, 6), (0.0, 2.0, 4), (0.5, 3.0, 5), (1.0, 3.0, 4),
+        (1.5, 3.0, 3), (2.0, 3.0, 2), (2.5, 3.0, 1), (1.0, 2.0, 2)],
+        ids=["whole", "ends_at_break", "first_piece", "at_break",
+             "middle_piece", "at_last_break", "last_piece", "one_piece"])
+    def test_each_step_takes_the_piece_of_its_start(self, t0, T, n):
+        # grids that start before, at and after a breakpoint, or end at one
+        m, grid = THREE_PIECE_MODEL, TimeGrid(t0, T, n)
+        want = [[value_at(m, name, s) for s in grid.times[:-1]]
+                for name in ("rho", "mu", "sigma")]
+        assert step_coefficients(m, grid).tolist() == want
 
     def test_integral_exact(self):
-        f = PiecewiseConstant((0.0, 2.0), (1.0, 10.0))
-        assert f.integral(0.0, 3.0) == 2.0 + 10.0
-        assert f.integral(1.5, 2.5) == 0.5 + 5.0
+        # the start level carries gamma0 by exp(int_0^t0 mu), summed exactly
+        m = build_model(5.0, 1.5, [piece(0.0, mu=1.0), piece(2.0, mu=10.0)])
+        for t0, drift in ((0.0, 0.0), (1.5, 1.5), (2.0, 2.0), (3.0, 12.0)):
+            assert _start_level(m, TimeGrid(t0, 5.0, 4)) == 1.5 * np.exp(drift)
 
-    @pytest.mark.parametrize("f", [
-        jump_example_model(0.3, 4.0, 5.0).mu,
-        PiecewiseConstant((0.0,), (2.5,))], ids=["two_pieces", "one_piece"])
-    def test_undefined_before_zero(self, f):
+    @pytest.mark.parametrize("m", [
+        jump_example_model(0.3, 4.0, 5.0), constant_model(1.0, 1.0, 2.5)],
+        ids=["two_pieces", "one_piece"])
+    def test_undefined_before_zero(self, m):
         # both lookups once answered here, with different pieces
         with pytest.raises(ModelError, match="before 0"):
-            f(-1.0)
+            _value_at(m.starts, m.mu, -1.0)
 
     @given(st.lists(st.floats(0.01, 10.0), max_size=4, unique=True),
            st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
            st.lists(st.floats(0.0, 12.0), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_call_matches_searchsorted(self, interior, values, extra):
-        breaks = (0.0,) + tuple(sorted(interior))
-        f = PiecewiseConstant(breaks, tuple(values[:len(breaks)]))
-        # every breakpoint itself is looked up, plus arbitrary times
-        times = np.array(list(breaks) + extra)
-        idx = np.searchsorted(breaks, times, side="right") - 1
-        assert [f(t) for t in times] == [f.values[i] for i in idx]
+        starts = (0.0,) + tuple(sorted(interior))
+        values = tuple(values[:len(starts)])
+        # every start itself is looked up, plus arbitrary times
+        times = np.array(list(starts) + extra)
+        idx = np.searchsorted(starts, times, side="right") - 1
+        assert [_value_at(starts, values, t) for t in times] == \
+            [values[i] for i in idx]
 
-    @given(NON_FINITE, st.booleans())
-    @settings(max_examples=20, deadline=None)
-    def test_rejects_non_finite_entries(self, bad, in_breaks):
+    @given(NON_FINITE, st.sampled_from(["starts", "rho", "mu", "sigma"]))
+    @settings(max_examples=40, deadline=None)
+    def test_rejects_non_finite_entries(self, bad, column):
+        table = {"starts": (0.0, 1.0), "rho": (0.5, 0.5), "mu": (0.0, 0.0),
+                 "sigma": (0.0, 0.0)}
+        table[column] = (table[column][0], bad)
         with pytest.raises(ModelError):
-            if in_breaks:
-                PiecewiseConstant((0.0, bad), (1.0, 2.0))
-            else:
-                PiecewiseConstant((0.0, 1.0), (1.0, bad))
+            CoefficientModel(T=2.0, gamma0=1.0, **table)
+
+    BAD_TABLES = [((1.0,), (0.5,), "start at 0"),
+                  ((0.0, 0.0), (0.5, 0.5), "strictly increasing"),
+                  ((0.0, 1.5, 1.0), (0.5, 0.5, 0.5), "strictly increasing"),
+                  ((0.0, 2.0), (0.5, 0.5), r"in \[0, T\)"),
+                  ((0.0, 2.5), (0.5, 0.5), r"in \[0, T\)"),
+                  ((), (), "at least one piece"),
+                  ((0.0, 1.0), (0.5,), "as many")]
 
     def test_rejects_bad_breaks(self):
-        with pytest.raises(ModelError):
-            PiecewiseConstant((1.0,), (2.0,))       # must start at 0
-        with pytest.raises(ModelError):
-            PiecewiseConstant((0.0, 0.0), (1.0, 2.0))
-        with pytest.raises(ModelError):
-            PiecewiseConstant((), ())
+        for starts, values, match in self.BAD_TABLES:
+            with pytest.raises(ModelError, match=match):
+                CoefficientModel(2.0, 1.0, starts, values, values,
+                                 tuple(0.0 for _ in values))
+            if len(values) == len(starts):  # build_model refuses the same
+                with pytest.raises(ModelError, match=match):
+                    build_model(2.0, 1.0, [piece(t, rho) for t, rho
+                                           in zip(starts, values)])
 
-    @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+    @given(st.floats(0.0, 2.9))
     @settings(max_examples=50, deadline=None)
-    def test_integral_additivity(self, a, b, c):
-        lo, mid, hi = sorted([a, b, c])
-        f = PiecewiseConstant((0.0, 1.0, 3.0), (2.0, -1.0, 0.5))
-        whole = f.integral(lo, hi)
-        split = f.integral(lo, mid) + f.integral(mid, hi)
-        assert whole == pytest.approx(split, abs=1e-12)
+    def test_start_level_is_the_integral_of_mu(self, t0):
+        m = THREE_PIECE_MODEL
+        want = m.gamma0 * np.exp(integral(m, "mu", 0.0, t0))
+        assert _start_level(m, TimeGrid(t0, 3.0, 3)) == want
 
 
 class TestModelValidation:
@@ -174,7 +217,23 @@ class TestModelValidation:
             {"t_from": np.float64(0.0), "rho": np.float32(0.5),
              "mu": np.int32(0), "sigma": np.float64(0.2)}])
         assert m == constant_model(2.0, 1.0, 0.5, sigma=0.2)
-        assert type(m.T) is float and type(m.sigma.values[0]) is float
+        assert type(m.T) is float and type(m.sigma[0]) is float
+
+    @pytest.mark.parametrize("model, digest", [
+        (SHOWCASE, "b8102012beeb8a9f"),
+        (jump_example_model(0.3, 4.0, 5.0), "b4fd2e4622b082c7"),
+        (THREE_PIECE_MODEL, "da4b63a1d2e694b5")],
+        ids=["showcase", "jump", "three_pieces"])
+    def test_content_hash_is_pinned(self, model, digest):
+        # the model_hash of every estimate and summary
+        assert model.content_hash() == digest
+
+    def test_a_first_start_of_minus_zero_hashes_as_zero(self):
+        pieces = [piece(-0.0, 0.5, 0.1), piece(1.0, -0.2, 0.7, 0.3),
+                  piece(2.0, 0.4, -0.3, 0.2)]
+        m = build_model(3.0, 0.8, pieces)
+        assert math.copysign(1.0, m.starts[0]) == 1.0
+        assert m.content_hash() == THREE_PIECE_MODEL.content_hash()
 
     def test_config_roundtrip_and_hash(self):
         m = build_model(2.0, 1.5, [
@@ -270,13 +329,13 @@ class TestStepTerms:
     def test_deterministic_impact_path(self, case):
         model, grid = DETERMINISTIC[case]
         terms = step_terms(model, grid)
-        start = model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+        start = model.gamma0 * np.exp(integral(model, "mu", 0.0, grid.t0))
         want = start * np.exp(np.concatenate(([0.0],
                                               np.cumsum(terms.log_drift))))
         assert np.array_equal(terms.gamma, want)
         assert np.array_equal(terms.gamma_growth, want * terms.growth)
         # the level at time s is gamma0 exp(int_0^s mu)
-        exact = [model.gamma0 * np.exp(model.mu.integral(0.0, s))
+        exact = [model.gamma0 * np.exp(integral(model, "mu", 0.0, s))
                  for s in grid.times]
         assert np.allclose(terms.gamma, exact, rtol=1e-13)
         for a in (terms.gamma, terms.gamma_growth):
@@ -318,7 +377,7 @@ class TestStepTerms:
         for name, want in direct.items():
             assert np.array_equal(getattr(terms, name), want), name
         # r is the integral of rho from the grid start
-        exact = [model.rho.integral(grid.t0, s) for s in grid.times]
+        exact = [integral(model, "rho", grid.t0, s) for s in grid.times]
         assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
         assert step_terms(model, grid) is terms
 

@@ -22,8 +22,10 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, step_terms)
 from execlab import coefficients
+from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.strategy import _beta_ds_integrals
+from piece_lookup import integral
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
 X, D = 10.0, 0.5
@@ -43,7 +45,7 @@ def ref_market(model, grid, seed, ids):
                   .standard_normal(grid.n_steps) for i in ids])
     dw = z * np.sqrt(grid.h)
     start = model.gamma0 if grid.t0 == 0.0 else \
-        model.gamma0 * np.exp(model.mu.integral(0.0, grid.t0))
+        model.gamma0 * np.exp(integral(model, "mu", 0.0, grid.t0))
     gamma = start * np.exp(ref_cumsum0(terms.log_drift + terms.sigma * dw))
     return dw, gamma, 1.0 / gamma
 
@@ -527,6 +529,28 @@ class TestChunkPool:
 
         chunk_array = 8 * chunk_rows(grid) * (grid.n_steps + 1)
         assert peak(many) <= peak(few) + chunk_array
+
+    def test_a_short_last_chunk_takes_rows_of_full_buffers(self):
+        # the criterion-3 plan at 10^4 steps: 7 paths end in a one-path
+        # chunk, which once allocated a second set of arrays.  Its views
+        # add only their own objects to the peak, far below one array row.
+        grid = TimeGrid(0.0, 10.0, 10_000)
+        vs = solve_y_deterministic(SHOWCASE, grid)
+        full = 2 * chunk_rows(grid)
+
+        def peak(n_paths):
+            def estimate():
+                estimate_cost(SHOWCASE, grid, n_paths, 1, lambda m: (
+                    optimal_plan(SHOWCASE, vs, m, 0.0, 100.0, 0.0).x_star))
+            estimate()  # the memos
+            tracemalloc.start()
+            try:
+                estimate()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(full + 1) < peak(full) + 8 * (grid.n_steps + 1)
 
 
 class TestThreads:

@@ -51,6 +51,13 @@ class TestOptimalPlanClosedForm:
         assert np.all(plan.x_star.values == 0.0)
         assert np.all(plan.d_star.values == 0.0)
 
+    def test_a_plan_at_the_horizon_is_refused_by_name(self):
+        # the internal tail grid once raised "n_steps must be positive"
+        _, model, grid, market, vs = ow_plan()
+        with pytest.raises(ValueError,
+                           match=r"step before T: t = 10\.0 is T = 10\.0"):
+            optimal_plan(model, vs, market, 10.0, 1.0, 0.0)
+
     def test_linearity_in_the_scale(self):
         p1, *_ = ow_plan(x=1.0)
         p2, *_ = ow_plan(x=2.0)
@@ -100,7 +107,7 @@ class TestPlanInvariants:
         assert np.max(np.abs(a - ref)) <= 1e-10 * scale
 
     def test_deviation_constant_between_blocks(self, plan):
-        if any(v != 0.0 for v in plan.model.sigma.values):
+        if any(v != 0.0 for v in plan.model.sigma):
             pytest.skip("holds pathwise only for deterministic impact")
         blocks = plan.x_star.block_mask()
         d = plan.d_star.values
@@ -382,6 +389,12 @@ class TestDynamicConsistency:
     def test_replanning_at_start_is_trivial(self):
         plan, *_ = ow_plan()
         assert dynamic_consistency_check(plan, 0.0) == 0.0
+
+    def test_replanning_at_the_horizon_is_refused_by_name(self):
+        plan, *_ = ow_plan()
+        with pytest.raises(ValueError,
+                           match=r"step before T: t = 10\.0 is T = 10\.0"):
+            dynamic_consistency_check(plan, 10.0)
 
     def test_deterministic_replanning(self):
         plan, *_ = ow_plan()
