@@ -165,7 +165,7 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     samples = [None] * len(pricings)
     # every chunk-shaped array of the pass comes from one pool (see
     # coefficients._ChunkPool): a chunk reuses the memory of the one before
-    with _chunk_pool():
+    with _chunk_pool(grid.n_steps):
         for ids in path_chunks(n_paths, grid):
             dw = _increments(grid, seed, ids)
             markets = [_market(model, grid, dw) for model in models]

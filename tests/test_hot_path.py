@@ -507,6 +507,35 @@ class TestChunkPool:
                          [Pricing(MODEL, FACTORIES["close"], failing)])
         assert coefficients._POOL.get() is None
 
+    @pytest.mark.parametrize("caller, n_steps, inside", [
+        (8192, 1000, 992), (8192, 10, 16), (8192, 10_000, 8192),
+        (1024, 1000, 992), (512, 1000, 512)])
+    def test_ufunc_buffer_is_bounded_by_the_row_only_inside_a_pass(
+            self, caller, n_steps, inside):
+        grid = TimeGrid(0.0, 2.0, n_steps)
+        seen = []
+
+        def price(strat, dev, market):
+            seen.append(np.getbufsize())
+            return pathwise_cost(strat, dev, market)
+
+        def failing(strat, dev, market):
+            raise RuntimeError("priced nothing")
+
+        # set and restored by hand: NumPy 1.x does not scope it to errstate
+        before = np.setbufsize(caller)
+        try:
+            sample_paths(grid, 4, 1, [Pricing(MODEL, FACTORIES["close"],
+                                              price)])
+            assert set(seen) == {inside}
+            assert np.getbufsize() == caller
+            with pytest.raises(RuntimeError, match="priced nothing"):
+                sample_paths(grid, 4, 1,
+                             [Pricing(MODEL, FACTORIES["close"], failing)])
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(before)
+
     def test_pool_does_not_grow_with_the_chunk_count(self):
         # a guard that never matches would keep every chunk's arrays
         grid = TimeGrid(0.0, 2.0, CHUNK_ELEMENTS // 4 - 1)
@@ -579,3 +608,27 @@ class TestThreads:
         for got, want in zip(threaded, serial, strict=True):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
+
+    def test_each_thread_bounds_and_restores_its_own_ufunc_buffer(self):
+        # a pass on a 40-step and one on a 1 000-step grid, interleaved:
+        # each reads its own bound, and its caller's size after the pass
+        def run(n_steps):
+            grid = TimeGrid(0.0, 2.0, n_steps)
+            caller, seen = np.getbufsize(), set()
+
+            def price(strat, dev, market):
+                seen.add(np.getbufsize())
+                return pathwise_cost(strat, dev, market)
+
+            sample_paths(grid, 8 * chunk_rows(grid), 1,
+                         [Pricing(MODEL, FACTORIES["close"], price)])
+            return seen, caller, np.getbufsize()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(run, (40, 1000), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [({32}, 8192, 8192), ({992}, 8192, 8192)]
