@@ -47,10 +47,9 @@ class ValueSolution:
 
 @dataclass(frozen=True)
 class DiscreteValue:
-    """Discrete-time value factor from the backward recursion."""
+    """Discrete-time value factor from the backward recursion: ``y_h[k]``
+    at the k-th point of the recursion's grid of step h on [0, T]."""
 
-    h: float
-    times: np.ndarray
     y_h: np.ndarray
 
     def __post_init__(self):
@@ -324,7 +323,7 @@ def _backward_recursion(h: float, times: np.ndarray,
                                      f"positive at t={times[k]}")
                 yp = yp * e_g - num * num / den
             y[k] = yp
-    return DiscreteValue(h=h, times=times, y_h=y)
+    return DiscreteValue(y_h=y)
 
 
 def discrete_value_recursion(model: CoefficientModel, h: float) -> DiscreteValue:

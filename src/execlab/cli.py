@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,6 +78,10 @@ class ExperimentConfig:
     out_dir: str = field(default_factory=default_out_dir)
 
     def __post_init__(self):
+        for name in ("tag", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string: "
+                                 f"{getattr(self, name)!r}")
         if self.tag not in EXPERIMENTS:
             raise ValueError(f"unknown experiment tag {self.tag!r}; "
                              f"known: {sorted(EXPERIMENTS)}")
@@ -216,7 +220,7 @@ def _mc_result(experiment: _Experiment, grid: TimeGrid, seed: int,
     within 3 standard errors."""
     est = CostEstimate.from_costs(costs, grid, seed, experiment.pricing.model)
     return {experiment.ref_name: experiment.ref,
-            "estimate": json.loads(est.to_json()),
+            "estimate": asdict(est),
             "pass": bool(abs(est.mean - experiment.ref)
                          <= 3.0 * est.std_error)}
 

@@ -9,7 +9,6 @@ constructions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -47,18 +46,11 @@ class CostEstimate:
     std_error: float
     n_paths: int
     h: float
-    seed: int | None = None
-    model_hash: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mean": self.mean, "std_error": self.std_error,
-             "n_paths": self.n_paths, "h": self.h, "seed": self.seed,
-             "model_hash": self.model_hash},
-            sort_keys=True)
+    seed: int
+    model_hash: str
 
     @classmethod
-    def from_costs(cls, costs: np.ndarray, grid: TimeGrid, seed: int | None,
+    def from_costs(cls, costs: np.ndarray, grid: TimeGrid, seed: int,
                    model: CoefficientModel) -> "CostEstimate":
         """Sample mean and standard error of the per-path ``costs`` of
         ``model`` on ``grid``; they need at least 2 paths."""
@@ -110,7 +102,7 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     """
     _check_shared_grid(strategy.grid, deviation.grid, market.grid)
     xi = strategy.trades
-    blocks = strategy.block_mask()
+    blocks = strategy.is_block
     products = _empty(np.broadcast_shapes(deviation.pre_trade.shape,
                                           xi.shape))
     np.multiply(deviation.pre_trade, xi, out=products)

@@ -27,9 +27,10 @@ class Strategy:
 
     ``values[k]`` is the position right after trading at grid point k; the
     pre-initial position is ``x_pre`` and the terminal value must be 0.
-    ``is_block[k]`` marks grid trades that are genuine block trades (jumps);
-    unmarked trades are samples of a continuous trading path.  The flag only
-    matters for the uncorrected cost functional.
+    ``is_block`` is a boolean array with one flag per grid point:
+    ``is_block[k]`` marks a grid trade that is a genuine block trade (a
+    jump); an unmarked trade is a sample of a continuous trading path.  The
+    flags matter for the uncorrected cost and deviation only.
 
     ``values`` may carry leading path axes (one row per path of a market
     chunk); ``x_pre`` and ``is_block`` are shared by all rows, so the block
@@ -39,7 +40,7 @@ class Strategy:
     grid: TimeGrid
     x_pre: float
     values: np.ndarray
-    is_block: np.ndarray | None = None
+    is_block: np.ndarray
 
     def __post_init__(self):
         n_points = self.grid.n_steps + 1
@@ -48,7 +49,11 @@ class Strategy:
             raise GridMismatch("strategy values must cover every grid point")
         if values[..., -1].any():
             raise ValueError("terminal position must be 0 (liquidation constraint)")
-        if self.is_block is not None and np.shape(self.is_block) != (n_points,):
+        # integer 0/1 flags would index the arrays they are meant to mask
+        if not (isinstance(self.is_block, np.ndarray)
+                and self.is_block.dtype == bool):
+            raise ValueError("is_block must be a boolean array")
+        if self.is_block.shape != (n_points,):
             raise GridMismatch("block flags must cover every grid point")
 
     @cached_property
@@ -65,11 +70,6 @@ class Strategy:
         xi.flags.writeable = False
         return xi
 
-    def block_mask(self) -> np.ndarray:
-        if self.is_block is None:
-            return np.ones(self.grid.n_steps + 1, dtype=bool)
-        return self.is_block
-
 
 @dataclass(frozen=True)
 class DeviationPath:
@@ -77,23 +77,23 @@ class DeviationPath:
 
     The arrays carry the leading path axis of the market or strategy, if any.
     Only ``pre_trade`` is built with the path: a cost needs nothing else.
+    Its first entry is the deviation before the first trade.
     ``values`` and ``impact_state`` are computed on first access from the
     strategy, the market and the impact level ``gamma_eff`` each trade was
     charged at, unless :meth:`explicit` gave the values.
     """
 
     grid: TimeGrid
-    d_pre: float
     pre_trade: np.ndarray     # deviation right before the trade at grid point k
     strategy: Strategy
     market: MarketPath
     gamma_eff: np.ndarray     # impact level each trade is charged at
 
     @classmethod
-    def explicit(cls, d_pre: float, pre_trade: np.ndarray, values: np.ndarray,
+    def explicit(cls, pre_trade: np.ndarray, values: np.ndarray,
                  strategy: Strategy, market: MarketPath) -> "DeviationPath":
         """A deviation whose values are given, such as a closed form."""
-        dev = cls(grid=strategy.grid, d_pre=d_pre, pre_trade=pre_trade,
+        dev = cls(grid=strategy.grid, pre_trade=pre_trade,
                   strategy=strategy, market=market, gamma_eff=market.gamma)
         dev.__dict__["values"] = values  # pre-fills the cached property
         return dev
@@ -134,7 +134,7 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
         gamma_eff = _empty(market.gamma.shape)
         np.copyto(gamma_eff, market.gamma)
         np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
-                  where=~strategy.block_mask()[1:])
+                  where=~strategy.is_block[1:])
     terms = step_terms(model, grid)
     # the shape of the chunk, also when the strategy is one shared row
     cum = _empty(gamma_eff.shape)
@@ -150,8 +150,8 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     pre_trade = _empty(cum.shape)
     pre_trade[..., 0] = d_pre
     np.multiply(terms.decay[1:], cum[..., :-1], out=pre_trade[..., 1:])
-    return DeviationPath(grid=grid, d_pre=d_pre, pre_trade=pre_trade,
-                         strategy=strategy, market=market, gamma_eff=gamma_eff)
+    return DeviationPath(grid=grid, pre_trade=pre_trade, strategy=strategy,
+                         market=market, gamma_eff=gamma_eff)
 
 
 def deviation_path(model: CoefficientModel, market: MarketPath,

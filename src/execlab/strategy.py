@@ -27,18 +27,19 @@ from .deviation import DeviationPath, GridMismatch, Strategy
 class OptimalPlan:
     """Optimal position/deviation pair on [t, T] for a market path or chunk.
 
-    ``exp_q`` is the stochastic exponential of Q on the grid; ``beta`` the
-    cadlag feedback ratio and ``beta_pre`` its left limits.  The inputs
-    needed to rebuild the plan from an interior time are retained.  Path
-    arrays carry the market's leading path axis, if any; ``scale`` has one
-    entry per path.
+    The plan lives on ``grid``, which starts at t.  ``exp_q`` is the
+    stochastic exponential of Q on the grid; ``beta`` the cadlag feedback
+    ratio and ``beta_pre`` its left limits.  The model, value solution,
+    market and start deviation ``d`` are kept to rebuild the plan from an
+    interior time; the start position is ``x_star.x_pre``.  Path arrays
+    carry the market's leading path axis, if any; ``scale`` has one entry
+    per path.
 
-    ``beta``, ``beta_pre``, ``q_quadratic`` and the block flags of
-    ``x_star`` do not depend on the path.  They are computed once per
-    value solution, model and start index, and every plan built from that
-    value solution shares them read-only (``terms``).  ``q_increments`` and
-    ``d_star`` are computed on first access, because a cost estimate needs
-    only ``x_star``; they are the same arrays either way.
+    ``beta``, ``beta_pre`` and the block flags of ``x_star`` do not depend
+    on the path.  They are computed once per value solution, model and
+    start index, and every plan built from that value solution shares them
+    read-only (``terms``).  ``d_star`` is computed on first access, because
+    a cost estimate needs only ``x_star``; it is the same array either way.
     """
 
     grid: TimeGrid
@@ -49,8 +50,6 @@ class OptimalPlan:
     model: CoefficientModel
     value_solution: ValueSolution
     market: MarketPath
-    t: float
-    x: float
     d: float
 
     @property
@@ -61,15 +60,6 @@ class OptimalPlan:
     def beta_pre(self) -> np.ndarray:
         return self.terms.beta_pre
 
-    @property
-    def q_quadratic(self) -> np.ndarray:
-        return self.terms.q_quadratic
-
-    @cached_property
-    def q_increments(self) -> np.ndarray:
-        """dQ = -beta sigma dW - integral of beta (mu + rho - sigma^2) ds."""
-        return self.terms.neg_beta_sigma * self.market.w - self.terms.drift
-
     @cached_property
     def d_star(self) -> DeviationPath:
         """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d.
@@ -79,9 +69,9 @@ class OptimalPlan:
         gamma = self.market.gamma
         d_values = scale_col * self.exp_q * (-gamma * self.beta)
         d_values[..., -1] = self.scale * self.exp_q[..., -1] * (-gamma[..., -1])
-        d_pre = scale_col * self.exp_q * (-gamma * self.beta_pre)
-        d_pre[..., 0] = self.d
-        return DeviationPath.explicit(self.d, d_pre, d_values, self.x_star,
+        pre_trade = scale_col * self.exp_q * (-gamma * self.beta_pre)
+        pre_trade[..., 0] = self.d
+        return DeviationPath.explicit(pre_trade, d_values, self.x_star,
                                       self.market)
 
 
@@ -108,8 +98,7 @@ class _PlanTerms(NamedTuple):
     beta_pre: np.ndarray
     neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
     drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
-    q_quadratic: np.ndarray
-    half_q_quadratic: np.ndarray
+    half_q_quadratic: np.ndarray  # half of d[Q] = beta^2 sigma^2 h, per step
     one_minus_beta: np.ndarray
     blocks: np.ndarray
 
@@ -136,12 +125,10 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
     blocks = beta != beta_pre
     blocks[0] = True
     blocks[-1] = True
-    q_quadratic = beta[:-1] ** 2 * sig**2 * h
     terms = _PlanTerms(beta=beta, beta_pre=beta_pre,
                        neg_beta_sigma=-beta[:-1] * sig,
                        drift=int_beta * (mu + rho - sig**2),
-                       q_quadratic=q_quadratic,
-                       half_q_quadratic=0.5 * q_quadratic,
+                       half_q_quadratic=0.5 * (beta[:-1] ** 2 * sig**2 * h),
                        one_minus_beta=1.0 - beta, blocks=blocks)
     for a in terms:
         a.flags.writeable = False
@@ -162,8 +149,9 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     ``value_solution`` (see :class:`OptimalPlan`).  The path arrays are
     built in place.
     ``exp_q`` is the stochastic exponential of Q on the grid,
-    exp_q[k] = exp(sum_{j<k} (dQ_j - d[Q]_j / 2)) with dQ the
-    ``q_increments`` and d[Q] the ``q_quadratic``; exp_q[0] = 1.
+    exp_q[k] = exp(sum_{j<k} (dQ_j - d[Q]_j / 2)) with
+    dQ = -beta sigma dW - integral of beta (mu + rho - sigma^2) ds and
+    d[Q] = beta^2 sigma^2 h; exp_q[0] = 1.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -198,7 +186,7 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
             beta_pre=value_solution.beta_pre[k0:])
     return OptimalPlan(grid=grid, terms=pt, exp_q=exp_q, x_star=x_star,
                        scale=scale, model=model, value_solution=value_solution,
-                       market=market, t=t, x=x, d=d)
+                       market=market, d=d)
 
 
 def immediate_close(grid: TimeGrid, t: float, x: float) -> Strategy:

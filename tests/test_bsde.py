@@ -347,7 +347,7 @@ class TestRk4Solver:
         plans = [optimal_plan(model, vs, market, 0.0, 100.0, 0.0)
                  for vs in (ode, exact)]
         for plan in plans:
-            assert np.flatnonzero(plan.x_star.block_mask()).tolist() == [
+            assert np.flatnonzero(plan.x_star.is_block).tolist() == [
                 0, grid.index_of(4.0), 1000]
         assert plans[0].d_star.pre_trade == pytest.approx(
             plans[1].d_star.pre_trade, rel=1e-10)
@@ -545,8 +545,7 @@ class TestDiscreteRecursion:
 
     def test_nan_is_refused(self):
         with pytest.raises(ValueError, match="discrete value factor"):
-            bsde.DiscreteValue(h=0.5, times=np.array([0.0, 0.5, 1.0]),
-                               y_h=np.array([np.nan, 0.3, 0.5]))
+            bsde.DiscreteValue(y_h=np.array([np.nan, 0.3, 0.5]))
 
     def test_nonpositive_denominator_raises(self):
         # rho = -1 with a constant impact drives the denominator below zero

@@ -93,8 +93,12 @@ class TestExperimentConfig:
         ({"model": {"T": 1.0, "pieces": []}}, r"missing \['gamma0'\]"),
         ({"model": {}}, r"missing \['T', 'gamma0', 'pieces'\]"),
         ({"model": [1.0]}, "model must be an object"),
+        ({"tag": ["ow_value"]}, "tag must be a string"),
+        ({"out_dir": 5}, "out_dir must be a string"),
+        ({"out_dir": None}, "out_dir must be a string"),
     ], ids=["string_steps", "bool_seed", "string_x", "no_gamma0",
-            "unset_model", "list_model"])
+            "unset_model", "list_model", "list_tag", "number_out_dir",
+            "null_out_dir"])
     def test_wrongly_typed_fields_raise_value_error(self, tmp_path, change,
                                                      match):
         raw = {"tag": "ow_value", "n_steps": 10, "x": 1.0,

@@ -1,5 +1,6 @@
 """Cost functionals, Monte Carlo estimation and closed forms."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -30,7 +31,8 @@ def make_setup(n=50, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
 class TestPathwiseCost:
     def test_zero_strategy_costs_nothing(self):
         model, grid, market = make_setup()
-        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(grid.n_steps + 1))
+        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(grid.n_steps + 1),
+                     is_block=np.ones(grid.n_steps + 1, dtype=bool))
         dev = deviation_path(model, market, s)
         assert pathwise_cost(s, dev, market) == 0.0
         assert pathwise_cost_naive(s, dev, market) == 0.0
@@ -57,8 +59,10 @@ class TestPathwiseCost:
         rng = np.random.default_rng(7)
         values = rng.standard_normal(41)
         values[-1] = 0.0
-        s1 = Strategy(grid=grid, x_pre=0.8, values=values)
-        s2 = Strategy(grid=grid, x_pre=lam * 0.8, values=lam * values)
+        blocks = np.ones(41, dtype=bool)
+        s1 = Strategy(grid=grid, x_pre=0.8, values=values, is_block=blocks)
+        s2 = Strategy(grid=grid, x_pre=lam * 0.8, values=lam * values,
+                      is_block=blocks)
         d1 = deviation_path(model, market, s1, d_pre=0.5)
         d2 = deviation_path(model, market, s2, d_pre=lam * 0.5)
         c1 = pathwise_cost(s1, d1, market)
@@ -70,7 +74,8 @@ class TestPathwiseCost:
         rng = np.random.default_rng(1)
         values = rng.standard_normal(31)
         values[-1] = 0.0
-        s = Strategy(grid=grid, x_pre=0.4, values=values)  # all blocks
+        s = Strategy(grid=grid, x_pre=0.4, values=values,
+                     is_block=np.ones(31, dtype=bool))
         dev = deviation_path(model, market, s)
         assert pathwise_cost_naive(s, dev, market) == pytest.approx(
             pathwise_cost(s, dev, market), rel=1e-14)
@@ -92,7 +97,7 @@ class TestEstimateCost:
         a = estimate_cost(model, grid, 50, 11, factory, naive=True)
         b = estimate_cost(model, grid, 50, 11, factory, naive=True)
         assert a == b
-        blob = json.loads(a.to_json())
+        blob = json.loads(json.dumps(dataclasses.asdict(a)))
         assert blob["n_paths"] == 50 and blob["seed"] == 11
         assert blob["mean"] == a.mean
 

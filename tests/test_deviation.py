@@ -10,6 +10,10 @@ from execlab import (GridMismatch, Strategy, TimeGrid, constant_model,
                      simulate_path)
 
 
+def all_blocks(grid):
+    return np.ones(grid.n_steps + 1, dtype=bool)
+
+
 def make_setup(n=100, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
     model = constant_model(T, gamma0, rho, mu=mu, sigma=sigma)
     grid = TimeGrid(0.0, T, n)
@@ -21,16 +25,19 @@ class TestStrategyType:
     def test_terminal_value_enforced(self):
         g = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            Strategy(grid=g, x_pre=1.0, values=np.array([1.0, 1, 1, 1, 1.0]))
+            Strategy(grid=g, x_pre=1.0, values=np.array([1.0, 1, 1, 1, 1.0]),
+                     is_block=all_blocks(g))
 
     def test_trades_include_initial_block(self):
         g = TimeGrid(0.0, 1.0, 2)
-        s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]))
+        s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]),
+                     is_block=all_blocks(g))
         assert np.allclose(s.trades, [-0.5, -0.5, -1.0])
 
     def test_trades_are_computed_once_and_read_only(self):
         g = TimeGrid(0.0, 1.0, 2)
-        s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]))
+        s = Strategy(grid=g, x_pre=2.0, values=np.array([1.5, 1.0, 0.0]),
+                     is_block=all_blocks(g))
         assert "trades" not in vars(s)
         xi = s.trades
         assert s.trades is xi
@@ -41,34 +48,44 @@ class TestStrategyType:
         g = TimeGrid(0.0, 1.0, 4)
         values = np.zeros((3, 5))
         values[:, 1] = 1.0
-        s = Strategy(grid=g, x_pre=2.0, values=values)
+        s = Strategy(grid=g, x_pre=2.0, values=values, is_block=all_blocks(g))
         assert s.trades.shape == (3, 5)
         assert np.array_equal(s.trades[1], [-2.0, 1.0, -1.0, 0.0, 0.0])
-        assert s.block_mask().shape == (5,)
+        assert s.is_block.shape == (5,)
         values[2, -1] = 0.5
         with pytest.raises(ValueError):
-            Strategy(grid=g, x_pre=2.0, values=values)
+            Strategy(grid=g, x_pre=2.0, values=values, is_block=all_blocks(g))
         with pytest.raises(GridMismatch):
             Strategy(grid=g, x_pre=0.0, values=np.zeros((3, 5)),
                      is_block=np.ones((3, 5), dtype=bool))
+        # integer 0/1 flags would index the gammas, not mask them: the
+        # uncorrected cost of this close read 0.5189 with them, not 0.2739
+        with pytest.raises(ValueError, match="is_block"):
+            Strategy(grid=g, x_pre=1.0,
+                     values=np.array([1.0, 0.5, 0.25, 0.1, 0.0]),
+                     is_block=np.array([1, 0, 0, 0, 1]))
 
     def test_length_checked(self):
         g = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(GridMismatch):
-            Strategy(grid=g, x_pre=0.0, values=np.zeros(3))
+            Strategy(grid=g, x_pre=0.0, values=np.zeros(3),
+                     is_block=all_blocks(g))
 
 
 class TestDeviationPath:
     def test_zero_strategy_zero_deviation(self):
         model, grid, market = make_setup()
-        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(grid.n_steps + 1))
+        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(grid.n_steps + 1),
+                     is_block=all_blocks(grid))
         dev = deviation_path(model, market, s)
         assert np.all(dev.values == 0.0) and np.all(dev.pre_trade == 0.0)
 
     def test_single_block_decays_exactly(self):
         model, grid, market = make_setup(n=10, rho=0.7)
         values = np.zeros(11)
-        s = Strategy(grid=grid, x_pre=1.0, values=values)  # close at time 0
+        # close at time 0
+        s = Strategy(grid=grid, x_pre=1.0, values=values,
+                     is_block=all_blocks(grid))
         dev = deviation_path(model, market, s)
         # jump by gamma*xi = -1, then pure exponential decay
         assert dev.values[0] == pytest.approx(-1.0)
@@ -80,14 +97,16 @@ class TestDeviationPath:
         rng = np.random.default_rng(1)
         values = rng.standard_normal(51)
         values[-1] = 0.0
-        s = Strategy(grid=grid, x_pre=0.3, values=values)
+        s = Strategy(grid=grid, x_pre=0.3, values=values,
+                     is_block=all_blocks(grid))
         dev = deviation_path(model, market, s)
         assert np.array_equal(dev.values,
                               dev.pre_trade + market.gamma * s.trades)
 
     def test_initial_deviation_decays(self):
         model, grid, market = make_setup(n=20, rho=0.5)
-        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(21))
+        s = Strategy(grid=grid, x_pre=0.0, values=np.zeros(21),
+                     is_block=all_blocks(grid))
         dev = deviation_path(model, market, s, d_pre=2.0)
         assert dev.pre_trade[0] == 2.0
         assert dev.values[-1] == pytest.approx(2.0 * np.exp(-0.5), rel=1e-13)
@@ -99,8 +118,10 @@ class TestDeviationPath:
         rng = np.random.default_rng(2)
         values = rng.standard_normal(31)
         values[-1] = 0.0
-        s1 = Strategy(grid=grid, x_pre=1.0, values=values)
-        s2 = Strategy(grid=grid, x_pre=lam * 1.0, values=lam * values)
+        s1 = Strategy(grid=grid, x_pre=1.0, values=values,
+                      is_block=all_blocks(grid))
+        s2 = Strategy(grid=grid, x_pre=lam * 1.0, values=lam * values,
+                      is_block=all_blocks(grid))
         d1 = deviation_path(model, market, s1, d_pre=0.7)
         d2 = deviation_path(model, market, s2, d_pre=lam * 0.7)
         ref = np.max(np.abs(d1.values)) * abs(lam)
@@ -109,7 +130,8 @@ class TestDeviationPath:
     def test_grid_mismatch_rejected(self):
         model, grid, market = make_setup(n=10)
         other = TimeGrid(0.0, 1.0, 20)
-        s = Strategy(grid=other, x_pre=0.0, values=np.zeros(21))
+        s = Strategy(grid=other, x_pre=0.0, values=np.zeros(21),
+                     is_block=all_blocks(other))
         with pytest.raises(GridMismatch):
             deviation_path(model, market, s)
 
@@ -120,7 +142,8 @@ class TestDeviationPath:
         for n in (100, 200, 400):
             grid = TimeGrid(0.0, 1.0, n)
             market = simulate_path(model, grid, 0, 0)
-            s = Strategy(grid=grid, x_pre=1.0, values=1.0 - grid.times)
+            s = Strategy(grid=grid, x_pre=1.0, values=1.0 - grid.times,
+                         is_block=all_blocks(grid))
             ends.append(deviation_path(model, market, s).pre_trade[-1])
         # exact continuous-time value: int_0^1 -e^{-rho(1-r)} dr
         exact = -(1.0 - np.exp(-0.5)) / 0.5
@@ -167,7 +190,8 @@ class TestImpactState:
         values = np.ones(41)
         values[20:] = 0.25   # interior block
         values[-1] = 0.0
-        s = Strategy(grid=grid, x_pre=1.0, values=values)
+        s = Strategy(grid=grid, x_pre=1.0, values=values,
+                     is_block=all_blocks(grid))
         dev = deviation_path(model, market, s)
         a = dev.impact_state
         # pre-trade impact state at the block equals the post-trade value
@@ -182,7 +206,8 @@ class TestNaiveDeviation:
         rng = np.random.default_rng(3)
         values = rng.standard_normal(31)
         values[-1] = 0.0
-        s = Strategy(grid=grid, x_pre=0.5, values=values)  # default: all blocks
+        s = Strategy(grid=grid, x_pre=0.5, values=values,
+                     is_block=all_blocks(grid))
         d1 = deviation_path(model, market, s)
         d2 = naive_deviation_path(model, market, s)
         assert np.allclose(d1.values, d2.values, rtol=1e-14)

@@ -122,5 +122,5 @@ def test_zero_resilience_closes_at_once_in_both_solvers(model_and_grid):
         plan = optimal_plan(model, vs, market, 0.0, 4.0, 1.0)
         assert np.array_equal(plan.x_star.values, np.broadcast_to(
             ref.values, plan.x_star.values.shape))
-        assert np.array_equal(plan.x_star.block_mask(), ref.block_mask())
+        assert np.array_equal(plan.x_star.is_block, ref.is_block)
         assert plan.x_star.x_pre == ref.x_pre

@@ -75,7 +75,7 @@ def ref_deviation(model, grid, gamma, alpha, strategy, d_pre, naive):
     if naive:
         gamma_left = np.concatenate((gamma[..., :1], gamma[..., :-1]),
                                     axis=-1)
-        gamma_eff = np.where(strategy.block_mask(), gamma, gamma_left)
+        gamma_eff = np.where(strategy.is_block, gamma, gamma_left)
     terms = step_terms(model, grid)
     xi = np.diff(strategy.values, prepend=strategy.x_pre)
     cum = d_pre + np.cumsum(gamma_eff * terms.growth * xi, axis=-1)
@@ -90,7 +90,7 @@ def ref_cost(strategy, pre_trade, gamma, naive):
     xi = np.diff(strategy.values, prepend=strategy.x_pre)
     if not naive:
         return np.sum((pre_trade + 0.5 * gamma * xi) * xi, axis=-1)
-    blocks = strategy.block_mask()
+    blocks = strategy.is_block
     linear = np.sum(pre_trade * xi, axis=-1)
     return linear + 0.5 * np.sum(gamma[..., blocks] * xi[..., blocks] ** 2,
                                  axis=-1)
@@ -106,7 +106,8 @@ def ref_estimate(model, grid, n_paths, seed, kind, d_pre=0.0, naive=False,
         if kind == "optimal":
             # the corrected cost and dynamics do not read the block flags
             strat = Strategy(grid, X, ref_plan(model, vs, grid, dw, gamma,
-                                               X, D)[2])
+                                               X, D)[2],
+                             np.ones(grid.n_steps + 1, dtype=bool))
         else:
             strat = FACTORIES[kind](MarketPath(grid, dw, gamma))
         pre_trade = ref_deviation(model, grid, gamma, alpha, strat, d_pre,
@@ -190,15 +191,12 @@ class TestLazyArrays:
                              ref, strict=True):
             assert np.array_equal(got, want)
 
-    def test_plan_q_increments_and_positions(self):
+    def test_plan_exp_q_and_positions(self):
         grid = TimeGrid(0.0, 2.0, 40)
         market = simulate_path(MODEL, grid, 4, range(3))
         vs = solve_y_deterministic(MODEL, grid)
         plan = optimal_plan(MODEL, vs, market, 0.0, X, D)
-        assert "q_increments" not in vars(plan)
-        q_inc, exp_q, xs = ref_plan(MODEL, vs, grid, market.w, market.gamma,
-                                    X, D)
-        assert np.array_equal(plan.q_increments, q_inc)
+        _, exp_q, xs = ref_plan(MODEL, vs, grid, market.w, market.gamma, X, D)
         assert np.array_equal(plan.exp_q, exp_q)
         assert np.array_equal(plan.x_star.values, xs)
 
@@ -231,7 +229,7 @@ class TestInputsUnchanged:
             dev = dev_fn(model, market, strat, D)
             cost_fn(strat, dev, market)
             dev.values, dev.impact_state  # noqa: B018
-        plan.q_increments, plan.d_star.impact_state  # noqa: B018
+        plan.d_star.impact_state  # noqa: B018
         now = (market.w, market.gamma, caller.values, *shared, *plan.terms)
         for before, after in zip(kept, now, strict=True):
             assert np.array_equal(before, after)
@@ -320,7 +318,7 @@ class TestTrades:
         grid = TimeGrid(0.0, 1.0, 40)
         values = np.random.default_rng(8).standard_normal(shape)
         values[..., -1] = 0.0
-        s = Strategy(grid, -1.3, values)
+        s = Strategy(grid, -1.3, values, np.ones(41, dtype=bool))
         assert np.array_equal(s.trades, np.diff(values, prepend=-1.3))
 
 

@@ -49,3 +49,34 @@ def test_every_export_is_read_by_the_engine_or_the_benchmark():
     read = set().union(*map(_read_names, readers))
     assert exports
     assert sorted(exports - read) == []
+
+
+def _attributes_read(tree, outside):
+    """The attribute names read in ``tree``, except inside the node
+    ``outside``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is outside:
+            continue
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_method_is_read_by_the_engine_or_the_benchmark():
+    # a public method or property that only the tests read is API that no
+    # run of the engine reads.  Fields are not checked: names such as t, x,
+    # h, times or d_pre are also attributes of other classes, so a read of
+    # one would hide an unread other.
+    package = SOURCES[0].parent
+    readers = SOURCES + sorted((package.parents[1] / "benchmarks").glob("*.py"))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in readers]
+    unread = [f"{cls.name}.{fn.name}"
+              for tree in trees[:len(SOURCES)] for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_")
+              and not any(fn.name in _attributes_read(t, fn) for t in trees)]
+    assert unread == []

@@ -74,7 +74,7 @@ class TestOptimalPlanClosedForm:
         plan = optimal_plan(model, vs, market, 0.0, 4.0, 1.0)
         ref = immediate_close(grid, 0.0, 4.0)
         assert np.array_equal(plan.x_star.values, ref.values)
-        assert np.array_equal(plan.x_star.block_mask(), ref.block_mask())
+        assert np.array_equal(plan.x_star.is_block, ref.is_block)
 
 
 class TestPlanInvariants:
@@ -109,7 +109,7 @@ class TestPlanInvariants:
     def test_deviation_constant_between_blocks(self, plan):
         if any(v != 0.0 for v in plan.model.sigma):
             pytest.skip("holds pathwise only for deterministic impact")
-        blocks = plan.x_star.block_mask()
+        blocks = plan.x_star.is_block
         d = plan.d_star.values
         # a step k -> k+1 moves the deviation only via the trade at k+1
         interior = ~(blocks[:-1] | blocks[1:])
@@ -133,7 +133,7 @@ class TestChunkedPlans:
             vs = solve_y_deterministic(model, grid)
         chunk = simulate_path(model, grid, 4, range(2, 6))
         plan = optimal_plan(model, vs, chunk, 0.0, 100.0, 0.5)
-        assert plan.x_star.block_mask().shape == (201,)
+        assert plan.x_star.is_block.shape == (201,)
         assert plan.scale.shape == (4,)
         for row, i in enumerate(range(2, 6)):
             ref = optimal_plan(model, vs, simulate_path(model, grid, 4, i),
@@ -144,8 +144,8 @@ class TestChunkedPlans:
             assert np.array_equal(plan.d_star.values[row], ref.d_star.values)
             assert np.array_equal(plan.d_star.pre_trade[row],
                                   ref.d_star.pre_trade)
-            assert np.array_equal(plan.x_star.block_mask(),
-                                  ref.x_star.block_mask())
+            assert np.array_equal(plan.x_star.is_block,
+                                  ref.x_star.is_block)
 
     def test_counterexample_rows(self):
         model = constant_model(1.0, 1.0, 0.5, sigma=0.8)
@@ -242,7 +242,7 @@ class TestCounterexamples:
         w = np.concatenate(([0.0], np.cumsum(self.market.w)))
         assert np.array_equal(s.values[:-1], 2.0 * w[:-1])
         assert s.values[-1] == 0.0
-        assert list(np.flatnonzero(s.block_mask())) == [self.grid.n_steps]
+        assert list(np.flatnonzero(s.is_block)) == [self.grid.n_steps]
 
     def test_corrected_cost_adds_the_quadratic_charge(self):
         s = counterexample_brownian(2.0, self.market)
@@ -250,7 +250,7 @@ class TestCounterexamples:
         diff = (pathwise_cost(s, dev, self.market)
                 - pathwise_cost_naive(s, dev, self.market))
         xi = s.trades
-        mask = ~s.block_mask()
+        mask = ~s.is_block
         expected = 0.5 * np.sum(self.market.gamma[mask] * xi[mask] ** 2)
         assert diff == pytest.approx(expected, rel=1e-12)
         assert diff > 0.0
@@ -268,8 +268,8 @@ class TestCounterexamples:
 
 def plan_arrays(plan):
     """Every array of a plan, its lazy deviation included."""
-    return (plan.q_increments, plan.q_quadratic, plan.exp_q,
-            plan.x_star.values, plan.x_star.block_mask(), plan.beta,
+    return (plan.terms.half_q_quadratic, plan.exp_q,
+            plan.x_star.values, plan.x_star.is_block, plan.beta,
             plan.beta_pre, plan.scale, plan.d_star.values,
             plan.d_star.pre_trade, plan.d_star.impact_state,
             plan.value_solution.y, plan.value_solution.beta_pre)
@@ -366,7 +366,7 @@ class TestHoistedTerms:
         pre = scale * plan.exp_q * (-gamma * plan.beta_pre)
         pre[:, 0] = 0.5
         d_star = plan.d_star
-        assert d_star is plan.d_star and d_star.d_pre == 0.5
+        assert d_star is plan.d_star
         assert np.array_equal(d_star.values, values)
         assert np.array_equal(d_star.pre_trade, pre)
         assert np.array_equal(d_star.impact_state,
@@ -379,8 +379,9 @@ class TestHoistedTerms:
                          100.0, 0.5)
         b = optimal_plan(model, vs, simulate_path(model, grid, 3, 1), 0.0,
                          100.0, 0.5)
-        assert a.q_quadratic is b.q_quadratic
-        for arr in (a.beta, a.beta_pre, a.q_quadratic, a.x_star.is_block):
+        assert a.terms is b.terms
+        for arr in (a.beta, a.beta_pre, a.terms.half_q_quadratic,
+                    a.x_star.is_block):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
