@@ -10,11 +10,21 @@ seed, each pair runs ``benchmarks/run.py --trace 0`` once on each side, the
 side that goes first alternating from pair to pair, so a drift of the host
 speed falls on both sides alike.
 
+Besides the workloads of ``BENCHMARK.json``, ``--workloads`` takes two
+suites, which are not run by default: ``tier1``, the Tier-1 test command
+(``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``),
+and ``selftest``, the default-size ``exec-lab selftest``.  A suite runs in
+alternating pairs like a workload, once per pair whatever ``--seeds`` says,
+and records its wall seconds and whether it exited 0.
+
 The output holds, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: the per-pair values of both sides, their medians and
 quartiles, the number of pairs the working tree wins, and whether the
-median gap exceeds the interquartile range of the base runs.  It also
-records the host, the core count and the Python and numpy versions.
+median gap exceeds the interquartile range of the base runs; per suite, the
+same summary of its wall seconds.  It also records the host, the core count
+and the Python and numpy versions.  An existing ``--out`` file of the same
+base revision is updated, not replaced: the workloads and suites run now
+take the place of their earlier entries, and the others stay.
 """
 
 from __future__ import annotations
@@ -31,6 +41,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# each suite's command, run with src/ of its checkout on PYTHONPATH
+SUITES = {
+    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "selftest": ["-c", "import sys; from execlab.cli import main; "
+                 "sys.exit(main(['selftest']))"],
+}
 
 
 def _git(*args: str) -> str:
@@ -55,6 +71,34 @@ def run_once(checkout: Path, workload: str, seed: int,
     result = json.loads(out.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
             **{k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def run_suite(checkout: Path, suite: str) -> dict:
+    """Wall seconds and exit status of one run of ``suite`` in
+    ``checkout``; its artifacts go to a temporary directory."""
+    with tempfile.TemporaryDirectory() as out:
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                   EXEC_LAB_OUT=out)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, *SUITES[suite]], cwd=checkout,
+                              env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+    return {"correct": done.returncode == 0, "wall_s": wall,
+            "tail": done.stdout.strip().splitlines()[-1:]}
+
+
+def paired(pairs: int, label: str, run) -> dict[str, list[dict]]:
+    """``run(side)`` on each side in ``pairs`` pairs, the side that goes
+    first alternating; each pair's wall seconds are printed after
+    ``label``."""
+    runs = {"base": [], "change": []}
+    for i in range(pairs):
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            runs[side].append(run(side))
+        print(f"{label} pair {i + 1}: " + "  ".join(
+            f"{side} {runs[side][-1].get('wall_s', float('nan')):.4f}"
+            for side in ("base", "change")), flush=True)
+    return runs
 
 
 def summarize(base: list[float], change: list[float], better: str) -> dict:
@@ -97,36 +141,48 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    parser.add_argument("--workloads", nargs="+", choices=names,
-                        default=names)
+    parser.add_argument("--workloads", nargs="+",
+                        choices=names + list(SUITES), default=names)
     args = parser.parse_args(argv)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    record = {"base": _git("rev-parse", args.base),
-              "change": {"head": _git("rev-parse", "HEAD"),
-                         "dirty": bool(_git("status", "--porcelain",
-                                            "--untracked-files=no"))},
-              "pairs": args.pairs, "seconds": args.seconds,
-              "environment": environment(), "started": time.strftime(
-                  "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-              "workloads": {}}
+    base = _git("rev-parse", args.base)
+    if args.out.exists():
+        record = json.loads(args.out.read_text())
+        if record["base"] != base:
+            parser.error(f"{args.out} compares with {record['base']}, "
+                         f"not {base}")
+    else:
+        record = {"base": base,
+                  "change": {"head": _git("rev-parse", "HEAD"),
+                             "dirty": bool(_git("status", "--porcelain",
+                                                "--untracked-files=no"))},
+                  "pairs": args.pairs, "seconds": args.seconds,
+                  "environment": environment(), "started": time.strftime(
+                      "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                  "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
         unpack(args.base, base_dir)
         sides = {"base": base_dir, "change": ROOT}
         for workload in args.workloads:
+            if workload in SUITES:
+                runs = paired(args.pairs, workload, lambda side: run_suite(
+                    sides[side], workload))
+                record.setdefault("suites", {})[workload] = {
+                    "correct": {side: all(r["correct"] for r in rs)
+                                for side, rs in runs.items()},
+                    "last_lines": {side: rs[-1]["tail"]
+                                   for side, rs in runs.items()},
+                    "wall_s": summarize([r["wall_s"] for r in runs["base"]],
+                                        [r["wall_s"] for r in runs["change"]],
+                                        "lower")}
+                continue
             per_seed = record["workloads"].setdefault(workload, {})
             for seed in args.seeds:
-                runs = {"base": [], "change": []}
-                for i in range(args.pairs):
-                    order = ("base", "change") if i % 2 == 0 \
-                        else ("change", "base")
-                    for side in order:
-                        runs[side].append(run_once(sides[side], workload,
-                                                   seed, args.seconds))
-                    print(f"{workload} seed {seed} pair {i + 1}: " + "  ".join(
-                        f"{side} {runs[side][-1].get('wall_s', float('nan')):.4f}"
-                        for side in ("base", "change")), flush=True)
+                runs = paired(args.pairs, f"{workload} seed {seed}",
+                              lambda side: run_once(sides[side], workload,
+                                                    seed, args.seconds))
                 per_seed[str(seed)] = {
                     "correct": {side: all(r["correct"] for r in rs)
                                 for side, rs in runs.items()},

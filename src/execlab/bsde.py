@@ -26,8 +26,8 @@ class ValueSolution:
     The coefficients are deterministic, so the volatility loading z of the
     value factor is 0 and is not kept.  ``beta_pre`` holds the left limits
     of the feedback ratio; it differs from ``beta_tilde`` only where the
-    coefficients (and hence the ratio) jump.  The arrays must not change once
-    the solution is used: optimal plans keep arrays derived from them (see
+    coefficients (and hence the ratio) jump.  The arrays are made read-only:
+    optimal plans share them and arrays derived from them (see
     :func:`execlab.strategy.optimal_plan`).
     """
 
@@ -43,6 +43,8 @@ class ValueSolution:
     def __post_init__(self):
         if not np.all((self.y >= -1e-12) & (self.y <= 0.5 + 1e-12)):
             raise ValueError("value factor must stay in [0, 1/2]")
+        for a in (self.y, self.beta_tilde, self.beta_pre):
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)

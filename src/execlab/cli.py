@@ -66,8 +66,8 @@ class ExperimentConfig:
     """One experiment: tag, market model, grid/sampling sizes, start state."""
 
     tag: str
-    model: dict
     n_steps: int
+    model: dict = field(default_factory=dict)
     n_paths: int = 2
     seed: int = 0
     x: float = 0.0
@@ -338,8 +338,8 @@ def reproduce_figure(name: str, out_dir=None, seed: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"figure_{name}.csv"
     write_csv(path, ["t", "X_star", "D_star", "gamma", "beta", "exp_q"],
-              [plan.grid.times, plan.x_star.values, plan.d_star.values,
-               plan.market.gamma, plan.beta, plan.exp_q])
+              [plan.x_star.grid.times, plan.x_star.values,
+               plan.d_star.values, plan.market.gamma, plan.beta, plan.exp_q])
     return path
 
 

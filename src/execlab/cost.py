@@ -83,7 +83,7 @@ def _per_path(total: np.ndarray) -> float | np.ndarray:
 def pathwise_cost(strategy: Strategy, deviation: DeviationPath,
                   market: MarketPath) -> float | np.ndarray:
     """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path."""
-    _check_shared_grid(strategy.grid, deviation.grid, market.grid)
+    _check_shared_grid(strategy.grid, deviation.strategy.grid, market.grid)
     xi = strategy.trades
     charge = _empty(market.gamma.shape)
     np.multiply(0.5, market.gamma, out=charge)
@@ -100,7 +100,7 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     For pure-jump (finite-variation) grid strategies every trade is a block,
     so this coincides with :func:`pathwise_cost` path by path.
     """
-    _check_shared_grid(strategy.grid, deviation.grid, market.grid)
+    _check_shared_grid(strategy.grid, deviation.strategy.grid, market.grid)
     xi = strategy.trades
     blocks = strategy.is_block
     products = _empty(np.broadcast_shapes(deviation.pre_trade.shape,
@@ -240,7 +240,7 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     Works over the last axis like :func:`pathwise_cost`: a float for one
     path, one value per row for a chunk.
     """
-    _check_shared_grid(strategy.grid, market.grid, deviation.grid,
+    _check_shared_grid(strategy.grid, market.grid, deviation.strategy.grid,
                        value_solution.grid)
     rho, mu, sig, *_ = step_terms(model, market.grid)
     h = strategy.grid.h

@@ -75,15 +75,15 @@ class Strategy:
 class DeviationPath:
     """Deviation along a strategy: values after and before each grid trade.
 
-    The arrays carry the leading path axis of the market or strategy, if any.
-    Only ``pre_trade`` is built with the path: a cost needs nothing else.
-    Its first entry is the deviation before the first trade.
+    It lives on ``strategy.grid``.  The arrays carry the leading path axis
+    of the market or strategy, if any.  Only ``pre_trade`` is built with the
+    path: a cost needs nothing else.  Its first entry is the deviation
+    before the first trade.
     ``values`` and ``impact_state`` are computed on first access from the
     strategy, the market and the impact level ``gamma_eff`` each trade was
     charged at, unless :meth:`explicit` gave the values.
     """
 
-    grid: TimeGrid
     pre_trade: np.ndarray     # deviation right before the trade at grid point k
     strategy: Strategy
     market: MarketPath
@@ -93,8 +93,8 @@ class DeviationPath:
     def explicit(cls, pre_trade: np.ndarray, values: np.ndarray,
                  strategy: Strategy, market: MarketPath) -> "DeviationPath":
         """A deviation whose values are given, such as a closed form."""
-        dev = cls(grid=strategy.grid, pre_trade=pre_trade,
-                  strategy=strategy, market=market, gamma_eff=market.gamma)
+        dev = cls(pre_trade=pre_trade, strategy=strategy, market=market,
+                  gamma_eff=market.gamma)
         dev.__dict__["values"] = values  # pre-fills the cached property
         return dev
 
@@ -128,14 +128,13 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     gamma * exp(r) when the impact is deterministic (sigma = 0 on the grid).
     """
     _check_shared_grid(market.grid, strategy.grid)
-    grid = strategy.grid
     gamma_eff = market.gamma
     if naive:
         gamma_eff = _empty(market.gamma.shape)
         np.copyto(gamma_eff, market.gamma)
         np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
                   where=~strategy.is_block[1:])
-    terms = step_terms(model, grid)
+    terms = step_terms(model, strategy.grid)
     # the shape of the chunk, also when the strategy is one shared row
     cum = _empty(gamma_eff.shape)
     # the memo holds gamma * exp(r) only for the impact path that
@@ -150,7 +149,7 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     pre_trade = _empty(cum.shape)
     pre_trade[..., 0] = d_pre
     np.multiply(terms.decay[1:], cum[..., :-1], out=pre_trade[..., 1:])
-    return DeviationPath(grid=grid, pre_trade=pre_trade, strategy=strategy,
+    return DeviationPath(pre_trade=pre_trade, strategy=strategy,
                          market=market, gamma_eff=gamma_eff)
 
 

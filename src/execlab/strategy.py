@@ -27,23 +27,22 @@ from .deviation import DeviationPath, GridMismatch, Strategy
 class OptimalPlan:
     """Optimal position/deviation pair on [t, T] for a market path or chunk.
 
-    The plan lives on ``grid``, which starts at t.  ``exp_q`` is the
-    stochastic exponential of Q on the grid; ``beta`` the cadlag feedback
-    ratio and ``beta_pre`` its left limits.  The model, value solution,
-    market and start deviation ``d`` are kept to rebuild the plan from an
-    interior time; the start position is ``x_star.x_pre``.  Path arrays
-    carry the market's leading path axis, if any; ``scale`` has one entry
-    per path.
+    The plan lives on ``x_star.grid``, which starts at t, as do ``market``
+    and ``value_solution``.  ``exp_q`` is the stochastic exponential of Q
+    on the grid; ``beta`` the cadlag feedback ratio and ``beta_pre`` its
+    left limits, both read from ``value_solution``.  The model, value
+    solution, market and start deviation ``d`` are kept to rebuild the plan
+    from an interior time; the start position is ``x_star.x_pre``.  Path
+    arrays carry the market's leading path axis, if any; ``scale`` has one
+    entry per path.
 
-    ``beta``, ``beta_pre`` and the block flags of ``x_star`` do not depend
-    on the path.  They are computed once per value solution, model and
+    The arrays that do not depend on the path, the block flags of
+    ``x_star`` among them, are computed once per value solution, model and
     start index, and every plan built from that value solution shares them
-    read-only (``terms``).  ``d_star`` is computed on first access, because
-    a cost estimate needs only ``x_star``; it is the same array either way.
+    read-only.  ``d_star`` is computed on first access, because a cost
+    estimate needs only ``x_star``; it is the same array either way.
     """
 
-    grid: TimeGrid
-    terms: "_PlanTerms"
     exp_q: np.ndarray
     x_star: Strategy
     scale: float | np.ndarray  # x - d/gamma_t
@@ -54,11 +53,11 @@ class OptimalPlan:
 
     @property
     def beta(self) -> np.ndarray:
-        return self.terms.beta
+        return self.value_solution.beta_tilde
 
     @property
     def beta_pre(self) -> np.ndarray:
-        return self.terms.beta_pre
+        return self.value_solution.beta_pre
 
     @cached_property
     def d_star(self) -> DeviationPath:
@@ -94,8 +93,6 @@ def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
 class _PlanTerms(NamedTuple):
     """The arrays of an optimal plan that no path changes (all read-only)."""
 
-    beta: np.ndarray
-    beta_pre: np.ndarray
     neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
     drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
     half_q_quadratic: np.ndarray  # half of d[Q] = beta^2 sigma^2 h, per step
@@ -104,9 +101,10 @@ class _PlanTerms(NamedTuple):
 
 
 def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
-                market: MarketPath, k0: int) -> _PlanTerms:
-    """The path-independent plan arrays on ``market``'s grid, which starts
-    at index ``k0`` of the value solution's grid.
+                k0: int) -> _PlanTerms:
+    """The path-independent plan arrays from index ``k0`` of the value
+    solution's grid on: its rows ``k0:`` and its step h, so a plan rebuilt
+    from an interior time steps exactly as the plan it continues.
 
     They are kept on the value solution for the last (model, k0) it was
     used with.  They hold views of its arrays but never the solution
@@ -117,16 +115,15 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
     terms = cache.get(key)
     if terms is not None:
         return terms
-    h = market.grid.h
-    rho, mu, sig, *_ = step_terms(model, market.grid)
+    h = value_solution.grid.h
+    rho, mu, sig, *_ = step_terms(model, value_solution.grid)
+    rho, mu, sig = rho[k0:], mu[k0:], sig[k0:]
     beta = value_solution.beta_tilde[k0:]
-    beta_pre = value_solution.beta_pre[k0:]
     int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
-    blocks = beta != beta_pre
+    blocks = beta != value_solution.beta_pre[k0:]
     blocks[0] = True
     blocks[-1] = True
-    terms = _PlanTerms(beta=beta, beta_pre=beta_pre,
-                       neg_beta_sigma=-beta[:-1] * sig,
+    terms = _PlanTerms(neg_beta_sigma=-beta[:-1] * sig,
                        drift=int_beta * (mu + rho - sig**2),
                        half_q_quadratic=0.5 * (beta[:-1] ** 2 * sig**2 * h),
                        one_minus_beta=1.0 - beta, blocks=blocks)
@@ -159,10 +156,10 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     if k0 == market.grid.n_steps:
         raise ValueError(f"a plan needs a step before T: t = {t} is "
                          f"T = {market.grid.T}")
+    pt = _plan_terms(model, value_solution, k0)
     if k0 > 0:
         market = market.tail(k0)
     grid = market.grid
-    pt = _plan_terms(model, value_solution, market, k0)
 
     exp_q = _empty(market.gamma.shape)
     log_inc = exp_q[..., 1:]
@@ -184,9 +181,8 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
             grid=grid, y=value_solution.y[k0:],
             beta_tilde=value_solution.beta_tilde[k0:],
             beta_pre=value_solution.beta_pre[k0:])
-    return OptimalPlan(grid=grid, terms=pt, exp_q=exp_q, x_star=x_star,
-                       scale=scale, model=model, value_solution=value_solution,
-                       market=market, d=d)
+    return OptimalPlan(exp_q=exp_q, x_star=x_star, scale=scale, model=model,
+                       value_solution=value_solution, market=market, d=d)
 
 
 def immediate_close(grid: TimeGrid, t: float, x: float) -> Strategy:
@@ -294,7 +290,7 @@ def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:
     Returns the maximum relative discrepancy over grid points, across both
     the position and the deviation paths.
     """
-    k = plan.grid.index_of(u)
+    k = plan.x_star.grid.index_of(u)
     if k == 0:
         return 0.0
     x_um = plan.scale * plan.exp_q[k] * (1.0 - plan.beta_pre[k])

@@ -4,7 +4,8 @@ Each criterion runs one check of the registry in ``execlab.cli`` at full
 size; ``exec-lab selftest`` runs the same checks at reduced size.  Each test
 prints one PASS/FAIL line on the terminal (bypassing capture) and asserts
 the check's verdict.  Criteria 1 and 2 also gate their wall-clock time.
-The Monte Carlo criteria run 2e4-1e5 paths and take a few minutes each.
+The Monte Carlo criteria run 2e4-1e5 paths and take a few minutes each;
+criteria 3 and 7 share one pass over their paths (``showcase``).
 """
 
 import json
@@ -12,7 +13,7 @@ import time
 
 import pytest
 
-from execlab.cli import (brownian_roundtrip_cost,
+from execlab.cli import (_MC_PARTS, _monte_carlo, brownian_roundtrip_cost,
                          constant_impact_value_convergence,
                          discrete_recursion_convergence,
                          geometric_roundtrip_cost, interior_block_trade,
@@ -32,6 +33,15 @@ def report(capsys):
             print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
         assert ok, f"criterion {num}: {detail}"
     return _report
+
+
+@pytest.fixture(scope="module")
+def showcase():
+    """Criteria 3 and 7 price the same 1e5 SHOWCASE paths on one grid and
+    seed: one pass prices both, keyed by the check it makes."""
+    checks = (stochastic_value_match, quadratic_representation)
+    return dict(zip(checks, _monte_carlo(
+        N_PATHS_LARGE, MC_STEPS, *(_MC_PARTS[fn] for fn in checks))))
 
 
 def verdict(check: dict, elapsed: float | None = None) -> tuple[bool, str]:
@@ -54,8 +64,8 @@ def test_criterion_02_lambertw_solution_residual(report):
     report(2, *verdict(c, time.perf_counter() - start))
 
 
-def test_criterion_03_stochastic_value_match(report):
-    report(3, *verdict(stochastic_value_match(N_PATHS_LARGE, MC_STEPS)))
+def test_criterion_03_stochastic_value_match(report, showcase):
+    report(3, *verdict(showcase[stochastic_value_match]))
 
 
 def test_criterion_04_brownian_roundtrip_ill_posedness(report):
@@ -70,8 +80,8 @@ def test_criterion_06_discrete_recursion_convergence(report):
     report(6, *verdict(discrete_recursion_convergence(N_PATHS_MEDIUM, MC_STEPS)))
 
 
-def test_criterion_07_quadratic_representation(report):
-    report(7, *verdict(quadratic_representation(N_PATHS_LARGE, MC_STEPS)))
+def test_criterion_07_quadratic_representation(report, showcase):
+    report(7, *verdict(showcase[quadratic_representation]))
 
 
 def test_criterion_08_structural_invariants(report):

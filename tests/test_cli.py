@@ -43,8 +43,9 @@ class TestWriteCsv:
         plan = figure_plan(name)
         reference_csv(tmp_path / "ref.csv",
                       ["t", "X_star", "D_star", "gamma", "beta", "exp_q"],
-                      [plan.grid.times, plan.x_star.values, plan.d_star.values,
-                       plan.market.gamma, plan.beta, plan.exp_q])
+                      [plan.x_star.grid.times, plan.x_star.values,
+                       plan.d_star.values, plan.market.gamma, plan.beta,
+                       plan.exp_q])
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_column_length_checked(self, tmp_path):
@@ -73,6 +74,29 @@ class TestExperimentConfig:
         }))
         cfg = ExperimentConfig.from_file(cfg_path)
         assert cfg.tag == "ow_value" and cfg.n_steps == 100
+
+    def test_a_figure_config_may_omit_the_model(self, tmp_path):
+        # a figure reads no model: leaving it out is leaving it at {}
+        written = []
+        for i, extra in enumerate(({}, {"model": {}})):
+            out = tmp_path / str(i)
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps({"tag": "figure_jump",
+                                            "n_steps": 1000,
+                                            "out_dir": str(out)} | extra))
+            summary = run(ExperimentConfig.from_file(cfg_path))
+            assert summary["pass"] is True
+            written.append(((out / "figure_jump.csv").read_bytes(),
+                            summary["inputs"]))
+        assert written[0] == written[1]
+
+    def test_a_runner_reading_the_model_refuses_to_omit_it(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tag": "ow_value", "n_steps": 10,
+                                        "x": 1.0, "out_dir": str(tmp_path)}))
+        with pytest.raises(ValueError,
+                           match=r"missing \['T', 'gamma0', 'pieces'\]"):
+            run(ExperimentConfig.from_file(cfg_path))
 
     @pytest.mark.parametrize("raw, match", [
         ({"tag": "ow_value", "model": {}, "nsteps": 5},

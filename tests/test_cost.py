@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (Strategy, TimeGrid, closed_form_cost_gbm,
+from execlab import (GridMismatch, Strategy, TimeGrid, closed_form_cost_gbm,
                      closed_form_naive_brownian, constant_model,
                      counterexample_brownian, counterexample_gbm,
                      deviation_path, estimate_cost, immediate_close,
@@ -79,6 +79,24 @@ class TestPathwiseCost:
         dev = deviation_path(model, market, s)
         assert pathwise_cost_naive(s, dev, market) == pytest.approx(
             pathwise_cost(s, dev, market), rel=1e-14)
+
+    def test_a_deviation_on_another_grid_is_refused(self):
+        # a deviation lives on its strategy's grid, and the costs check it;
+        # the grids have as many steps, so only the check can refuse
+        model, grid, market = make_setup()
+        s = immediate_close(grid, 0.0, 1.0)
+        other = TimeGrid(0.0, 2.0, grid.n_steps)
+        other_model = constant_model(2.0, 1.0, 0.5)
+        dev = deviation_path(other_model,
+                             simulate_path(other_model, other, 0, 0),
+                             immediate_close(other, 0.0, 1.0))
+        for cost in (pathwise_cost, pathwise_cost_naive):
+            with pytest.raises(GridMismatch):
+                cost(s, dev, market)
+        with pytest.raises(GridMismatch):
+            quadratic_representation_rhs(
+                model, solve_y_deterministic(model, grid), market, s, dev,
+                1.0, 0.0)
 
 
 class TestEstimateCost:

@@ -24,7 +24,7 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
 from execlab import coefficients
 from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
-from execlab.strategy import _beta_ds_integrals
+from execlab.strategy import _beta_ds_integrals, _plan_terms
 from piece_lookup import integral
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
@@ -221,8 +221,9 @@ class TestInputsUnchanged:
         plan = optimal_plan(model, vs, market, 0.0, X, D)
         # the impact path and its product are None when sigma > 0
         shared = [a for a in step_terms(model, grid) if a is not None]
+        terms = _plan_terms(model, vs, 0)
         kept = [a.copy() for a in (market.w, market.gamma, values, *shared,
-                                   *plan.terms)]
+                                   *terms, vs.beta_tilde, vs.beta_pre)]
         dev_fn = naive_deviation_path if naive else deviation_path
         cost_fn = pathwise_cost_naive if naive else pathwise_cost
         for strat in (plan.x_star, caller):
@@ -230,7 +231,8 @@ class TestInputsUnchanged:
             cost_fn(strat, dev, market)
             dev.values, dev.impact_state  # noqa: B018
         plan.d_star.impact_state  # noqa: B018
-        now = (market.w, market.gamma, caller.values, *shared, *plan.terms)
+        now = (market.w, market.gamma, caller.values, *shared, *terms,
+               vs.beta_tilde, vs.beta_pre)
         for before, after in zip(kept, now, strict=True):
             assert np.array_equal(before, after)
 

@@ -16,6 +16,7 @@ from execlab import (JumpExample, ModelError, TimeGrid,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, solve_y_ode, step_terms)
 from execlab.cli import SHOWCASE
+from execlab.strategy import _plan_terms
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -40,7 +41,7 @@ class TestOptimalPlanClosedForm:
     def test_terminal_block_size(self):
         # the last grid trade closes the position held at T - h
         plan, *_ = ow_plan()
-        h = plan.grid.h
+        h = plan.x_star.grid.h
         assert plan.x_star.trades[-1] == pytest.approx(
             -(1.0 + 0.5 * h) / 7.0, rel=1e-12)
 
@@ -266,18 +267,22 @@ class TestCounterexamples:
         assert s.values[-1] == 0.0
 
 
-def plan_arrays(plan):
-    """Every array of a plan, its lazy deviation included."""
-    return (plan.terms.half_q_quadratic, plan.exp_q,
+def plan_arrays(plan, vs=None):
+    """Every array of a plan, its lazy deviation included, and the shared
+    terms it was built from: those kept on ``vs``, the value solution it
+    was planned on, which is its own unless it was replanned."""
+    vs = plan.value_solution if vs is None else vs
+    k0 = vs.grid.index_of(plan.x_star.grid.t0)
+    return (*_plan_terms(plan.model, vs, k0), plan.exp_q,
             plan.x_star.values, plan.x_star.is_block, plan.beta,
             plan.beta_pre, plan.scale, plan.d_star.values,
             plan.d_star.pre_trade, plan.d_star.impact_state,
             plan.value_solution.y, plan.value_solution.beta_pre)
 
 
-def assert_same_plan(a, b):
-    assert a.grid == b.grid
-    for u, v in zip(plan_arrays(a), plan_arrays(b), strict=True):
+def assert_same_plan(a, b, vs_a=None, vs_b=None):
+    assert a.x_star.grid == b.x_star.grid
+    for u, v in zip(plan_arrays(a, vs_a), plan_arrays(b, vs_b), strict=True):
         assert np.array_equal(u, v)
 
 
@@ -308,8 +313,9 @@ class TestHoistedTerms:
         # the replan starts from one state per path: take path 1's
         x_u, d_u = float(x_u[1, 0]), float(d_u[1, 0])
         replan = optimal_plan(model, vs, market, u, x_u, d_u)
-        assert_same_plan(replan, optimal_plan(model, solve(), market, u,
-                                              x_u, d_u))
+        fresh = solve()
+        assert_same_plan(replan, optimal_plan(model, fresh, market, u, x_u,
+                                              d_u), vs, fresh)
         # and the solution still plans from the start as a fresh one does
         assert_same_plan(optimal_plan(model, vs, market, 0.0, 100.0, 0.5),
                          optimal_plan(model, solve(), market, 0.0, 100.0,
@@ -379,11 +385,30 @@ class TestHoistedTerms:
                          100.0, 0.5)
         b = optimal_plan(model, vs, simulate_path(model, grid, 3, 1), 0.0,
                          100.0, 0.5)
-        assert a.terms is b.terms
-        for arr in (a.beta, a.beta_pre, a.terms.half_q_quadratic,
-                    a.x_star.is_block):
+        # one set of terms on the value solution, shared by both plans
+        terms, = vs._plan_cache.values()
+        assert a.x_star.is_block is terms.blocks is b.x_star.is_block
+        assert a.beta is vs.beta_tilde is b.beta
+        for arr in (a.beta, a.beta_pre, *terms):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_replan_reads_the_parent_grid_terms(self, setting):
+        # a replan at k takes rows k: of the parent grid's step terms and
+        # the parent's h, not the terms of its tail grid, whose step is
+        # recomputed as (T - t_k) / (n - k)
+        model, solve, grid, u = setting
+        market = simulate_path(model, grid, 3, range(2))
+        vs = solve()
+        k = grid.index_of(u)
+        sigma = step_terms(model, grid).sigma
+        misses = step_terms.cache_info().misses
+        replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
+        replan.d_star.values  # noqa: B018
+        assert step_terms.cache_info().misses == misses
+        want = 0.5 * (vs.beta_tilde[k:-1] ** 2 * sigma[k:] ** 2 * grid.h)
+        got = _plan_terms(model, vs, k).half_q_quadratic
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDynamicConsistency:
