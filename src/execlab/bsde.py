@@ -35,8 +35,8 @@ class ValueSolution:
     y: np.ndarray
     beta_tilde: np.ndarray
     beta_pre: np.ndarray
-    # the path-independent arrays of optimal_plan for the last (model, k0)
-    # it was called with; they must never refer back to this solution
+    # the path-independent arrays of optimal_plan for the last model it
+    # was called with; they must never refer back to this solution
     _plan_cache: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -274,8 +274,7 @@ def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:
     """Max |central-difference dY/dt + driver| over interior grid points.
 
     Points within one step of a coefficient breakpoint are excluded (the
-    derivative is one-sided there); breakpoints before the grid start, as
-    on the tail solution of a replanned plan, do not touch the grid.
+    derivative is one-sided there).
     """
     grid, y = solution.grid, solution.y
     interior = np.ones(grid.n_steps + 1, dtype=bool)

@@ -94,6 +94,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not _is_number(value, (int, float)):
                 raise ValueError(f"{name} must be a real number: {value!r}")
+            # json.load reads the NaN and Infinity tokens
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value!r}")
         # its keys are checked by the runners that read it
         if not isinstance(self.model, dict):
             raise ValueError(f"model must be an object: {self.model!r}")

@@ -8,7 +8,6 @@ engine comes from the trading scheme, never from gamma itself.
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import hashlib
 import json
@@ -159,7 +158,11 @@ def model_from_config(cfg: dict) -> CoefficientModel:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 + k*h, k = 0..n_steps."""
+    """Uniform grid k*h on [0, T], k = 0..n_steps.
+
+    Every grid starts at 0: a plan from an interior time lives on its
+    parent's grid (:class:`execlab.strategy.OptimalPlan`).  ``t0`` is kept
+    for the positional ``TimeGrid(0.0, T, n)`` calls and must be 0."""
 
     t0: float
     T: float
@@ -174,34 +177,35 @@ class TimeGrid:
             raise ModelError(f"n_steps must be an integer: {self.n_steps!r}")
         if self.n_steps < 1:
             raise ModelError("n_steps must be positive")
-        if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.T > self.t0):
-            raise ModelError("grid start and end must be finite and increasing")
+        if self.t0 != 0.0:
+            raise ModelError(f"a grid starts at t0 = 0, not {self.t0!r}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ModelError("grid end T must be finite and positive")
 
     @property
     def h(self) -> float:
-        return (self.T - self.t0) / self.n_steps
+        return self.T / self.n_steps
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
+        return self.h * np.arange(self.n_steps + 1)
 
     def index_of(self, t: float) -> int:
-        k = round((t - self.t0) / self.h)
-        if not (0 <= k <= self.n_steps) or abs(self.t0 + k * self.h - t) > 1e-9 * max(1.0, self.T):
+        k = round(t / self.h)
+        if not (0 <= k <= self.n_steps) or abs(k * self.h - t) > 1e-9 * max(1.0, self.T):
             raise ModelError(f"time {t} is not a grid point")
         return int(k)
 
     def validate_model(self, model: CoefficientModel) -> list[int]:
-        """Grid indices of the model's breakpoints in [t0, T], where every
+        """Grid indices of the model's breakpoints in (0, T], where every
         grid computation changes piece (:func:`step_coefficients`); each must
-        be a grid point, up to the tolerance of :meth:`index_of`.  Those
-        before the grid start are skipped.  The grid must lie in the model's
-        [0, T]: the coefficients are not defined outside it."""
-        if self.t0 < 0.0 or self.T > model.T:
-            raise ModelError(f"grid [{self.t0}, {self.T}] is not inside the "
+        be a grid point, up to the tolerance of :meth:`index_of`.  The grid
+        must end by the model's T: the coefficients are not defined beyond
+        it."""
+        if self.T > model.T:
+            raise ModelError(f"grid [0, {self.T}] is not inside the "
                              f"model's horizon [0, {model.T}]")
-        return [self.index_of(b) for b in model.breakpoints
-                if self.t0 <= b <= self.T]
+        return [self.index_of(b) for b in model.breakpoints if b <= self.T]
 
 
 def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
@@ -211,13 +215,8 @@ def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
     the indices of :meth:`TimeGrid.validate_model`, and no grid time is
     compared with a breakpoint.  Every grid computation reads it."""
     ks = grid.validate_model(model)
-    # validate_model indexed the breakpoints from starts[j] on, so the run
-    # before the first of them takes piece j - 1, the one holding the grid
-    # start, and the run after each breakpoint its own piece
-    j = bisect.bisect_left(model.starts, grid.t0, 1)
     table = np.empty((3, grid.n_steps))
-    for i, ka, kb in zip(range(j - 1, len(model.starts)), [0, *ks],
-                         [*ks, grid.n_steps]):
+    for i, (ka, kb) in enumerate(zip([0, *ks], [*ks, grid.n_steps])):
         table[:, ka:kb] = [[model.rho[i]], [model.mu[i]], [model.sigma[i]]]
     return table
 
@@ -228,7 +227,7 @@ class StepTerms(NamedTuple):
     The coefficients of each step (:func:`step_coefficients`), the
     deterministic part ``(mu - sigma^2/2) h`` of each log-impact increment,
     and the resilience factors ``exp(-r)`` and ``exp(r)``, r being the
-    integral of rho from the grid start to each grid point.  Built only by
+    integral of rho from 0 to each grid point.  Built only by
     :func:`step_terms`; the arrays are read-only.
 
     When sigma is 0 on every step, the impact factor is the same on every
@@ -271,7 +270,7 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
         # sigma * dW is +-0 on every step: it adds nothing to log_drift
         gamma = _cumsum0(log_drift)
         np.exp(gamma, out=gamma)
-        gamma *= _start_level(model, grid)
+        gamma *= model.gamma0
         gamma_growth = gamma * growth
     terms = StepTerms(rho=rho, mu=mu, sigma=sigma, log_drift=log_drift,
                       decay=np.exp(-r_cum), growth=growth, gamma=gamma,
@@ -280,21 +279,6 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
         if a is not None:
             a.flags.writeable = False
     return terms
-
-
-def _start_level(model: CoefficientModel, grid: TimeGrid) -> float:
-    """The impact level at the grid start.  gamma0 is the level at time 0:
-    a grid starting at t0 > 0 starts from gamma0 carried forward by the
-    drift alone, gamma0 * exp(int_0^t0 mu), summed over the pieces that
-    start before t0."""
-    if grid.t0 == 0.0:
-        return model.gamma0
-    drift = 0.0
-    for start, end, mu in zip(model.starts, (*model.starts[1:], math.inf),
-                              model.mu):
-        if start < grid.t0:
-            drift += mu * (min(grid.t0, end) - start)
-    return model.gamma0 * np.exp(drift)
 
 
 @dataclass(frozen=True)
@@ -315,12 +299,6 @@ class MarketPath:
         alpha = _empty(self.gamma.shape)
         np.divide(1.0, self.gamma, out=alpha)
         return alpha
-
-    def tail(self, k: int) -> "MarketPath":
-        """Sub-path on the grid starting at grid index k."""
-        g = self.grid
-        sub = TimeGrid(g.t0 + k * g.h, g.T, g.n_steps - k)
-        return MarketPath(sub, self.w[..., k:], self.gamma[..., k:])
 
 
 # NumPy's SeedSequence hash (a pool of 4 words) and PCG64's seeding
@@ -561,7 +539,7 @@ def _market(model: CoefficientModel, grid: TimeGrid,
         log_incr += terms.log_drift
         _accumulate0(gamma)
         np.exp(gamma, out=gamma)
-        gamma *= _start_level(model, grid)
+        gamma *= model.gamma0
         gamma.flags.writeable = False
     return MarketPath(grid=grid, w=dw, gamma=gamma)
 

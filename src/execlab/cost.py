@@ -9,6 +9,7 @@ constructions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -222,7 +223,11 @@ def _value(y_t, gamma_t, x, d):
 
 
 def value_function(y_t: float, gamma_t: float, x: float, d: float) -> ValueQuote:
-    """Closed-form minimal expected cost given the value factor y_t."""
+    """Closed-form minimal expected cost given the value factor y_t.  A
+    non-finite input, or gamma_t <= 0, raises ValueError."""
+    for name, value in (("y_t", y_t), ("gamma_t", gamma_t), ("x", x), ("d", d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value!r}")
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
     return ValueQuote(v=float(_value(y_t, gamma_t, x, d)))

@@ -27,20 +27,22 @@ from .deviation import DeviationPath, GridMismatch, Strategy
 class OptimalPlan:
     """Optimal position/deviation pair on [t, T] for a market path or chunk.
 
-    The plan lives on ``x_star.grid``, which starts at t, as do ``market``
-    and ``value_solution``.  ``exp_q`` is the stochastic exponential of Q
-    on the grid; ``beta`` the cadlag feedback ratio and ``beta_pre`` its
-    left limits, both read from ``value_solution``.  The model, value
-    solution, market and start deviation ``d`` are kept to rebuild the plan
-    from an interior time; the start position is ``x_star.x_pre``.  Path
-    arrays carry the market's leading path axis, if any; ``scale`` has one
-    entry per path.
+    The plan lives on the grid of ``market`` and ``value_solution``, which
+    starts at 0; ``start`` is the grid index of t, 0 for a plan from time 0.
+    Rows before ``start`` hold the start state: the position ``x_star.x_pre``
+    and, before the trade at ``start``, the deviation ``d``.  ``exp_q`` is
+    the stochastic exponential of Q from ``start`` on, 1 up to it; ``beta``
+    the cadlag feedback ratio and ``beta_pre`` its left limits, both read
+    from ``value_solution``.  The model, value solution, market and ``d``
+    are kept to rebuild the plan from an interior time.  Path arrays carry
+    the market's leading path axis, if any; ``scale`` has one entry per
+    path.
 
-    The arrays that do not depend on the path, the block flags of
-    ``x_star`` among them, are computed once per value solution, model and
-    start index, and every plan built from that value solution shares them
-    read-only.  ``d_star`` is computed on first access, because a cost
-    estimate needs only ``x_star``; it is the same array either way.
+    The arrays that do not depend on the path, the block flags of a plan
+    from 0 among them, are computed once per value solution and model, and
+    every plan built from that value solution shares them read-only.
+    ``d_star`` is computed on first access, because a cost estimate needs
+    only ``x_star``; it is the same array either way.
     """
 
     exp_q: np.ndarray
@@ -50,6 +52,7 @@ class OptimalPlan:
     value_solution: ValueSolution
     market: MarketPath
     d: float
+    start: int
 
     @property
     def beta(self) -> np.ndarray:
@@ -61,7 +64,8 @@ class OptimalPlan:
 
     @cached_property
     def d_star(self) -> DeviationPath:
-        """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d.
+        """D* = scale E(Q) (-gamma beta), flat-closed at T; D*(t-) = d,
+        and d in the rows before the plan's start.
 
         Its values are this closed form, not the deviation recursion."""
         scale_col = np.expand_dims(self.scale, -1)
@@ -69,7 +73,8 @@ class OptimalPlan:
         d_values = scale_col * self.exp_q * (-gamma * self.beta)
         d_values[..., -1] = self.scale * self.exp_q[..., -1] * (-gamma[..., -1])
         pre_trade = scale_col * self.exp_q * (-gamma * self.beta_pre)
-        pre_trade[..., 0] = self.d
+        pre_trade[..., :self.start + 1] = self.d
+        d_values[..., :self.start] = self.d
         return DeviationPath.explicit(pre_trade, d_values, self.x_star,
                                       self.market)
 
@@ -100,27 +105,24 @@ class _PlanTerms(NamedTuple):
     blocks: np.ndarray
 
 
-def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
-                k0: int) -> _PlanTerms:
-    """The path-independent plan arrays from index ``k0`` of the value
-    solution's grid on: its rows ``k0:`` and its step h, so a plan rebuilt
-    from an interior time steps exactly as the plan it continues.
+def _plan_terms(model: CoefficientModel,
+                value_solution: ValueSolution) -> _PlanTerms:
+    """The path-independent plan arrays on the value solution's grid; a
+    plan from an interior time reads the same arrays.
 
-    They are kept on the value solution for the last (model, k0) it was
-    used with.  They hold views of its arrays but never the solution
-    itself, so no reference cycle keeps it alive.
+    They are kept on the value solution for the last model it was used
+    with.  They hold views of its arrays but never the solution itself, so
+    no reference cycle keeps it alive.
     """
-    key = (model, k0)
     cache = value_solution._plan_cache
-    terms = cache.get(key)
+    terms = cache.get(model)
     if terms is not None:
         return terms
     h = value_solution.grid.h
     rho, mu, sig, *_ = step_terms(model, value_solution.grid)
-    rho, mu, sig = rho[k0:], mu[k0:], sig[k0:]
-    beta = value_solution.beta_tilde[k0:]
-    int_beta = _beta_ds_integrals(value_solution.y[k0:], rho, mu, h)
-    blocks = beta != value_solution.beta_pre[k0:]
+    beta = value_solution.beta_tilde
+    int_beta = _beta_ds_integrals(value_solution.y, rho, mu, h)
+    blocks = beta != value_solution.beta_pre
     blocks[0] = True
     blocks[-1] = True
     terms = _PlanTerms(neg_beta_sigma=-beta[:-1] * sig,
@@ -130,7 +132,7 @@ def _plan_terms(model: CoefficientModel, value_solution: ValueSolution,
     for a in terms:
         a.flags.writeable = False
     cache.clear()
-    cache[key] = terms
+    cache[model] = terms
     return terms
 
 
@@ -139,16 +141,17 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     """Construct the cost-minimizing plan started at (t, x, d).
 
     ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
-    of the market's grid before T; the plan lives on the sub-grid [t, T].
+    of the market's grid before T; the plan lives on that grid, from the
+    index of t on (see :class:`OptimalPlan`).
     With zero resilience both solvers give y = 1/2 and a feedback ratio of
     exactly 1, so the plan closes the position immediately.  The arrays that
     do not depend on the path are computed once and kept on
     ``value_solution`` (see :class:`OptimalPlan`).  The path arrays are
     built in place.
     ``exp_q`` is the stochastic exponential of Q on the grid,
-    exp_q[k] = exp(sum_{j<k} (dQ_j - d[Q]_j / 2)) with
+    exp_q[k] = exp(sum_{k0<=j<k} (dQ_j - d[Q]_j / 2)) with
     dQ = -beta sigma dW - integral of beta (mu + rho - sigma^2) ds and
-    d[Q] = beta^2 sigma^2 h; exp_q[0] = 1.
+    d[Q] = beta^2 sigma^2 h, k0 the index of t; exp_q[k] = 1 for k <= k0.
     """
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
@@ -156,33 +159,33 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     if k0 == market.grid.n_steps:
         raise ValueError(f"a plan needs a step before T: t = {t} is "
                          f"T = {market.grid.T}")
-    pt = _plan_terms(model, value_solution, k0)
-    if k0 > 0:
-        market = market.tail(k0)
-    grid = market.grid
+    pt = _plan_terms(model, value_solution)
 
     exp_q = _empty(market.gamma.shape)
     log_inc = exp_q[..., 1:]
     np.multiply(pt.neg_beta_sigma, market.w, out=log_inc)
     log_inc -= pt.drift
     log_inc -= pt.half_q_quadratic
+    # no increment before t: exp_q is 1 up to k0, and from k0 on it sums
+    # the increments from t in order, as a plan from time 0 sums its own
+    log_inc[..., :k0] = 0.0
     _accumulate0(exp_q)
     np.exp(exp_q, out=exp_q)
 
-    scale = x - d / market.gamma[..., 0]
+    scale = x - d / market.gamma[..., k0]
     xs = _empty(exp_q.shape)
     np.multiply(scale[..., None], exp_q, out=xs)
     xs *= pt.one_minus_beta
+    xs[..., :k0] = x
     xs[..., -1] = 0.0
-    x_star = Strategy(grid=grid, x_pre=x, values=xs, is_block=pt.blocks)
-
+    blocks = pt.blocks
     if k0 > 0:
-        value_solution = ValueSolution(
-            grid=grid, y=value_solution.y[k0:],
-            beta_tilde=value_solution.beta_tilde[k0:],
-            beta_pre=value_solution.beta_pre[k0:])
+        blocks = blocks.copy()
+        blocks[k0] = True
+    x_star = Strategy(grid=market.grid, x_pre=x, values=xs, is_block=blocks)
     return OptimalPlan(exp_q=exp_q, x_star=x_star, scale=scale, model=model,
-                       value_solution=value_solution, market=market, d=d)
+                       value_solution=value_solution, market=market, d=d,
+                       start=k0)
 
 
 def immediate_close(grid: TimeGrid, t: float, x: float) -> Strategy:
@@ -284,14 +287,20 @@ def jump_example_model(rho: float, t0: float, T: float,
 
 
 def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:
-    """Rebuild the plan from its own state just before u, a grid point
-    before T; compare the tails.
+    """Rebuild the plan of one path from its own state just before u, a
+    grid point from the plan's start to before T; compare the tails.
 
     Returns the maximum relative discrepancy over grid points, across both
-    the position and the deviation paths.
+    the position and the deviation paths.  A plan on a chunk of paths
+    raises ValueError: the rebuild starts from one path's state.
     """
+    if plan.exp_q.ndim != 1:
+        raise ValueError("dynamic_consistency_check takes the plan of one "
+                         f"path, not a chunk of shape {plan.exp_q.shape}")
     k = plan.x_star.grid.index_of(u)
-    if k == 0:
+    if k < plan.start:
+        raise ValueError(f"u = {u} is before the plan's start")
+    if k == plan.start:
         return 0.0
     x_um = plan.scale * plan.exp_q[k] * (1.0 - plan.beta_pre[k])
     d_um = plan.d_star.pre_trade[k]
@@ -302,5 +311,5 @@ def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:
         ref = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
         return np.max(np.abs(a - b)) / ref
 
-    return float(max(rel(plan.x_star.values[k:], replan.x_star.values),
-                     rel(plan.d_star.values[k:], replan.d_star.values)))
+    return float(max(rel(plan.x_star.values[k:], replan.x_star.values[k:]),
+                     rel(plan.d_star.values[k:], replan.d_star.values[k:])))

@@ -65,7 +65,7 @@ def linear_w_reference(model, grid):
     piece by piece, then the ratio 2 (rho + mu) / (2 rho + mu) and its left
     limits.  The exact solver must reproduce them bit for bit."""
     t = grid.times
-    starts = [grid.t0] + [b for b in model.breakpoints if b > grid.t0]
+    starts = [0.0, *model.breakpoints]
     ends = starts[1:] + [model.T]
     k_starts = [grid.index_of(b) for b in starts]
     k_ends = k_starts[1:] + [grid.n_steps]
@@ -476,6 +476,7 @@ def tail_residual(model, vs, k):
     grid index k."""
     market = simulate_path(model, vs.grid, 0, 0)
     plan = optimal_plan(model, vs, market, vs.grid.times[k], 1.0, 0.0)
+    assert plan.value_solution is vs
     return ode_residual(plan.value_solution, model)
 
 
@@ -483,16 +484,15 @@ JUMP_MODEL = jump_example_model(0.3, 4.0, 5.0)
 
 
 class TestReplannedTailResidual:
-    """The tail of a value solution keeps a subset of its interior points,
-    so its residual is at most the full-grid one, up to the rounding of the
-    tail grid's step (T - t_k) / (n - k), which moves the central
-    differences by about 1e-15 here."""
+    """A replan carries its parent's value solution, so its residual is the
+    full-grid one exactly: no tail grid recomputes the step as
+    (T - t_k) / (n - k) and moves the central differences."""
 
     def test_replanned_after_the_breakpoint(self):
         grid = TimeGrid(0.0, 5.0, 1000)
         vs = solve_y_deterministic(JUMP_MODEL, grid)
         residual = tail_residual(JUMP_MODEL, vs, grid.index_of(4.5))
-        assert 0.0 < residual <= ode_residual(vs, JUMP_MODEL) + 1e-12
+        assert 0.0 < residual == ode_residual(vs, JUMP_MODEL)
 
     @pytest.mark.parametrize("model, solve, n", [
         (JUMP_MODEL, solve_y_deterministic, 1000),
@@ -504,7 +504,7 @@ class TestReplannedTailResidual:
         k = data.draw(st.integers(0, n - 1), label="replan index")
         residual = tail_residual(model, vs, k)
         assert np.isfinite(residual)
-        assert residual <= ode_residual(vs, model) + 1e-12
+        assert residual == ode_residual(vs, model)
 
 
 class TestDiscreteRecursion:

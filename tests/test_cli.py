@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -120,9 +121,16 @@ class TestExperimentConfig:
         ({"tag": ["ow_value"]}, "tag must be a string"),
         ({"out_dir": 5}, "out_dir must be a string"),
         ({"out_dir": None}, "out_dir must be a string"),
+        # json writes and reads the NaN and Infinity tokens
+        ({"tag": "lambertw_value", "x": math.nan, "d": math.inf},
+         "x must be finite"),
+        ({"tag": "lambertw_value", "d": math.inf}, "d must be finite"),
+        ({"tag": "naive_gbm", "nu": math.nan}, "nu must be finite"),
+        ({"tag": "naive_brownian", "nu": -math.inf}, "nu must be finite"),
     ], ids=["string_steps", "bool_seed", "string_x", "no_gamma0",
             "unset_model", "list_model", "list_tag", "number_out_dir",
-            "null_out_dir"])
+            "null_out_dir", "nan_x", "infinite_d", "nan_nu",
+            "infinite_nu"])
     def test_wrongly_typed_fields_raise_value_error(self, tmp_path, change,
                                                      match):
         raw = {"tag": "ow_value", "n_steps": 10, "x": 1.0,

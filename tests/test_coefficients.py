@@ -19,7 +19,7 @@ from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
                      step_coefficients, step_terms)
 from execlab.bsde import _value_at
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _start_level, _stream_block
+from execlab.coefficients import _stream_block
 from piece_lookup import integral, value_at
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -53,23 +53,27 @@ class TestPiecewiseConstant:
         table = step_coefficients(m, TimeGrid(0.0, 2.0, 4))
         assert table[0].tolist() == [3.0, 3.0, 7.0, 7.0]
 
-    @pytest.mark.parametrize("t0, T, n", [
-        (0.0, 3.0, 6), (0.0, 2.0, 4), (0.5, 3.0, 5), (1.0, 3.0, 4),
-        (1.5, 3.0, 3), (2.0, 3.0, 2), (2.5, 3.0, 1), (1.0, 2.0, 2)],
+    @pytest.mark.parametrize("T, n", [
+        (3.0, 6), (2.0, 4), (0.5, 5), (1.0, 4), (1.5, 3), (2.0, 2), (2.5, 5),
+        (1.0, 1)],
         ids=["whole", "ends_at_break", "first_piece", "at_break",
              "middle_piece", "at_last_break", "last_piece", "one_piece"])
-    def test_each_step_takes_the_piece_of_its_start(self, t0, T, n):
-        # grids that start before, at and after a breakpoint, or end at one
-        m, grid = THREE_PIECE_MODEL, TimeGrid(t0, T, n)
+    def test_each_step_takes_the_piece_of_its_start(self, T, n):
+        # grids from 0 that end at T, at a breakpoint or inside a piece,
+        # with one or more steps per piece
+        m, grid = THREE_PIECE_MODEL, TimeGrid(0.0, T, n)
         want = [[value_at(m, name, s) for s in grid.times[:-1]]
                 for name in ("rho", "mu", "sigma")]
         assert step_coefficients(m, grid).tolist() == want
 
     def test_integral_exact(self):
-        # the start level carries gamma0 by exp(int_0^t0 mu), summed exactly
+        # with sigma = 0 the impact path carries gamma0 by exp(int_0^t mu),
+        # exactly where the sums of mu h are exact in binary
         m = build_model(5.0, 1.5, [piece(0.0, mu=1.0), piece(2.0, mu=10.0)])
-        for t0, drift in ((0.0, 0.0), (1.5, 1.5), (2.0, 2.0), (3.0, 12.0)):
-            assert _start_level(m, TimeGrid(t0, 5.0, 4)) == 1.5 * np.exp(drift)
+        grid = TimeGrid(0.0, 5.0, 10)
+        gamma = step_terms(m, grid).gamma
+        for t, drift in ((0.0, 0.0), (1.5, 1.5), (2.0, 2.0), (3.0, 12.0)):
+            assert gamma[grid.index_of(t)] == 1.5 * np.exp(drift)
 
     @pytest.mark.parametrize("m", [
         jump_example_model(0.3, 4.0, 5.0), constant_model(1.0, 1.0, 2.5)],
@@ -118,13 +122,6 @@ class TestPiecewiseConstant:
                 with pytest.raises(ModelError, match=match):
                     build_model(2.0, 1.0, [piece(t, rho) for t, rho
                                            in zip(starts, values)])
-
-    @given(st.floats(0.0, 2.9))
-    @settings(max_examples=50, deadline=None)
-    def test_start_level_is_the_integral_of_mu(self, t0):
-        m = THREE_PIECE_MODEL
-        want = m.gamma0 * np.exp(integral(m, "mu", 0.0, t0))
-        assert _start_level(m, TimeGrid(t0, 3.0, 3)) == want
 
 
 class TestModelValidation:
@@ -283,25 +280,28 @@ class TestTimeGrid:
             {"t_from": 1.0 / 3.0, "rho": 1.0, "mu": 1.0, "sigma": 0.0},
         ])
         assert TimeGrid(0.0, 1.0, 3).validate_model(m) == [1]
-        # a grid that starts after the breakpoint does not contain it
-        assert TimeGrid(0.5, 1.0, 10).validate_model(m) == []
+        # a grid that ends before the breakpoint does not contain it
+        assert TimeGrid(0.0, 0.25, 10).validate_model(m) == []
         with pytest.raises(ModelError):
             TimeGrid(0.0, 1.0, 10).validate_model(m)
 
     def test_grid_must_lie_in_the_model_horizon(self):
         m = constant_model(1.0, 1.0, 0.5)
-        assert TimeGrid(0.25, 0.75, 2).validate_model(m) == []
-        for g in (TimeGrid(-0.5, 1.0, 3), TimeGrid(0.0, 1.5, 3)):
-            with pytest.raises(ModelError, match="horizon"):
-                g.validate_model(m)
+        assert TimeGrid(0.0, 0.75, 2).validate_model(m) == []
+        with pytest.raises(ModelError, match="horizon"):
+            TimeGrid(0.0, 1.5, 3).validate_model(m)
+        # a grid starts at 0, so it never reaches before the model's start
+        with pytest.raises(ModelError, match="t0 = 0"):
+            TimeGrid(-0.5, 1.0, 3)
 
     @pytest.mark.parametrize("fn", [
         solve_y_deterministic, solve_y_ode,
         lambda m, g: simulate_path(m, g, 0, 0)])
     def test_a_grid_before_time_zero_is_refused(self, fn):
-        # the coefficients are undefined before 0: refuse, do not price
+        # the coefficients are undefined before 0: the grid itself is
+        # refused, before any solver or path sees it
         model = jump_example_model(0.3, 4.0, 5.0)
-        with pytest.raises(ModelError, match="horizon"):
+        with pytest.raises(ModelError, match="t0 = 0"):
             fn(model, TimeGrid(-1.0, 5.0, 600))
 
 
@@ -310,15 +310,18 @@ THREE_PIECES = [
     {"t_from": 1.0, "rho": -0.2, "mu": 0.7, "sigma": 0.0},
     {"t_from": 2.0, "rho": 0.4, "mu": -0.3, "sigma": 0.0},
 ]
+# the three-piece market from time 0.5 on, as a model of its own: every
+# grid starts at 0, so a market started later is a shifted table
+STARTED = build_model(2.5, 0.8 * math.exp(0.1 * 0.5), [
+    dict(p, t_from=max(p["t_from"] - 0.5, 0.0)) for p in THREE_PIECES])
 # sigma = 0 on every step: one piece with gamma0 != 1, three pieces with
-# drift jumps and a negative resilience, and a grid starting at t0 > 0
+# drift jumps and a negative resilience, and the same pieces started at 0.5
 DETERMINISTIC = {
     "one_piece": (constant_model(2.0, 1.5, 0.5, mu=0.1),
                   TimeGrid(0.0, 2.0, 40)),
     "three_pieces": (build_model(3.0, 0.8, THREE_PIECES),
                      TimeGrid(0.0, 3.0, 60)),
-    "started": (build_model(3.0, 0.8, THREE_PIECES),
-                TimeGrid(0.5, 3.0, 50)),
+    "started": (STARTED, TimeGrid(0.0, 2.5, 50)),
 }
 
 
@@ -329,8 +332,7 @@ class TestStepTerms:
     def test_deterministic_impact_path(self, case):
         model, grid = DETERMINISTIC[case]
         terms = step_terms(model, grid)
-        start = model.gamma0 * np.exp(integral(model, "mu", 0.0, grid.t0))
-        want = start * np.exp(np.concatenate(([0.0],
+        want = model.gamma0 * np.exp(np.concatenate(([0.0],
                                               np.cumsum(terms.log_drift))))
         assert np.array_equal(terms.gamma, want)
         assert np.array_equal(terms.gamma_growth, want * terms.growth)
@@ -359,14 +361,15 @@ class TestStepTerms:
                 a[0] = 0.0
 
     def test_tail_grid_equals_a_direct_computation(self):
+        # a grid with a breakpoint in its interior, far from its start
         model = build_model(5.0, 1.0, [
             {"t_from": 0.0, "rho": 0.3, "mu": 0.0, "sigma": 0.2},
             {"t_from": 4.0, "rho": 0.7, "mu": 1.0, "sigma": 0.5},
         ])
-        grid = TimeGrid(2.0, 5.0, 300)
+        grid = TimeGrid(0.0, 5.0, 500)
         step_terms.cache_clear()
         terms = step_terms(model, grid)
-        t = grid.t0 + grid.h * np.arange(grid.n_steps)
+        t = grid.h * np.arange(grid.n_steps)
         rho = np.where(t >= 4.0, 0.7, 0.3)
         mu = np.where(t >= 4.0, 1.0, 0.0)
         sigma = np.where(t >= 4.0, 0.5, 0.2)
@@ -376,8 +379,8 @@ class TestStepTerms:
                       decay=np.exp(-r), growth=np.exp(r))
         for name, want in direct.items():
             assert np.array_equal(getattr(terms, name), want), name
-        # r is the integral of rho from the grid start
-        exact = [integral(model, "rho", grid.t0, s) for s in grid.times]
+        # r is the integral of rho from 0
+        exact = [integral(model, "rho", 0.0, s) for s in grid.times]
         assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
         assert step_terms(model, grid) is terms
 
@@ -409,22 +412,15 @@ class TestSimulatePath:
         assert np.array_equal(a.gamma, b.gamma)
         assert not np.array_equal(a.gamma, c.gamma)
 
-    def test_tail_subpath(self):
-        m = constant_model(1.0, 1.0, 0.5, sigma=0.4)
-        g = TimeGrid(0.0, 1.0, 10)
-        p = simulate_path(m, g, 1, 0)
-        tail = p.tail(4)
-        assert tail.grid.t0 == pytest.approx(0.4)
-        assert np.array_equal(tail.gamma, p.gamma[4:])
-        assert np.array_equal(tail.w, p.w[4:])
-
-    @pytest.mark.parametrize("t0, sigma", [(0.0, 0.4), (0.0, 0.0), (0.3, 0.4)])
+    # short: how far before the model's horizon the grid ends
+    @pytest.mark.parametrize("short, sigma",
+                             [(0.0, 0.4), (0.0, 0.0), (0.3, 0.4)])
     @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 7), (5, 12)])
-    def test_chunk_rows_equal_single_paths(self, lo, hi, t0, sigma):
+    def test_chunk_rows_equal_single_paths(self, lo, hi, short, sigma):
         m = build_model(1.0, 1.5, [
             {"t_from": 0.0, "rho": 0.5, "mu": 0.1, "sigma": sigma},
             {"t_from": 0.5, "rho": 0.7, "mu": -0.2, "sigma": 2 * sigma}])
-        g = TimeGrid(t0, 1.0, 70)
+        g = TimeGrid(0.0, 1.0 - short, 70)
         chunk = simulate_path(m, g, 13, range(lo, hi))
         assert chunk.w.shape == (hi - lo, 70)
         assert chunk.gamma.shape == chunk.alpha.shape == (hi - lo, 71)
@@ -433,21 +429,6 @@ class TestSimulatePath:
             assert np.array_equal(chunk.w[row], p.w)
             assert np.array_equal(chunk.gamma[row], p.gamma)
             assert np.array_equal(chunk.alpha[row], p.alpha)
-
-    def test_chunk_tail_slices_the_last_axis(self):
-        m = constant_model(1.0, 1.0, 0.5, sigma=0.4)
-        g = TimeGrid(0.0, 1.0, 10)
-        chunk = simulate_path(m, g, 1, range(3))
-        tail = chunk.tail(4)
-        assert tail.grid == TimeGrid(0.4, 1.0, 6)
-        assert np.array_equal(tail.gamma, chunk.gamma[:, 4:])
-        assert np.array_equal(tail.w, chunk.w[:, 4:])
-
-    def test_started_grid_scales_initial_level_by_drift(self):
-        m = constant_model(1.0, 2.0, 0.5, mu=0.4)
-        sub = TimeGrid(0.5, 1.0, 10)
-        p = simulate_path(m, sub, 0, 0)
-        assert p.gamma[0] == pytest.approx(2.0 * np.exp(0.4 * 0.5), rel=1e-14)
 
 
 class TestPathStreams:

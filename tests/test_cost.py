@@ -257,6 +257,14 @@ class TestValueFunction:
         with pytest.raises(ValueError):
             value_function(0.25, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["y_t", "gamma_t", "x", "d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_are_refused_by_name(self, field, bad):
+        # a NaN gamma_t passed the positivity test and gave v = nan
+        args = dict(y_t=0.25, gamma_t=2.0, x=3.0, d=1.0) | {field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            value_function(**args)
+
 
 class TestQuadraticRepresentation:
     def test_optimal_plan_attains_the_head_term(self):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from execlab import (JumpExample, ModelError, TimeGrid,
+from execlab import (JumpExample, MarketPath, ModelError, TimeGrid,
                      constant_model, counterexample_brownian,
                      counterexample_gbm, deviation_path,
                      dynamic_consistency_check, example_beta_path,
@@ -267,22 +267,19 @@ class TestCounterexamples:
         assert s.values[-1] == 0.0
 
 
-def plan_arrays(plan, vs=None):
+def plan_arrays(plan):
     """Every array of a plan, its lazy deviation included, and the shared
-    terms it was built from: those kept on ``vs``, the value solution it
-    was planned on, which is its own unless it was replanned."""
-    vs = plan.value_solution if vs is None else vs
-    k0 = vs.grid.index_of(plan.x_star.grid.t0)
-    return (*_plan_terms(plan.model, vs, k0), plan.exp_q,
+    terms it was built from, kept on its value solution."""
+    return (*_plan_terms(plan.model, plan.value_solution), plan.exp_q,
             plan.x_star.values, plan.x_star.is_block, plan.beta,
             plan.beta_pre, plan.scale, plan.d_star.values,
             plan.d_star.pre_trade, plan.d_star.impact_state,
             plan.value_solution.y, plan.value_solution.beta_pre)
 
 
-def assert_same_plan(a, b, vs_a=None, vs_b=None):
-    assert a.x_star.grid == b.x_star.grid
-    for u, v in zip(plan_arrays(a, vs_a), plan_arrays(b, vs_b), strict=True):
+def assert_same_plan(a, b):
+    assert a.x_star.grid == b.x_star.grid and a.start == b.start
+    for u, v in zip(plan_arrays(a), plan_arrays(b), strict=True):
         assert np.array_equal(u, v)
 
 
@@ -315,7 +312,7 @@ class TestHoistedTerms:
         replan = optimal_plan(model, vs, market, u, x_u, d_u)
         fresh = solve()
         assert_same_plan(replan, optimal_plan(model, fresh, market, u, x_u,
-                                              d_u), vs, fresh)
+                                              d_u))
         # and the solution still plans from the start as a fresh one does
         assert_same_plan(optimal_plan(model, vs, market, 0.0, 100.0, 0.5),
                          optimal_plan(model, solve(), market, 0.0, 100.0,
@@ -394,27 +391,97 @@ class TestHoistedTerms:
                 arr[0] = 0.0
 
     def test_replan_reads_the_parent_grid_terms(self, setting):
-        # a replan at k takes rows k: of the parent grid's step terms and
-        # the parent's h, not the terms of its tail grid, whose step is
-        # recomputed as (T - t_k) / (n - k)
+        # a replan lives on its parent's grid, market and value solution,
+        # and reads the step terms and plan terms of the plan from 0
         model, solve, grid, u = setting
         market = simulate_path(model, grid, 3, range(2))
         vs = solve()
-        k = grid.index_of(u)
-        sigma = step_terms(model, grid).sigma
+        plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
+        terms, = vs._plan_cache.values()
         misses = step_terms.cache_info().misses
         replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
         replan.d_star.values  # noqa: B018
         assert step_terms.cache_info().misses == misses
-        want = 0.5 * (vs.beta_tilde[k:-1] ** 2 * sigma[k:] ** 2 * grid.h)
-        got = _plan_terms(model, vs, k).half_q_quadratic
-        assert got.tobytes() == want.tobytes()
+        assert replan.market is plan.market
+        assert replan.value_solution is plan.value_solution
+        assert replan.x_star.grid is grid and replan.start == grid.index_of(u)
+        assert list(vs._plan_cache) == [model]
+        assert vs._plan_cache[model] is terms
+
+    def test_consistency_check_keeps_the_root_plan_terms(self, setting):
+        model, solve, grid, u = setting
+        vs = solve()
+        plan = optimal_plan(model, vs, simulate_path(model, grid, 3, 0), 0.0,
+                            100.0, 0.5)
+        terms, = vs._plan_cache.values()
+        dynamic_consistency_check(plan, u)
+        kept, = vs._plan_cache.values()
+        assert kept is terms
+
+    def test_rows_before_the_start_hold_the_start_state(self, setting):
+        model, solve, grid, u = setting
+        k = grid.index_of(u)
+        x, d = 3.0, -0.25
+        plan = optimal_plan(model, solve(), simulate_path(model, grid, 3,
+                                                          range(4)), u, x, d)
+        assert plan.start == k
+        assert np.all(plan.x_star.values[:, :k] == x)
+        assert np.all(plan.x_star.trades[:, :k] == 0.0)
+        assert np.all(plan.d_star.values[:, :k] == d)
+        assert np.all(plan.d_star.pre_trade[:, :k + 1] == d)
+        assert np.all(plan.exp_q[:, :k + 1] == 1.0)
+        # the trade at the start is the opening block of the replan
+        assert plan.x_star.is_block[k]
+        assert np.array_equal(plan.x_star.trades[:, k],
+                              plan.scale * (1.0 - plan.beta[k]) - x)
 
 
 class TestDynamicConsistency:
     def test_replanning_at_start_is_trivial(self):
         plan, *_ = ow_plan()
         assert dynamic_consistency_check(plan, 0.0) == 0.0
+
+    @pytest.mark.parametrize("ids", [range(3), range(1)],
+                             ids=["three_paths", "one_row"])
+    def test_a_chunk_plan_is_refused(self, ids):
+        # it read exp_q[k] and pre_trade[k] on the path axis: an IndexError
+        # for three paths, a silently wrong row when the rows are n + 1
+        grid = TimeGrid(0.0, 10.0, 400)
+        market = simulate_path(SHOWCASE, grid, 7, ids)
+        plan = optimal_plan(SHOWCASE, solve_y_deterministic(SHOWCASE, grid),
+                            market, 0.0, 100.0, 0.0)
+        with pytest.raises(ValueError, match="one path"):
+            dynamic_consistency_check(plan, 5.0)
+
+    def test_replanning_before_the_start_is_refused(self):
+        plan, model, grid, market, vs = ow_plan()
+        replan = optimal_plan(model, vs, market, 5.0, 1.0, 0.0)
+        assert dynamic_consistency_check(replan, 5.0) == 0.0
+        assert dynamic_consistency_check(replan, 7.5) <= 1e-12
+        with pytest.raises(ValueError, match="before the plan's start"):
+            dynamic_consistency_check(replan, 2.5)
+
+    def test_replan_equals_the_market_restarted_at_u(self):
+        # the market from u on, as a model and a grid of its own that start
+        # at 0: the same plan up to the rounding of that grid's own step
+        model, u = SHOWCASE, 10.0 / 3.0
+        grid = TimeGrid(0.0, model.T, 300)
+        k = grid.index_of(u)
+        market = simulate_path(model, grid, 3, range(2))
+        replan = optimal_plan(model, solve_y_deterministic(model, grid),
+                              market, u, 100.0, 0.5)
+        rest = constant_model(model.T - u, 1.0, 0.5, sigma=0.8)
+        sub = TimeGrid(0.0, rest.T, grid.n_steps - k)
+        own = optimal_plan(rest, solve_y_deterministic(rest, sub),
+                           MarketPath(sub, market.w[:, k:],
+                                      market.gamma[:, k:]), 0.0, 100.0, 0.5)
+        for a, b in ((replan.x_star.values, own.x_star.values),
+                     (replan.d_star.values, own.d_star.values)):
+            assert np.allclose(a[:, k:], b, rtol=1e-12, atol=0.0)
+
+    def test_a_grid_after_time_zero_is_refused_by_name(self):
+        with pytest.raises(ModelError, match="t0"):
+            TimeGrid(0.5, 1.0, 10)
 
     def test_replanning_at_the_horizon_is_refused_by_name(self):
         plan, *_ = ow_plan()
