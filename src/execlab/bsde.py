@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, ModelError, TimeGrid,
-                           constant_model, step_coefficients)
+from .coefficients import (CoefficientModel, TimeGrid, constant_model,
+                           step_coefficients)
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ def driver(model: CoefficientModel, grid: TimeGrid, y):
                          f"{denom[bad][0]}")
     num = (rho + mu) * y
     return -num * num / denom + mu * y
-
-
-def _require_horizon(grid: TimeGrid, T: float) -> None:
-    """The value factor is pinned to 1/2 at T, so the grid must end there."""
-    if grid.T != T:
-        raise ValueError(f"the grid ends at {grid.T}, not at the horizon "
-                         f"T = {T}")
 
 
 def solve_y_lambert(rho: float, sigma: float, T: float,
@@ -192,7 +185,6 @@ def solve_y_deterministic(model: CoefficientModel,
     It raises ``ArithmeticError`` if a start is not a positive float, as
     when y falls below the float range.
     """
-    _require_horizon(grid, model.T)
     coeffs = step_coefficients(model, grid)
     t = grid.times
     y = np.empty(grid.n_steps + 1)
@@ -217,8 +209,6 @@ def solve_y_deterministic(model: CoefficientModel,
 def _value_at(starts: tuple[float, ...], values: tuple[float, ...],
               t: float) -> float:
     """The value at time t of the pieces ``values`` starting at ``starts``."""
-    if t < 0.0:
-        raise ModelError(f"time {t} is before 0")
     if len(values) == 1:  # constant: RK4's per-stage hot path
         return values[0]
     return values[int(np.searchsorted(starts, t, side="right") - 1)]
@@ -236,7 +226,6 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     times faster, but the benchmark's ``value_solvers`` workload keeps the
     outputs of every pass, so more passes would read as a memory regression.
     """
-    _require_horizon(grid, model.T)
     coeffs = step_coefficients(model, grid)
     eps, t, h, n = model.epsilon, grid.times, grid.h, grid.n_steps
     y = np.empty(n + 1)

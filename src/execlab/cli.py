@@ -94,9 +94,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not _is_number(value, (int, float)):
                 raise ValueError(f"{name} must be a real number: {value!r}")
-            # json.load reads the NaN and Infinity tokens
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite: {value!r}")
+            # json.load reads NaN, Infinity and integers of any size
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and fit a float")
         # its keys are checked by the runners that read it
         if not isinstance(self.model, dict):
             raise ValueError(f"model must be an object: {self.model!r}")
@@ -506,8 +506,8 @@ def _pathwise_representation_gap() -> float:
     market = simulate_path(model, grid, SELFTEST_SEED, 0)
     hold = immediate_close(grid, 1.0, 1.0)
     dev = deviation_path(model, market, hold)
-    return abs(pathwise_cost(hold, dev, market) - quadratic_representation_rhs(
-        model, vs, market, hold, dev, 1.0, 0.0))
+    return abs(pathwise_cost(hold, dev, market)
+               - quadratic_representation_rhs(model, vs, dev))
 
 
 def _quadratic_representation(grid: TimeGrid):
@@ -528,7 +528,7 @@ def _quadratic_representation(grid: TimeGrid):
                       cost=cost, cost_se=cost_se, closed_form=closed_form)
     pricing = Pricing(SHOWCASE, lambda _: hold, lambda s, dv, m: (
         pathwise_cost(s, dv, m),
-        quadratic_representation_rhs(SHOWCASE, vs, m, s, dv, 1.0, 0.0)))
+        quadratic_representation_rhs(SHOWCASE, vs, dv)))
     return pricing, verdict
 
 

@@ -96,7 +96,11 @@ def _real(name: str, value) -> float:
     a bool, a string or any other object raises ModelError naming ``name``."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ModelError(f"{name} must be a real number: {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ModelError(f"{name} must be a real number in the float "
+                         "range") from None
 
 
 def build_model(
@@ -158,11 +162,11 @@ def model_from_config(cfg: dict) -> CoefficientModel:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid k*h on [0, T], k = 0..n_steps.
-
-    Every grid starts at 0: a plan from an interior time lives on its
-    parent's grid (:class:`execlab.strategy.OptimalPlan`).  ``t0`` is kept
-    for the positional ``TimeGrid(0.0, T, n)`` calls and must be 0."""
+    """Uniform grid k*h on [0, T], k = 0..n_steps: a grid spans its model's
+    horizon [0, T] (:meth:`validate_model`), and a plan from an interior
+    time lives on its parent's grid (:class:`execlab.strategy.OptimalPlan`).
+    ``t0`` is kept for the positional ``TimeGrid(0.0, T, n)`` calls and must
+    be 0."""
 
     t0: float
     T: float
@@ -197,15 +201,15 @@ class TimeGrid:
         return int(k)
 
     def validate_model(self, model: CoefficientModel) -> list[int]:
-        """Grid indices of the model's breakpoints in (0, T], where every
-        grid computation changes piece (:func:`step_coefficients`); each must
-        be a grid point, up to the tolerance of :meth:`index_of`.  The grid
-        must end by the model's T: the coefficients are not defined beyond
-        it."""
-        if self.T > model.T:
-            raise ModelError(f"grid [0, {self.T}] is not inside the "
+        """Grid indices of the model's breakpoints, where every grid
+        computation changes piece (:func:`step_coefficients`); each must be
+        a grid point, up to the tolerance of :meth:`index_of`.  The one
+        horizon check: the grid must end at the model's T, where y = 1/2
+        and every strategy is closed."""
+        if self.T != model.T:
+            raise ModelError(f"grid [0, {self.T}] does not span the "
                              f"model's horizon [0, {model.T}]")
-        return [self.index_of(b) for b in model.breakpoints if b <= self.T]
+        return [self.index_of(b) for b in model.breakpoints]
 
 
 def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:

@@ -234,19 +234,19 @@ def value_function(y_t: float, gamma_t: float, x: float, d: float) -> ValueQuote
 
 
 def quadratic_representation_rhs(model: CoefficientModel, value_solution,
-                                 market: MarketPath, strategy: Strategy,
-                                 deviation: DeviationPath,
-                                 x: float, d: float) -> float | np.ndarray:
+                                 deviation: DeviationPath) -> float | np.ndarray:
     """Pathwise right-hand side of the quadratic cost representation.
 
-    Closed first part V(t, x, d) plus the left-endpoint Riemann sum of
-    (1/gamma) (beta~ (gamma X - D) + D)^2 (sigma^2 Y + (2 rho + mu - sigma^2)/2).
-    Averaged over paths this reproduces the expected cost of the strategy.
-    Works over the last axis like :func:`pathwise_cost`: a float for one
-    path, one value per row for a chunk.
+    Closed first part V(0, x, d), x the position and d the deviation
+    before the first trade, plus the left-endpoint Riemann sum of
+    (1/gamma) (beta~ (gamma X - D) + D)^2 (sigma^2 Y + (2 rho + mu - sigma^2)/2)
+    along the deviation's strategy X and market.  Averaged over paths this
+    reproduces the expected cost of the strategy.  Works over the last axis
+    like :func:`pathwise_cost`: a float for one path, one value per row for
+    a chunk.
     """
-    _check_shared_grid(strategy.grid, market.grid, deviation.strategy.grid,
-                       value_solution.grid)
+    strategy, market = deviation.strategy, deviation.market
+    _check_shared_grid(strategy.grid, market.grid, value_solution.grid)
     rho, mu, sig, *_ = step_terms(model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]
@@ -261,7 +261,8 @@ def quadratic_representation_rhs(model: CoefficientModel, value_solution,
     integrand **= 2
     integrand *= market.alpha[..., :-1]
     integrand *= sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
-    head = _value(value_solution.y[0], market.gamma[..., 0], x, d)
+    head = _value(value_solution.y[0], market.gamma[..., 0], strategy.x_pre,
+                  deviation.pre_trade[..., 0])
     return _per_path(head + np.add.reduce(integrand, axis=-1) * h)
 
 

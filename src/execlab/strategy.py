@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import ValueSolution, _require_horizon
+from .bsde import ValueSolution
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
-                           _accumulate0, _cumsum0, _empty, step_terms)
+                           _accumulate0, _cumsum0, _empty, build_model,
+                           step_terms)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
@@ -253,16 +254,14 @@ def example_beta_path(example: JumpExample, T: float,
     y follows the drifted branch after t0 and the constant-resilience
     hyperbola before it; the ratio jumps at t0 by y(t0)/(2 rho + 1).
     :func:`execlab.bsde.solve_y_deterministic` solves this model too.  This
-    closed form stays as an oracle that shares no code with it: the
-    benchmark's ``value_solvers`` workload holds the two against each other.
+    closed form stays as an oracle that shares no y or ratio code with it:
+    the benchmark's ``value_solvers`` workload holds the two against each
+    other.  Its inputs are refused as the model's and the grid's are.
     """
     if not isinstance(example, JumpExample):
         raise TypeError(f"unknown example spec: {example!r}")
     rho, t0 = example.rho, example.t0
-    if not (0.0 < t0 < T) or rho <= 0.0:
-        raise ValueError("requires 0 < t0 < T and rho > 0")
-    _require_horizon(grid, T)
-    k0 = grid.index_of(t0)   # the interior block trade needs t0 on the grid
+    k0, = grid.validate_model(jump_example_model(rho, t0, T))
     s, k = grid.times, np.arange(grid.n_steps + 1)
     upper = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
                                  - 2.0 * rho**2 * np.exp(s - T))
@@ -279,7 +278,6 @@ def example_beta_path(example: JumpExample, T: float,
 def jump_example_model(rho: float, t0: float, T: float,
                        gamma0: float = 1.0) -> CoefficientModel:
     """Deterministic model whose drift switches from 0 to 1 at t0."""
-    from .coefficients import build_model
     return build_model(T, gamma0, [
         {"t_from": 0.0, "rho": rho, "mu": 0.0, "sigma": 0.0},
         {"t_from": t0, "rho": rho, "mu": 1.0, "sigma": 0.0},

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (TimeGrid, build_model, constant_model,
-                     discrete_value_recursion, driver, jump_example_model,
-                     ode_residual, optimal_plan, simulate_path,
-                     solve_y_deterministic, solve_y_ode)
+from execlab import (JumpExample, ModelError, TimeGrid, build_model,
+                     constant_model, discrete_value_recursion, driver,
+                     example_beta_path, jump_example_model, ode_residual,
+                     optimal_plan, simulate_path, solve_y_deterministic,
+                     solve_y_ode, step_terms)
 from execlab import bsde
 from execlab.bsde import solve_y_lambert
 from execlab.cli import SHOWCASE
@@ -320,19 +321,30 @@ class TestDeterministicSolver:
             assert np.all(vs.beta_pre == 1.0)
 
 
-SHORT_GRID = TimeGrid(0.0, 5.0, 100)
+HORIZON_10 = constant_model(10.0, 1.0, 0.5)
+# every computation on a model of horizon T = 10, on a grid of its own
+ON_GRID = {
+    "lambert": lambda g: solve_y_lambert(0.5, 0.8, 10.0, g),
+    "deterministic": lambda g: solve_y_deterministic(HORIZON_10, g),
+    "ode": lambda g: solve_y_ode(HORIZON_10, g),
+    "simulate_path": lambda g: simulate_path(HORIZON_10, g, 0, 0),
+    "step_terms": lambda g: step_terms(HORIZON_10, g),
+    "example_beta_path": lambda g: example_beta_path(JumpExample(0.3, 4.0),
+                                                     10.0, g),
+}
 
 
-@pytest.mark.parametrize("solve", [
-    lambda: solve_y_lambert(0.5, 0.8, 10.0, SHORT_GRID),
-    lambda: solve_y_deterministic(constant_model(10.0, 1.0, 0.5), SHORT_GRID),
-    lambda: solve_y_ode(constant_model(10.0, 1.0, 0.5), SHORT_GRID),
-], ids=["lambert", "deterministic", "ode"])
-def test_grid_must_end_at_the_horizon(solve):
+@pytest.mark.parametrize("solve, grid", [
+    pytest.param(fn, grid, id=name + suffix)
+    for suffix, grid in (("", TimeGrid(0.0, 5.0, 100)),
+                         ("_after_T", TimeGrid(0.0, 15.0, 300)))
+    for name, fn in ON_GRID.items()])
+def test_grid_must_end_at_the_horizon(solve, grid):
     # y(T) = 1/2 pins the solution; a grid ending at 5 < T = 10 once gave a
-    # Lambert-W y that jumped to 1/2 in its last step
-    with pytest.raises(ValueError, match="horizon"):
-        solve()
+    # Lambert-W y that jumped to 1/2 in its last step, and a market or its
+    # step terms were built on it
+    with pytest.raises(ModelError, match="horizon"):
+        solve(grid)
 
 
 class TestRk4Solver:

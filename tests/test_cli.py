@@ -127,10 +127,14 @@ class TestExperimentConfig:
         ({"tag": "lambertw_value", "d": math.inf}, "d must be finite"),
         ({"tag": "naive_gbm", "nu": math.nan}, "nu must be finite"),
         ({"tag": "naive_brownian", "nu": -math.inf}, "nu must be finite"),
+        # and integers beyond the float range, which float() cannot convert
+        ({"tag": "lambertw_value", "x": 10**400}, "x must be finite"),
+        ({"tag": "lambertw_value", "d": -10**400}, "d must be finite"),
+        ({"tag": "naive_gbm", "nu": 10**400}, "nu must be finite"),
     ], ids=["string_steps", "bool_seed", "string_x", "no_gamma0",
             "unset_model", "list_model", "list_tag", "number_out_dir",
             "null_out_dir", "nan_x", "infinite_d", "nan_nu",
-            "infinite_nu"])
+            "infinite_nu", "huge_x", "huge_d", "huge_nu"])
     def test_wrongly_typed_fields_raise_value_error(self, tmp_path, change,
                                                      match):
         raw = {"tag": "ow_value", "n_steps": 10, "x": 1.0,

@@ -59,9 +59,11 @@ class TestPiecewiseConstant:
         ids=["whole", "ends_at_break", "first_piece", "at_break",
              "middle_piece", "at_last_break", "last_piece", "one_piece"])
     def test_each_step_takes_the_piece_of_its_start(self, T, n):
-        # grids from 0 that end at T, at a breakpoint or inside a piece,
-        # with one or more steps per piece
-        m, grid = THREE_PIECE_MODEL, TimeGrid(0.0, T, n)
+        # the three-piece model cut at T, which is its own horizon, a
+        # breakpoint or inside a piece, with one or more steps per piece
+        pieces = THREE_PIECE_MODEL.to_dict()["pieces"]
+        m = build_model(T, 0.8, [p for p in pieces if p["t_from"] < T])
+        grid = TimeGrid(0.0, T, n)
         want = [[value_at(m, name, s) for s in grid.times[:-1]]
                 for name in ("rho", "mu", "sigma")]
         assert step_coefficients(m, grid).tolist() == want
@@ -74,14 +76,6 @@ class TestPiecewiseConstant:
         gamma = step_terms(m, grid).gamma
         for t, drift in ((0.0, 0.0), (1.5, 1.5), (2.0, 2.0), (3.0, 12.0)):
             assert gamma[grid.index_of(t)] == 1.5 * np.exp(drift)
-
-    @pytest.mark.parametrize("m", [
-        jump_example_model(0.3, 4.0, 5.0), constant_model(1.0, 1.0, 2.5)],
-        ids=["two_pieces", "one_piece"])
-    def test_undefined_before_zero(self, m):
-        # both lookups once answered here, with different pieces
-        with pytest.raises(ModelError, match="before 0"):
-            _value_at(m.starts, m.mu, -1.0)
 
     @given(st.lists(st.floats(0.01, 10.0), max_size=4, unique=True),
            st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
@@ -199,7 +193,9 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("field", ["T", "gamma0", "t_from", "rho", "mu",
                                        "sigma"])
-    @pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+    # 10**400: a JSON integer beyond the float range once overflowed float()
+    @pytest.mark.parametrize("bad", ["0.5", True, 10**400],
+                             ids=["str", "bool", "huge"])
     def test_value_must_be_a_real_number(self, field, bad):
         cfg = {"T": 1.0, "gamma0": 1.0, "pieces": [dict(self.PIECE)]}
         if field in ("T", "gamma0"):
@@ -266,11 +262,12 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("t0, T, n, field", [
         (0.0, 1.0, True, "n_steps"), (0.0, True, 4, "T"),
-        (0.0, "1", 4, "T"), ("0", 1.0, 4, "t0")],
-        ids=["bool_steps", "bool_end", "str_end", "str_start"])
+        (0.0, "1", 4, "T"), ("0", 1.0, 4, "t0"), (0.0, 10**400, 4, "T")],
+        ids=["bool_steps", "bool_end", "str_end", "str_start", "huge_end"])
     def test_refuses_bools_and_strings_by_name(self, t0, T, n, field):
         # a bool was a one-step grid or an end at 1; a string ended in
-        # TypeError from np.isfinite
+        # TypeError from np.isfinite, an integer beyond the float range in
+        # OverflowError
         with pytest.raises(ModelError, match=f"^{field} must be"):
             TimeGrid(t0, T, n)
 
@@ -280,16 +277,19 @@ class TestTimeGrid:
             {"t_from": 1.0 / 3.0, "rho": 1.0, "mu": 1.0, "sigma": 0.0},
         ])
         assert TimeGrid(0.0, 1.0, 3).validate_model(m) == [1]
-        # a grid that ends before the breakpoint does not contain it
-        assert TimeGrid(0.0, 0.25, 10).validate_model(m) == []
-        with pytest.raises(ModelError):
+        # a grid that ends before the breakpoint does not span the horizon
+        with pytest.raises(ModelError, match="horizon"):
+            TimeGrid(0.0, 0.25, 10).validate_model(m)
+        with pytest.raises(ModelError, match="not a grid point"):
             TimeGrid(0.0, 1.0, 10).validate_model(m)
 
     def test_grid_must_lie_in_the_model_horizon(self):
         m = constant_model(1.0, 1.0, 0.5)
-        assert TimeGrid(0.0, 0.75, 2).validate_model(m) == []
-        with pytest.raises(ModelError, match="horizon"):
-            TimeGrid(0.0, 1.5, 3).validate_model(m)
+        assert TimeGrid(0.0, 1.0, 2).validate_model(m) == []
+        # a grid spans the model's horizon: it ends neither before nor after
+        for end in (0.75, 1.5):
+            with pytest.raises(ModelError, match="horizon"):
+                TimeGrid(0.0, end, 3).validate_model(m)
         # a grid starts at 0, so it never reaches before the model's start
         with pytest.raises(ModelError, match="t0 = 0"):
             TimeGrid(-0.5, 1.0, 3)
@@ -412,12 +412,12 @@ class TestSimulatePath:
         assert np.array_equal(a.gamma, b.gamma)
         assert not np.array_equal(a.gamma, c.gamma)
 
-    # short: how far before the model's horizon the grid ends
+    # short: how far the model's horizon, and the grid's end, fall short of 1
     @pytest.mark.parametrize("short, sigma",
                              [(0.0, 0.4), (0.0, 0.0), (0.3, 0.4)])
     @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 7), (5, 12)])
     def test_chunk_rows_equal_single_paths(self, lo, hi, short, sigma):
-        m = build_model(1.0, 1.5, [
+        m = build_model(1.0 - short, 1.5, [
             {"t_from": 0.0, "rho": 0.5, "mu": 0.1, "sigma": sigma},
             {"t_from": 0.5, "rho": 0.7, "mu": -0.2, "sigma": 2 * sigma}])
         g = TimeGrid(0.0, 1.0 - short, 70)

@@ -95,8 +95,7 @@ class TestPathwiseCost:
                 cost(s, dev, market)
         with pytest.raises(GridMismatch):
             quadratic_representation_rhs(
-                model, solve_y_deterministic(model, grid), market, s, dev,
-                1.0, 0.0)
+                model, solve_y_deterministic(model, grid), dev)
 
 
 class TestEstimateCost:
@@ -277,8 +276,7 @@ class TestQuadraticRepresentation:
         vs = solve_y_deterministic(model, grid)
         x, d = 2.0, 0.3
         plan = optimal_plan(model, vs, market, 0.0, x, d)
-        rhs = quadratic_representation_rhs(model, vs, market, plan.x_star,
-                                           plan.d_star, x, d)
+        rhs = quadratic_representation_rhs(model, vs, plan.d_star)
         v = value_function(vs.y[0], 1.0, x, d).v
         assert rhs == pytest.approx(v, rel=1e-12)
 
@@ -289,7 +287,7 @@ class TestQuadraticRepresentation:
         vs = solve_y_deterministic(model, grid)
         s = immediate_close(grid, 0.0, 1.0)
         dev = deviation_path(model, market, s)
-        rhs = quadratic_representation_rhs(model, vs, market, s, dev, 1.0, 0.0)
+        rhs = quadratic_representation_rhs(model, vs, dev)
         cost = pathwise_cost(s, dev, market)
         v = value_function(vs.y[0], 1.0, 1.0, 0.0).v
         assert rhs > v
@@ -312,8 +310,7 @@ class TestChunkedQuadraticRepresentation:
 
         def rhs(market):
             dev = deviation_path(self.MODEL, market, s, 0.2)
-            return quadratic_representation_rhs(self.MODEL, vs, market, s,
-                                                dev, 1.5, 0.2)
+            return quadratic_representation_rhs(self.MODEL, vs, dev)
 
         rows = rhs(simulate_path(self.MODEL, grid, 11, ids))
         assert rows.shape == (len(ids),)
