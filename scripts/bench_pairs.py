@@ -20,11 +20,15 @@ and records its wall seconds and whether it exited 0.
 The output holds, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: the per-pair values of both sides, their medians and
 quartiles, the number of pairs the working tree wins, and whether the
-median gap exceeds the interquartile range of the base runs; per suite, the
-same summary of its wall seconds.  It also records the host, the core count
-and the Python and numpy versions.  An existing ``--out`` file of the same
-base revision is updated, not replaced: the workloads and suites run now
-take the place of their earlier entries, and the others stay.
+median gap exceeds the interquartile range of the base runs; per workload
+and seed, the determinism digest of every run of each side, read from the
+record ``benchmarks/out/<workload>-seed<n>-trace0.json`` that the run
+writes, and ``digests_equal``, whether all of them are one digest; per
+suite, the same summary of its wall seconds.  It also records the host,
+the core count and the Python and numpy versions.  An existing ``--out``
+file of the same base revision is updated, not replaced: the workloads and
+suites run now take the place of their earlier entries, and the others
+stay.
 """
 
 from __future__ import annotations
@@ -63,13 +67,17 @@ def unpack(rev: str, dest: Path) -> None:
 
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """The last output line of one untraced benchmark run, as a dict."""
+    """The last output line of one untraced benchmark run, as a dict, with
+    the digest of the run record it writes."""
     out = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
+    record = (checkout / "benchmarks" / "out"
+              / f"{workload}-seed{seed}-trace0.json")
     return {"correct": result["correct"], "failed": result["failed"],
+            "digest": json.loads(record.read_text())["digest"],
             **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -183,9 +191,14 @@ def main(argv=None) -> int:
                 runs = paired(args.pairs, f"{workload} seed {seed}",
                               lambda side: run_once(sides[side], workload,
                                                     seed, args.seconds))
+                digests = {side: [r["digest"] for r in rs]
+                           for side, rs in runs.items()}
                 per_seed[str(seed)] = {
                     "correct": {side: all(r["correct"] for r in rs)
                                 for side, rs in runs.items()},
+                    "digests": digests,
+                    "digests_equal": len({d for ds in digests.values()
+                                          for d in ds}) == 1,
                     "metrics": {name: summarize(
                         [r[name] for r in runs["base"]],
                         [r[name] for r in runs["change"]], better[name])

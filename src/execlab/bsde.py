@@ -11,40 +11,85 @@ discrete-time backward recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
-                           step_coefficients)
+                           step_coefficients, step_terms)
+
+
+def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
+                       h: float) -> np.ndarray:
+    """Exact per-step integrals of beta over the grid steps.
+
+    For deterministic value factors d(log y)/ds = beta (rho + mu) - mu, so
+    the integral of beta over a step with constant coefficients is
+    (log(y_{k+1}/y_k) + mu h) / (rho + mu); when rho + mu = 0 the ratio
+    beta itself vanishes.
+    """
+    out = np.zeros(len(y) - 1)
+    denom = rho + mu
+    nz = denom != 0.0
+    out[nz] = (np.log(y[1:][nz] / y[:-1][nz]) + mu[nz] * h) / denom[nz]
+    return out
+
+
+class _PlanTerms(NamedTuple):
+    """The arrays of an optimal plan that no path changes (all read-only)."""
+
+    neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
+    drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
+    half_q_quadratic: np.ndarray  # half of d[Q] = beta^2 sigma^2 h, per step
+    one_minus_beta: np.ndarray
+    blocks: np.ndarray
 
 
 @dataclass(frozen=True)
 class ValueSolution:
-    """Value factor y and feedback ratio on a grid.
+    """Value factor y and feedback ratio of ``model`` on a grid.
 
     The coefficients are deterministic, so the volatility loading z of the
     value factor is 0 and is not kept.  ``beta_pre`` holds the left limits
     of the feedback ratio; it differs from ``beta_tilde`` only where the
     coefficients (and hence the ratio) jump.  The arrays are made read-only:
-    optimal plans share them and arrays derived from them (see
+    optimal plans share them and arrays derived from them, and a plan is
+    built only from the solution of its own model (see
     :func:`execlab.strategy.optimal_plan`).
     """
 
+    model: CoefficientModel
     grid: TimeGrid
     y: np.ndarray
     beta_tilde: np.ndarray
     beta_pre: np.ndarray
-    # the path-independent arrays of optimal_plan for the last model it
-    # was called with; they must never refer back to this solution
-    _plan_cache: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         if not np.all((self.y >= -1e-12) & (self.y <= 0.5 + 1e-12)):
             raise ValueError("value factor must stay in [0, 1/2]")
         for a in (self.y, self.beta_tilde, self.beta_pre):
             a.flags.writeable = False
+
+    @cached_property
+    def _plan_terms(self) -> _PlanTerms:
+        """The path-independent arrays of every optimal plan built from
+        this solution, a plan from an interior time included.  They hold
+        views of its arrays but never the solution itself, so no reference
+        cycle keeps it alive."""
+        rho, mu, sig, *_ = step_terms(self.model, self.grid)
+        h, beta = self.grid.h, self.beta_tilde
+        int_beta = _beta_ds_integrals(self.y, rho, mu, h)
+        blocks = beta != self.beta_pre
+        blocks[[0, -1]] = True
+        terms = _PlanTerms(neg_beta_sigma=-beta[:-1] * sig,
+                           drift=int_beta * (mu + rho - sig**2),
+                           half_q_quadratic=0.5 * (beta[:-1]**2 * sig**2 * h),
+                           one_minus_beta=1.0 - beta, blocks=blocks)
+        for a in terms:
+            a.flags.writeable = False
+        return terms
 
 
 @dataclass(frozen=True)
@@ -59,19 +104,19 @@ class DiscreteValue:
             raise ValueError("discrete value factor must stay in (0, 1/2]")
 
 
-def _solution(grid: TimeGrid, coeffs: np.ndarray,
+def _solution(model: CoefficientModel, grid: TimeGrid, coeffs: np.ndarray,
               y: np.ndarray) -> ValueSolution:
-    """y with the feedback ratio (rho + mu) y / (sigma^2 y + (2 rho + mu -
-    sigma^2)/2) at the grid points and its left limits, from the step table
-    ``coeffs``.  A point takes the step it starts, the last point the last
-    step; a left limit the step before, the first point's the first step.
-    Written so that the ratio is exactly 1 where rho = 0 and y = 1/2; with
-    sigma = 0 it is 2 (rho + mu) / (2 rho + mu) y."""
+    """y of ``model`` with the feedback ratio (rho + mu) y / (sigma^2 y +
+    (2 rho + mu - sigma^2)/2) at the grid points and its left limits, from
+    the step table ``coeffs``.  A point takes the step it starts, the last
+    point the last step; a left limit the step before, the first point's
+    the first step.  Written so that the ratio is exactly 1 where rho = 0
+    and y = 1/2; with sigma = 0 it is 2 (rho + mu) / (2 rho + mu) y."""
     rho, mu, sigma = coeffs
     # the ratio on each step, with y at its start and at its end
     start, end = ((rho + mu) / (sigma**2 * (v - 0.5) + (rho + 0.5 * mu)) * v
                   for v in (y[:-1], y[1:]))
-    return ValueSolution(grid=grid, y=y, beta_tilde=np.append(start, end[-1]),
+    return ValueSolution(model, grid, y, beta_tilde=np.append(start, end[-1]),
                          beta_pre=np.append(start[0], end))
 
 
@@ -203,7 +248,7 @@ def solve_y_deterministic(model: CoefficientModel,
         y[ka:kb] = y_s
         w_e = 1.0 / y[ka] - 2.0 if w is None else w[0]
         end = t[ka]
-    return _solution(grid, coeffs, y)
+    return _solution(model, grid, coeffs, y)
 
 
 def _value_at(starts: tuple[float, ...], values: tuple[float, ...],
@@ -256,7 +301,7 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
         elif 0.5 < yk <= 0.5 + 1e-12:
             yk = 0.5
         y[k] = yk
-    return _solution(grid, coeffs, y)
+    return _solution(model, grid, coeffs, y)
 
 
 def ode_residual(solution: ValueSolution, model: CoefficientModel) -> float:

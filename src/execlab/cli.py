@@ -19,8 +19,8 @@ import numpy as np
 
 from .bsde import (discrete_value_recursion, ode_residual, solve_y_deterministic,
                    solve_y_ode)
-from .coefficients import (CoefficientModel, TimeGrid, constant_model,
-                           model_from_config, simulate_path)
+from .coefficients import (CoefficientModel, TimeGrid, _require_finite,
+                           constant_model, model_from_config, simulate_path)
 from .cost import (CostEstimate, Pricing, _mean_se, closed_form_cost_gbm,
                    closed_form_naive_brownian, path_chunks, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,
@@ -95,8 +95,8 @@ class ExperimentConfig:
             if value is not None and not _is_number(value, (int, float)):
                 raise ValueError(f"{name} must be a real number: {value!r}")
             # json.load reads NaN, Infinity and integers of any size
-            if value is not None and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and fit a float")
+            if value is not None:
+                _require_finite(**{name: value})
         # its keys are checked by the runners that read it
         if not isinstance(self.model, dict):
             raise ValueError(f"model must be an object: {self.model!r}")
@@ -507,7 +507,7 @@ def _pathwise_representation_gap() -> float:
     hold = immediate_close(grid, 1.0, 1.0)
     dev = deviation_path(model, market, hold)
     return abs(pathwise_cost(hold, dev, market)
-               - quadratic_representation_rhs(model, vs, dev))
+               - quadratic_representation_rhs(vs, dev))
 
 
 def _quadratic_representation(grid: TimeGrid):
@@ -528,7 +528,7 @@ def _quadratic_representation(grid: TimeGrid):
                       cost=cost, cost_se=cost_se, closed_form=closed_form)
     pricing = Pricing(SHOWCASE, lambda _: hold, lambda s, dv, m: (
         pathwise_cost(s, dv, m),
-        quadratic_representation_rhs(SHOWCASE, vs, dv)))
+        quadratic_representation_rhs(vs, dv)))
     return pricing, verdict
 
 

@@ -103,6 +103,14 @@ def _real(name: str, value) -> float:
                          "range") from None
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is NaN,
+    infinite or an integer beyond the float range."""
+    for name, value in values.items():
+        if not abs(value) <= sys.float_info.max:   # an int compares exactly
+            raise ValueError(f"{name} must be finite and fit a float")
+
+
 def build_model(
     T: float,
     gamma0: float,
@@ -195,7 +203,8 @@ class TimeGrid:
         return self.h * np.arange(self.n_steps + 1)
 
     def index_of(self, t: float) -> int:
-        k = round(t / self.h)
+        # NaN, inf and every time off [-h, T + h] fall through to the refusal
+        k = round(t / self.h) if abs(t) <= self.T + self.h else -1
         if not (0 <= k <= self.n_steps) or abs(k * self.h - t) > 1e-9 * max(1.0, self.T):
             raise ModelError(f"time {t} is not a grid point")
         return int(k)

@@ -9,7 +9,6 @@ constructions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _chunk_pool, _empty, _increments, _market,
-                           step_terms)
+                           _require_finite, step_terms)
 from .deviation import (DeviationPath, Strategy, _check_shared_grid,
                         deviation_path, naive_deviation_path)
 
@@ -223,31 +222,30 @@ def _value(y_t, gamma_t, x, d):
 
 
 def value_function(y_t: float, gamma_t: float, x: float, d: float) -> ValueQuote:
-    """Closed-form minimal expected cost given the value factor y_t.  A
-    non-finite input, or gamma_t <= 0, raises ValueError."""
-    for name, value in (("y_t", y_t), ("gamma_t", gamma_t), ("x", x), ("d", d)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite: {value!r}")
+    """Closed-form minimal expected cost given the value factor y_t.  An
+    input that is not a finite float, or gamma_t <= 0, raises ValueError."""
+    _require_finite(y_t=y_t, gamma_t=gamma_t, x=x, d=d)
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
     return ValueQuote(v=float(_value(y_t, gamma_t, x, d)))
 
 
-def quadratic_representation_rhs(model: CoefficientModel, value_solution,
+def quadratic_representation_rhs(value_solution,
                                  deviation: DeviationPath) -> float | np.ndarray:
     """Pathwise right-hand side of the quadratic cost representation.
 
     Closed first part V(0, x, d), x the position and d the deviation
     before the first trade, plus the left-endpoint Riemann sum of
     (1/gamma) (beta~ (gamma X - D) + D)^2 (sigma^2 Y + (2 rho + mu - sigma^2)/2)
-    along the deviation's strategy X and market.  Averaged over paths this
+    along the deviation's strategy X and market, with the coefficients of
+    the model the value solution solves.  Averaged over paths this
     reproduces the expected cost of the strategy.  Works over the last axis
     like :func:`pathwise_cost`: a float for one path, one value per row for
     a chunk.
     """
     strategy, market = deviation.strategy, deviation.market
     _check_shared_grid(strategy.grid, market.grid, value_solution.grid)
-    rho, mu, sig, *_ = step_terms(model, market.grid)
+    rho, mu, sig, *_ = step_terms(value_solution.model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]
     dv = deviation.values[..., :-1]

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .bsde import ValueSolution
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
-                           _accumulate0, _cumsum0, _empty, build_model,
-                           step_terms)
+                           _accumulate0, _cumsum0, _empty, _require_finite,
+                           build_model)
 from .deviation import DeviationPath, GridMismatch, Strategy
 
 
@@ -34,14 +33,14 @@ class OptimalPlan:
     and, before the trade at ``start``, the deviation ``d``.  ``exp_q`` is
     the stochastic exponential of Q from ``start`` on, 1 up to it; ``beta``
     the cadlag feedback ratio and ``beta_pre`` its left limits, both read
-    from ``value_solution``.  The model, value solution, market and ``d``
-    are kept to rebuild the plan from an interior time.  Path arrays carry
-    the market's leading path axis, if any; ``scale`` has one entry per
-    path.
+    from ``value_solution``.  The value solution, which carries the model,
+    the market and ``d`` are kept to rebuild the plan from an interior
+    time.  Path arrays carry the market's leading path axis, if any;
+    ``scale`` has one entry per path.
 
     The arrays that do not depend on the path, the block flags of a plan
-    from 0 among them, are computed once per value solution and model, and
-    every plan built from that value solution shares them read-only.
+    from 0 among them, are computed once per value solution, and every
+    plan built from it shares them read-only.
     ``d_star`` is computed on first access, because a cost estimate needs
     only ``x_star``; it is the same array either way.
     """
@@ -49,7 +48,6 @@ class OptimalPlan:
     exp_q: np.ndarray
     x_star: Strategy
     scale: float | np.ndarray  # x - d/gamma_t
-    model: CoefficientModel
     value_solution: ValueSolution
     market: MarketPath
     d: float
@@ -80,70 +78,14 @@ class OptimalPlan:
                                       self.market)
 
 
-def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
-                       h: float) -> np.ndarray:
-    """Exact per-step integrals of beta over the grid steps.
-
-    For deterministic value factors d(log y)/ds = beta (rho + mu) - mu, so
-    the integral of beta over a step with constant coefficients is
-    (log(y_{k+1}/y_k) + mu h) / (rho + mu); when rho + mu = 0 the ratio
-    beta itself vanishes.
-    """
-    out = np.zeros(len(y) - 1)
-    denom = rho + mu
-    nz = denom != 0.0
-    out[nz] = (np.log(y[1:][nz] / y[:-1][nz]) + mu[nz] * h) / denom[nz]
-    return out
-
-
-class _PlanTerms(NamedTuple):
-    """The arrays of an optimal plan that no path changes (all read-only)."""
-
-    neg_beta_sigma: np.ndarray   # -beta sigma, the loading of dW in dQ
-    drift: np.ndarray            # integral of beta (mu + rho - sigma^2), per step
-    half_q_quadratic: np.ndarray  # half of d[Q] = beta^2 sigma^2 h, per step
-    one_minus_beta: np.ndarray
-    blocks: np.ndarray
-
-
-def _plan_terms(model: CoefficientModel,
-                value_solution: ValueSolution) -> _PlanTerms:
-    """The path-independent plan arrays on the value solution's grid; a
-    plan from an interior time reads the same arrays.
-
-    They are kept on the value solution for the last model it was used
-    with.  They hold views of its arrays but never the solution itself, so
-    no reference cycle keeps it alive.
-    """
-    cache = value_solution._plan_cache
-    terms = cache.get(model)
-    if terms is not None:
-        return terms
-    h = value_solution.grid.h
-    rho, mu, sig, *_ = step_terms(model, value_solution.grid)
-    beta = value_solution.beta_tilde
-    int_beta = _beta_ds_integrals(value_solution.y, rho, mu, h)
-    blocks = beta != value_solution.beta_pre
-    blocks[0] = True
-    blocks[-1] = True
-    terms = _PlanTerms(neg_beta_sigma=-beta[:-1] * sig,
-                       drift=int_beta * (mu + rho - sig**2),
-                       half_q_quadratic=0.5 * (beta[:-1] ** 2 * sig**2 * h),
-                       one_minus_beta=1.0 - beta, blocks=blocks)
-    for a in terms:
-        a.flags.writeable = False
-    cache.clear()
-    cache[model] = terms
-    return terms
-
-
 def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
                  market: MarketPath, t: float, x: float, d: float) -> OptimalPlan:
     """Construct the cost-minimizing plan started at (t, x, d).
 
-    ``market`` is one path or a chunk of paths.  ``t`` must be a grid point
-    of the market's grid before T; the plan lives on that grid, from the
-    index of t on (see :class:`OptimalPlan`).
+    ``market`` is one path or a chunk of paths.  ``value_solution`` must
+    solve ``model`` on the market's grid, ``t`` be a grid point of it before
+    T and x, d finite floats, or ValueError is raised.  The plan lives on
+    that grid, from the index of t on (see :class:`OptimalPlan`).
     With zero resilience both solvers give y = 1/2 and a feedback ratio of
     exactly 1, so the plan closes the position immediately.  The arrays that
     do not depend on the path are computed once and kept on
@@ -154,13 +96,16 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     dQ = -beta sigma dW - integral of beta (mu + rho - sigma^2) ds and
     d[Q] = beta^2 sigma^2 h, k0 the index of t; exp_q[k] = 1 for k <= k0.
     """
+    if value_solution.model != model:
+        raise ValueError("the value solution solves another model")
     if value_solution.grid != market.grid:
         raise GridMismatch("value solution and market live on different grids")
+    _require_finite(x=x, d=d)
     k0 = market.grid.index_of(t)
     if k0 == market.grid.n_steps:
         raise ValueError(f"a plan needs a step before T: t = {t} is "
                          f"T = {market.grid.T}")
-    pt = _plan_terms(model, value_solution)
+    pt = value_solution._plan_terms
 
     exp_q = _empty(market.gamma.shape)
     log_inc = exp_q[..., 1:]
@@ -184,7 +129,7 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
         blocks = blocks.copy()
         blocks[k0] = True
     x_star = Strategy(grid=market.grid, x_pre=x, values=xs, is_block=blocks)
-    return OptimalPlan(exp_q=exp_q, x_star=x_star, scale=scale, model=model,
+    return OptimalPlan(exp_q=exp_q, x_star=x_star, scale=scale,
                        value_solution=value_solution, market=market, d=d,
                        start=k0)
 
@@ -256,12 +201,14 @@ def example_beta_path(example: JumpExample, T: float,
     :func:`execlab.bsde.solve_y_deterministic` solves this model too.  This
     closed form stays as an oracle that shares no y or ratio code with it:
     the benchmark's ``value_solvers`` workload holds the two against each
-    other.  Its inputs are refused as the model's and the grid's are.
+    other.  Its inputs are refused as the model's and the grid's are.  The
+    solution carries ``jump_example_model(rho, t0, T)``, gamma0 = 1.
     """
     if not isinstance(example, JumpExample):
         raise TypeError(f"unknown example spec: {example!r}")
     rho, t0 = example.rho, example.t0
-    k0, = grid.validate_model(jump_example_model(rho, t0, T))
+    model = jump_example_model(rho, t0, T)
+    k0, = grid.validate_model(model)
     s, k = grid.times, np.arange(grid.n_steps + 1)
     upper = (2.0 * rho + 1.0) / (2.0 * (rho + 1.0) ** 2
                                  - 2.0 * rho**2 * np.exp(s - T))
@@ -272,7 +219,7 @@ def example_beta_path(example: JumpExample, T: float,
     y[-1] = 0.5
     beta = np.where(k >= k0, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
     beta_pre = np.where(k > k0, y * (1.0 + 1.0 / (2.0 * rho + 1.0)), y)
-    return ValueSolution(grid=grid, y=y, beta_tilde=beta, beta_pre=beta_pre)
+    return ValueSolution(model, grid, y, beta_tilde=beta, beta_pre=beta_pre)
 
 
 def jump_example_model(rho: float, t0: float, T: float,
@@ -302,8 +249,8 @@ def dynamic_consistency_check(plan: OptimalPlan, u: float) -> float:
         return 0.0
     x_um = plan.scale * plan.exp_q[k] * (1.0 - plan.beta_pre[k])
     d_um = plan.d_star.pre_trade[k]
-    replan = optimal_plan(plan.model, plan.value_solution, plan.market,
-                          u, x_um, d_um)
+    vs = plan.value_solution
+    replan = optimal_plan(vs.model, vs, plan.market, u, x_um, d_um)
 
     def rel(a, b):
         ref = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)

@@ -435,7 +435,8 @@ class TestDriverAndRatio:
         # a rough y puts the largest residual anywhere, also next to a break
         for seed in range(20):
             y = np.random.default_rng(seed).uniform(0.0, 0.5, 301)
-            rough = bsde.ValueSolution(grid=TimeGrid(0.0, 3.0, 300), y=y,
+            rough = bsde.ValueSolution(model=THREE_PIECES,
+                                       grid=TimeGrid(0.0, 3.0, 300), y=y,
                                        beta_tilde=y, beta_pre=y)
             assert ode_residual(rough, THREE_PIECES) == pointwise_residual(
                 rough, THREE_PIECES)
@@ -479,7 +480,8 @@ class TestDriverAndRatio:
 def test_value_solution_refuses_nan():
     y = np.array([np.nan, 0.3, 0.5])
     with pytest.raises(ValueError, match="value factor"):
-        bsde.ValueSolution(grid=TimeGrid(0.0, 1.0, 2), y=y, beta_tilde=y,
+        bsde.ValueSolution(model=constant_model(1.0, 1.0, 0.5),
+                           grid=TimeGrid(0.0, 1.0, 2), y=y, beta_tilde=y,
                            beta_pre=y)
 
 

@@ -248,8 +248,10 @@ class TestTimeGrid:
     def test_index_of(self):
         g = TimeGrid(0.0, 10.0, 1000)
         assert g.index_of(4.0) == 400
-        with pytest.raises(ModelError):
-            g.index_of(4.0051)
+        # inf raised OverflowError and NaN a bare ValueError from round
+        for t in (4.0051, math.inf, -math.inf, math.nan, 10**400):
+            with pytest.raises(ModelError, match="is not a grid point"):
+                g.index_of(t)
 
     @pytest.mark.parametrize("t0, T, n", [
         (0.0, 1.0, 2.5), (0.0, 1.0, 10.0), (0.0, 1.0, "10"),

@@ -95,7 +95,7 @@ class TestPathwiseCost:
                 cost(s, dev, market)
         with pytest.raises(GridMismatch):
             quadratic_representation_rhs(
-                model, solve_y_deterministic(model, grid), dev)
+                solve_y_deterministic(model, grid), dev)
 
 
 class TestEstimateCost:
@@ -257,7 +257,8 @@ class TestValueFunction:
             value_function(0.25, 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("field", ["y_t", "gamma_t", "x", "d"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     pytest.param(10**400, id="huge")])
     def test_non_finite_inputs_are_refused_by_name(self, field, bad):
         # a NaN gamma_t passed the positivity test and gave v = nan
         args = dict(y_t=0.25, gamma_t=2.0, x=3.0, d=1.0) | {field: bad}
@@ -276,7 +277,7 @@ class TestQuadraticRepresentation:
         vs = solve_y_deterministic(model, grid)
         x, d = 2.0, 0.3
         plan = optimal_plan(model, vs, market, 0.0, x, d)
-        rhs = quadratic_representation_rhs(model, vs, plan.d_star)
+        rhs = quadratic_representation_rhs(vs, plan.d_star)
         v = value_function(vs.y[0], 1.0, x, d).v
         assert rhs == pytest.approx(v, rel=1e-12)
 
@@ -287,7 +288,7 @@ class TestQuadraticRepresentation:
         vs = solve_y_deterministic(model, grid)
         s = immediate_close(grid, 0.0, 1.0)
         dev = deviation_path(model, market, s)
-        rhs = quadratic_representation_rhs(model, vs, dev)
+        rhs = quadratic_representation_rhs(vs, dev)
         cost = pathwise_cost(s, dev, market)
         v = value_function(vs.y[0], 1.0, 1.0, 0.0).v
         assert rhs > v
@@ -310,7 +311,7 @@ class TestChunkedQuadraticRepresentation:
 
         def rhs(market):
             dev = deviation_path(self.MODEL, market, s, 0.2)
-            return quadratic_representation_rhs(self.MODEL, vs, dev)
+            return quadratic_representation_rhs(vs, dev)
 
         rows = rhs(simulate_path(self.MODEL, grid, 11, ids))
         assert rows.shape == (len(ids),)

@@ -25,7 +25,7 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
 from execlab import coefficients
 from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
-from execlab.strategy import _beta_ds_integrals, _plan_terms
+from execlab.bsde import _beta_ds_integrals
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
 X, D = 10.0, 0.5
@@ -218,7 +218,7 @@ class TestInputsUnchanged:
         plan = optimal_plan(model, vs, market, 0.0, X, D)
         # the impact path and its product are None when sigma > 0
         shared = [a for a in step_terms(model, grid) if a is not None]
-        terms = _plan_terms(model, vs)
+        terms = vars(vs)["_plan_terms"]
         kept = [a.copy() for a in (market.w, market.gamma, values, *shared,
                                    *terms, vs.beta_tilde, vs.beta_pre)]
         dev_fn = naive_deviation_path if naive else deviation_path

@@ -16,7 +16,6 @@ from execlab import (JumpExample, MarketPath, ModelError, TimeGrid,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, solve_y_ode, step_terms)
 from execlab.cli import SHOWCASE
-from execlab.strategy import _plan_terms
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -58,6 +57,28 @@ class TestOptimalPlanClosedForm:
         with pytest.raises(ValueError,
                            match=r"step before T: t = 10\.0 is T = 10\.0"):
             optimal_plan(model, vs, market, 10.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("other", [
+        constant_model(10.0, 1.0, 0.9, sigma=0.3),
+        constant_model(10.0, 2.0, 0.5),
+        jump_example_model(0.5, 4.0, 10.0)], ids=["rho_sigma", "gamma0",
+                                                   "jump"])
+    def test_another_models_solution_is_refused(self, other):
+        # a plan once read the other model's y and raised nothing
+        _, model, grid, market, _ = ow_plan(n=100)
+        with pytest.raises(ValueError, match="solves another model"):
+            optimal_plan(model, solve_y_deterministic(other, grid), market,
+                         0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["x", "d"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="huge")])
+    def test_non_finite_start_state_is_refused_by_name(self, field, bad):
+        # x = nan once gave a plan of NaN and raised nothing
+        _, model, grid, market, vs = ow_plan(n=100)
+        args = dict(x=1.0, d=0.0) | {field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            optimal_plan(model, vs, market, 0.0, **args)
 
     def test_linearity_in_the_scale(self):
         p1, *_ = ow_plan(x=1.0)
@@ -108,7 +129,7 @@ class TestPlanInvariants:
         assert np.max(np.abs(a - ref)) <= 1e-10 * scale
 
     def test_deviation_constant_between_blocks(self, plan):
-        if any(v != 0.0 for v in plan.model.sigma):
+        if any(v != 0.0 for v in plan.value_solution.model.sigma):
             pytest.skip("holds pathwise only for deterministic impact")
         blocks = plan.x_star.is_block
         d = plan.d_star.values
@@ -174,6 +195,9 @@ class TestJumpExample:
         ref = solve_y_deterministic(model, self.grid)
         assert np.max(np.abs(self.vs.y - ref.y)) <= 1e-12
         assert np.max(np.abs(self.vs.beta_tilde - ref.beta_tilde)) <= 1e-12
+
+    def test_carries_its_model(self):
+        assert self.vs.model == jump_example_model(self.rho, self.t0, self.T)
 
     def test_ratio_jump_size(self):
         k = self.grid.index_of(self.t0)
@@ -270,7 +294,7 @@ class TestCounterexamples:
 def plan_arrays(plan):
     """Every array of a plan, its lazy deviation included, and the shared
     terms it was built from, kept on its value solution."""
-    return (*_plan_terms(plan.model, plan.value_solution), plan.exp_q,
+    return (*vars(plan.value_solution)["_plan_terms"], plan.exp_q,
             plan.x_star.values, plan.x_star.is_block, plan.beta,
             plan.beta_pre, plan.scale, plan.d_star.values,
             plan.d_star.pre_trade, plan.d_star.impact_state,
@@ -383,7 +407,7 @@ class TestHoistedTerms:
         b = optimal_plan(model, vs, simulate_path(model, grid, 3, 1), 0.0,
                          100.0, 0.5)
         # one set of terms on the value solution, shared by both plans
-        terms, = vs._plan_cache.values()
+        terms = vars(vs)["_plan_terms"]
         assert a.x_star.is_block is terms.blocks is b.x_star.is_block
         assert a.beta is vs.beta_tilde is b.beta
         for arr in (a.beta, a.beta_pre, *terms):
@@ -397,7 +421,7 @@ class TestHoistedTerms:
         market = simulate_path(model, grid, 3, range(2))
         vs = solve()
         plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
-        terms, = vs._plan_cache.values()
+        terms = vars(vs)["_plan_terms"]
         misses = step_terms.cache_info().misses
         replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
         replan.d_star.values  # noqa: B018
@@ -405,17 +429,17 @@ class TestHoistedTerms:
         assert replan.market is plan.market
         assert replan.value_solution is plan.value_solution
         assert replan.x_star.grid is grid and replan.start == grid.index_of(u)
-        assert list(vs._plan_cache) == [model]
-        assert vs._plan_cache[model] is terms
+        assert vs.model == model
+        assert vars(vs)["_plan_terms"] is terms
 
     def test_consistency_check_keeps_the_root_plan_terms(self, setting):
         model, solve, grid, u = setting
         vs = solve()
         plan = optimal_plan(model, vs, simulate_path(model, grid, 3, 0), 0.0,
                             100.0, 0.5)
-        terms, = vs._plan_cache.values()
+        terms = vars(vs)["_plan_terms"]
         dynamic_consistency_check(plan, u)
-        kept, = vs._plan_cache.values()
+        kept = vars(vs)["_plan_terms"]
         assert kept is terms
 
     def test_rows_before_the_start_hold_the_start_state(self, setting):
