@@ -19,16 +19,21 @@ and records its wall seconds and whether it exited 0.
 
 The output holds, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: the per-pair values of both sides, their medians and
-quartiles, the number of pairs the working tree wins, and whether the
-median gap exceeds the interquartile range of the base runs; per workload
-and seed, the determinism digest of every run of each side, read from the
-record ``benchmarks/out/<workload>-seed<n>-trace0.json`` that the run
-writes, and ``digests_equal``, whether all of them are one digest; per
-suite, the same summary of its wall seconds.  It also records the host,
-the core count and the Python and numpy versions.  An existing ``--out``
-file of the same base revision is updated, not replaced: the workloads and
-suites run now take the place of their earlier entries, and the others
-stay.
+quartiles, the number of pairs the working tree wins, whether the median
+gap exceeds the interquartile range of the base runs, and each pair's
+change/base ratio with the median and quartiles of the ratios.  Per
+workload and seed it also holds, read from the record
+``benchmarks/out/<workload>-seed<n>-trace0.json`` that each run writes:
+the determinism digest of every run of each side, and ``digests_equal``,
+whether all of them are one digest; and under ``raw`` the same summary of
+each run's median raw ``samples.wall_s`` (``raw_wall_s``) and median
+calibration ``scale``.  The scaled metrics of two files are scaled by
+kernels timed in different sessions, so compare files by their median
+ratios, not by their medians.  Per suite it holds the same summary of the
+wall seconds.  It also records the host, the core count and the Python and
+numpy versions.  An existing ``--out`` file of the same base revision is
+updated, not replaced: the workloads and suites run now take the place of
+their earlier entries, and the others stay.
 """
 
 from __future__ import annotations
@@ -68,16 +73,20 @@ def unpack(rev: str, dest: Path) -> None:
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
     """The last output line of one untraced benchmark run, as a dict, with
-    the digest of the run record it writes."""
+    the digest of the run record it writes and the medians of the record's
+    raw wall times and calibration scales."""
     out = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    record = (checkout / "benchmarks" / "out"
-              / f"{workload}-seed{seed}-trace0.json")
+    record = json.loads((checkout / "benchmarks" / "out"
+                         / f"{workload}-seed{seed}-trace0.json").read_text())
+    samples = record["samples"]
     return {"correct": result["correct"], "failed": result["failed"],
-            "digest": json.loads(record.read_text())["digest"],
+            "digest": record["digest"],
+            "raw": {"raw_wall_s": statistics.median(samples["wall_s"]),
+                    "scale": statistics.median(samples["scale"])},
             **{k: m["value"] for k, m in result["metrics"].items()}}
 
 
@@ -109,22 +118,31 @@ def paired(pairs: int, label: str, run) -> dict[str, list[dict]]:
     return runs
 
 
-def summarize(base: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles and wins of paired values of one metric."""
+def summarize(base: list[float], change: list[float],
+              better: str | None) -> dict:
+    """Medians, quartiles and wins of paired values of one metric, and the
+    change/base ratio of each pair with their median and quartiles; a
+    quantity that is neither better ``"lower"`` nor ``"higher"`` (None)
+    has no wins."""
     def quartiles(values):
         if len(values) < 2:
             return [values[0]] * 3
         return statistics.quantiles(values, n=4, method="inclusive")
 
-    wins = sum((c < b) if better == "lower" else (c > b)
-               for b, c in zip(base, change))
+    wins = None if better is None else sum(
+        (c < b) if better == "lower" else (c > b)
+        for b, c in zip(base, change))
+    ratios = [c / b for b, c in zip(base, change) if b]
     qb, qc = quartiles(base), quartiles(change)
+    qr = quartiles(ratios) if ratios else [None] * 3
     gap = qc[1] - qb[1]
     return {"base": base, "change": change,
             "base_median": qb[1], "change_median": qc[1],
             "base_quartiles": [qb[0], qb[2]],
             "change_quartiles": [qc[0], qc[2]],
             "median_change_rel": gap / qb[1] if qb[1] else None,
+            "ratios": ratios, "ratio_median": qr[1],
+            "ratio_quartiles": [qr[0], qr[2]],
             "wins": wins, "pairs": len(base),
             "gap_exceeds_base_iqr": abs(gap) > qb[2] - qb[0]}
 
@@ -204,7 +222,12 @@ def main(argv=None) -> int:
                         [r[name] for r in runs["change"]], better[name])
                         for name in better
                         if all(name in r for rs in runs.values()
-                               for r in rs)}}
+                               for r in rs)},
+                    "raw": {name: summarize(
+                        [r["raw"][name] for r in runs["base"]],
+                        [r["raw"][name] for r in runs["change"]],
+                        "lower" if name == "raw_wall_s" else None)
+                        for name in ("raw_wall_s", "scale")}}
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -72,9 +72,7 @@ class ExperimentConfig:
     seed: int = 0
     x: float = 0.0
     d: float = 0.0
-    t: float = 0.0
     nu: float | None = None
-    t0: float | None = None
     out_dir: str = field(default_factory=default_out_dir)
 
     def __post_init__(self):
@@ -90,7 +88,7 @@ class ExperimentConfig:
             if not _is_number(getattr(self, name), int):
                 raise ValueError(f"{name} must be an integer: "
                                  f"{getattr(self, name)!r}")
-        for name in ("x", "d", "t", "nu", "t0"):
+        for name in ("x", "d", "nu"):
             value = getattr(self, name)
             if value is not None and not _is_number(value, (int, float)):
                 raise ValueError(f"{name} must be a real number: {value!r}")
@@ -102,9 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"model must be an object: {self.model!r}")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be positive")
-        if self.t != 0.0 or self.t0 is not None:
-            raise ValueError("experiments start at time 0: t must be 0 and "
-                             "t0 unset")
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
@@ -299,7 +294,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "tag": cfg.tag,
         "inputs": {"model": cfg.model, "n_steps": cfg.n_steps,
                    "n_paths": cfg.n_paths, "seed": cfg.seed, "x": cfg.x,
-                   "d": cfg.d, "t": cfg.t, "nu": cfg.nu, "t0": cfg.t0},
+                   "d": cfg.d, "nu": cfg.nu},
         "results": results,
         "pass": bool(results["pass"]),
     }

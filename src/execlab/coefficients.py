@@ -296,11 +296,13 @@ def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
 
 @dataclass(frozen=True)
 class MarketPath:
-    """Realizations of the Brownian driver and the impact factor on a grid.
+    """Brownian driver and impact factor on a grid, drawn under ``model``.
 
     One path has 1-D arrays; a chunk of paths has a leading path axis.
+    Layers that take a market with a model or a grid refuse any other.
     """
 
+    model: CoefficientModel
     grid: TimeGrid
     w: np.ndarray        # Brownian increments per step, n_steps on the last axis
     gamma: np.ndarray    # impact per grid point, n_steps + 1 on the last axis
@@ -554,7 +556,7 @@ def _market(model: CoefficientModel, grid: TimeGrid,
         np.exp(gamma, out=gamma)
         gamma *= model.gamma0
         gamma.flags.writeable = False
-    return MarketPath(grid=grid, w=dw, gamma=gamma)
+    return MarketPath(model=model, grid=grid, w=dw, gamma=gamma)
 
 
 def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
@@ -565,7 +567,7 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     path id.  Each row is drawn from its own ``(master_seed, path_id)``
     stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
     so a row equals the single-path call bit for bit.  The market holds
-    the grid, ``w`` and ``gamma``, not the seed or the ids they came from.
+    the model, the grid, ``w`` and ``gamma``, but not the seed or ids.
 
     ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
     the grid, ``gamma`` is a view of the one impact path of

@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _chunk_pool, _empty, _increments, _market,
                            _require_finite, step_terms)
-from .deviation import (DeviationPath, Strategy, _check_shared_grid,
+from .deviation import (DeviationPath, Strategy, _check_market,
                         deviation_path, naive_deviation_path)
 
 # Bound on the path x grid-point values of one array in a chunk of
@@ -82,8 +82,10 @@ def _per_path(total: np.ndarray) -> float | np.ndarray:
 
 def pathwise_cost(strategy: Strategy, deviation: DeviationPath,
                   market: MarketPath) -> float | np.ndarray:
-    """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path."""
-    _check_shared_grid(strategy.grid, deviation.strategy.grid, market.grid)
+    """Realized cost sum_k (D_pre_k + gamma_k/2 * xi_k) * xi_k on each path,
+    of the deviation's own strategy and market; any other raises ValueError."""
+    if strategy is not deviation.strategy or market is not deviation.market:
+        raise ValueError("a cost prices its deviation's strategy and market")
     xi = strategy.trades
     charge = _empty(market.gamma.shape)
     np.multiply(0.5, market.gamma, out=charge)
@@ -98,9 +100,11 @@ def pathwise_cost_naive(strategy: Strategy, deviation: DeviationPath,
     """Uncorrected cost: the gamma/2 * xi^2 charge applies to block trades only.
 
     For pure-jump (finite-variation) grid strategies every trade is a block,
-    so this coincides with :func:`pathwise_cost` path by path.
+    so this coincides with :func:`pathwise_cost` path by path.  Like it,
+    it prices only the deviation's own strategy and market.
     """
-    _check_shared_grid(strategy.grid, deviation.strategy.grid, market.grid)
+    if strategy is not deviation.strategy or market is not deviation.market:
+        raise ValueError("a cost prices its deviation's strategy and market")
     xi = strategy.trades
     blocks = strategy.is_block
     products = _empty(np.broadcast_shapes(deviation.pre_trade.shape,
@@ -237,14 +241,14 @@ def quadratic_representation_rhs(value_solution,
     Closed first part V(0, x, d), x the position and d the deviation
     before the first trade, plus the left-endpoint Riemann sum of
     (1/gamma) (beta~ (gamma X - D) + D)^2 (sigma^2 Y + (2 rho + mu - sigma^2)/2)
-    along the deviation's strategy X and market, with the coefficients of
-    the model the value solution solves.  Averaged over paths this
-    reproduces the expected cost of the strategy.  Works over the last axis
-    like :func:`pathwise_cost`: a float for one path, one value per row for
-    a chunk.
+    along the deviation's strategy X and market, which must be drawn under
+    the value solution's model on its grid (else GridMismatch or ValueError
+    is raised).  Averaged over paths this reproduces the expected cost of
+    the strategy.  Works over the last axis like :func:`pathwise_cost`: a
+    float for one path, one value per row for a chunk.
     """
     strategy, market = deviation.strategy, deviation.market
-    _check_shared_grid(strategy.grid, market.grid, value_solution.grid)
+    _check_market(market, value_solution.model, value_solution.grid)
     rho, mu, sig, *_ = step_terms(value_solution.model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]

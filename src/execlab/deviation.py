@@ -14,11 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _empty,
-                           step_terms)
+                           _require_finite, step_terms)
 
 
 class GridMismatch(ValueError):
-    """Strategy, deviation and market must share one grid."""
+    """Strategy, deviation, market and value solution must share one grid."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,7 @@ class DeviationPath:
     def explicit(cls, pre_trade: np.ndarray, values: np.ndarray,
                  strategy: Strategy, market: MarketPath) -> "DeviationPath":
         """A deviation whose values are given, such as a closed form."""
+        _check_market(market, market.model, strategy.grid)
         dev = cls(pre_trade=pre_trade, strategy=strategy, market=market,
                   gamma_eff=market.gamma)
         dev.__dict__["values"] = values  # pre-fills the cached property
@@ -109,11 +110,13 @@ class DeviationPath:
         return self.strategy.values - self.market.alpha * self.values
 
 
-def _check_shared_grid(*grids: TimeGrid) -> None:
-    g0 = grids[0]
-    for g in grids[1:]:
-        if g is not g0 and g != g0:
-            raise GridMismatch("operands are defined on different grids")
+def _check_market(market: MarketPath, model: CoefficientModel,
+                  *grids: TimeGrid) -> None:
+    """The one market check: grids (GridMismatch) and model (ValueError)."""
+    if any(g is not market.grid and g != market.grid for g in grids):
+        raise GridMismatch("operands are defined on different grids")
+    if model is not market.model and model != market.model:
+        raise ValueError("the market was drawn under another model")
 
 
 def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
@@ -127,7 +130,8 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     not depend on the path: they come from :func:`step_terms`, and so does
     gamma * exp(r) when the impact is deterministic (sigma = 0 on the grid).
     """
-    _check_shared_grid(market.grid, strategy.grid)
+    _check_market(market, model, strategy.grid)
+    _require_finite(d_pre=d_pre)
     gamma_eff = market.gamma
     if naive:
         gamma_eff = _empty(market.gamma.shape)

@@ -20,7 +20,7 @@ from .bsde import ValueSolution
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _accumulate0, _cumsum0, _empty, _require_finite,
                            build_model)
-from .deviation import DeviationPath, GridMismatch, Strategy
+from .deviation import DeviationPath, Strategy, _check_market
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
                  market: MarketPath, t: float, x: float, d: float) -> OptimalPlan:
     """Construct the cost-minimizing plan started at (t, x, d).
 
-    ``market`` is one path or a chunk of paths.  ``value_solution`` must
-    solve ``model`` on the market's grid, ``t`` be a grid point of it before
-    T and x, d finite floats, or ValueError is raised.  The plan lives on
-    that grid, from the index of t on (see :class:`OptimalPlan`).
+    ``market`` is one path or a chunk of paths, drawn under ``model`` on
+    the grid ``value_solution`` solves it on; ``t`` must be a grid point
+    before T and x, d finite floats, or ValueError is raised.  The plan
+    lives on that grid, from the index of t on (see :class:`OptimalPlan`).
     With zero resilience both solvers give y = 1/2 and a feedback ratio of
     exactly 1, so the plan closes the position immediately.  The arrays that
     do not depend on the path are computed once and kept on
@@ -98,8 +98,7 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
     """
     if value_solution.model != model:
         raise ValueError("the value solution solves another model")
-    if value_solution.grid != market.grid:
-        raise GridMismatch("value solution and market live on different grids")
+    _check_market(market, model, value_solution.grid)
     _require_finite(x=x, d=d)
     k0 = market.grid.index_of(t)
     if k0 == market.grid.n_steps:
@@ -136,6 +135,7 @@ def optimal_plan(model: CoefficientModel, value_solution: ValueSolution,
 
 def immediate_close(grid: TimeGrid, t: float, x: float) -> Strategy:
     """Strategy that holds x until t, closes the whole position at t."""
+    _require_finite(x=x)
     k = grid.index_of(t)
     values = np.zeros(grid.n_steps + 1)
     values[:k] = x
@@ -152,6 +152,7 @@ def counterexample_brownian(nu: float, market: MarketPath) -> Strategy:
     The interior increments are samples of a continuous trading path, so
     only the terminal trade is a block.
     """
+    _require_finite(nu=nu)
     grid = market.grid
     values = _cumsum0(market.w)
     values *= nu
@@ -170,6 +171,7 @@ def counterexample_gbm(nu: float, x: float, market: MarketPath) -> Strategy:
     construction exists to show that dropping the impact/strategy
     covariation makes the optimization ill-posed.
     """
+    _require_finite(nu=nu, x=x)
     grid = market.grid
     values = _empty(market.w.shape[:-1] + (grid.n_steps + 1,))
     log_incr = values[..., 1:]

@@ -146,10 +146,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=match):
             run(ExperimentConfig.from_file(cfg_path))
 
-    def test_start_time_fields_rejected(self):
-        # the runners always start at time 0; t and t0 must not be ignored
-        for extra in ({"t": 3.0}, {"t0": 2.0}, {"t": 3.0, "t0": 2.0}):
-            with pytest.raises(ValueError):
+    def test_start_time_fields_rejected(self, tmp_path):
+        # the runners always start at time 0: a config has no start time,
+        # and a file that sets one is refused as an unknown key, even at 0
+        cfg_path = tmp_path / "cfg.json"
+        for extra, keys in (({"t": 0.0}, "'t'"), ({"t0": None}, "'t0'"),
+                            ({"t": 3.0, "t0": 2.0}, "'t', 't0'")):
+            cfg_path.write_text(json.dumps(
+                {"tag": "ow_value", "model": {}, "n_steps": 10} | extra))
+            with pytest.raises(ValueError, match=rf"unknown keys \[{keys}\]"):
+                ExperimentConfig.from_file(cfg_path)
+            with pytest.raises(TypeError):
                 ExperimentConfig(tag="ow_value", model={}, n_steps=10, **extra)
 
     def test_output_dir_env_default(self, tmp_path, monkeypatch):

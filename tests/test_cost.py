@@ -81,8 +81,9 @@ class TestPathwiseCost:
             pathwise_cost(s, dev, market), rel=1e-14)
 
     def test_a_deviation_on_another_grid_is_refused(self):
-        # a deviation lives on its strategy's grid, and the costs check it;
-        # the grids have as many steps, so only the check can refuse
+        # a cost prices only its deviation's own strategy and market, and
+        # the representation checks the solution's grid; the grids have as
+        # many steps, so only the checks can refuse
         model, grid, market = make_setup()
         s = immediate_close(grid, 0.0, 1.0)
         other = TimeGrid(0.0, 2.0, grid.n_steps)
@@ -91,11 +92,38 @@ class TestPathwiseCost:
                              simulate_path(other_model, other, 0, 0),
                              immediate_close(other, 0.0, 1.0))
         for cost in (pathwise_cost, pathwise_cost_naive):
-            with pytest.raises(GridMismatch):
+            with pytest.raises(ValueError, match="deviation's strategy and"):
                 cost(s, dev, market)
         with pytest.raises(GridMismatch):
             quadratic_representation_rhs(
                 solve_y_deterministic(model, grid), dev)
+
+    @pytest.mark.parametrize("cost", [pathwise_cost, pathwise_cost_naive])
+    @pytest.mark.parametrize("operand", ["strategy", "market"])
+    def test_only_the_deviations_own_operands_are_priced(self, cost, operand):
+        # another path's market of the same model once gave -0.227 for a
+        # cost of 0.129, with no error; an equal copy of the strategy is
+        # refused as well: the deviation holds the one it was built from
+        model, grid, market = make_setup(n=200, sigma=0.8)
+        s = immediate_close(grid, 0.5, 1.0)
+        dev = deviation_path(model, market, s, 0.7)
+        args = {"strategy": s, "deviation": dev, "market": market}
+        args[operand] = {"strategy": immediate_close(grid, 0.5, 1.0),
+                         "market": simulate_path(model, grid, 0, 1)}[operand]
+        with pytest.raises(ValueError, match="deviation's strategy and"):
+            cost(**args)
+
+    def test_a_deviation_of_another_model_is_refused(self):
+        # the representation once read 0.1089 for a deviation drawn under
+        # another model, against 0.1045 for this model's own, with no error
+        model, grid, _ = make_setup(sigma=0.3)
+        other = constant_model(1.0, 1.0, 0.9, mu=0.4, sigma=0.3)
+        market = simulate_path(other, grid, 0, 0)
+        dev = deviation_path(other, market, immediate_close(grid, 0.5, 1.0),
+                             0.5)
+        with pytest.raises(ValueError, match="drawn under another model"):
+            quadratic_representation_rhs(solve_y_deterministic(model, grid),
+                                         dev)
 
 
 class TestEstimateCost:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from execlab import (GridMismatch, Strategy, TimeGrid, constant_model,
-                     deviation_path, immediate_close, naive_deviation_path,
-                     simulate_path)
+from execlab import (DeviationPath, GridMismatch, Strategy, TimeGrid,
+                     constant_model, deviation_path, immediate_close,
+                     naive_deviation_path, simulate_path)
 
 
 def all_blocks(grid):
@@ -134,6 +134,33 @@ class TestDeviationPath:
                      is_block=all_blocks(other))
         with pytest.raises(GridMismatch):
             deviation_path(model, market, s)
+        # the costs trust a deviation's pairing, so one with given values
+        # is checked when it is built, on a grid of as many steps too
+        long = TimeGrid(0.0, 2.0, 10)
+        close = immediate_close(long, 1.0, 1.0)
+        with pytest.raises(GridMismatch):
+            DeviationPath.explicit(np.zeros(11), np.zeros(11), close, market)
+
+    @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
+    def test_a_market_of_another_model_is_refused(self, fn):
+        # the deviation before the close at 0.5 once read 0.3188 under the
+        # other model's resilience, against 0.3894 under the market's own
+        model, grid, market = make_setup(n=50, sigma=0.3)
+        other = constant_model(1.0, 1.0, 0.9, mu=0.4, sigma=0.3)
+        s = immediate_close(grid, 0.5, 1.0)
+        with pytest.raises(ValueError, match="drawn under another model"):
+            fn(other, market, s, 0.5)
+        # an equal model, not the same object, is the market's own
+        fn(constant_model(1.0, 1.0, 0.5, sigma=0.3), market, s, 0.5)
+
+    @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 10**400],
+                             ids=["nan", "inf", "huge"])
+    def test_non_finite_d_pre_is_refused_by_name(self, fn, bad):
+        # d_pre = nan once gave a deviation of NaN and a NaN cost
+        model, grid, market = make_setup(n=10)
+        with pytest.raises(ValueError, match="^d_pre must be finite"):
+            fn(model, market, immediate_close(grid, 0.5, 1.0), bad)
 
     def test_grid_refinement_first_order(self):
         # continuous linear liquidation sampled on nested grids

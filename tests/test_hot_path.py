@@ -107,7 +107,7 @@ def ref_estimate(model, grid, n_paths, seed, kind, d_pre=0.0, naive=False,
                                                X, D)[2],
                              np.ones(grid.n_steps + 1, dtype=bool))
         else:
-            strat = FACTORIES[kind](MarketPath(grid, dw, gamma))
+            strat = FACTORIES[kind](MarketPath(model, grid, dw, gamma))
         pre_trade = ref_deviation(model, grid, gamma, alpha, strat, d_pre,
                                   naive_dynamics)[0]
         costs[ids.start:ids.stop] = ref_cost(strat, pre_trade, gamma, naive)
@@ -303,10 +303,12 @@ class TestDeterministicImpact:
                                   ref_cost(strat, ref[0], gamma, cost_naive))
 
     def test_other_gamma_is_not_read_from_the_memo(self, case):
-        # a market drawn under another sigma = 0 model keeps its own gamma
+        # a market of this model that carries another sigma = 0 model's
+        # gamma, a view of that model's memo entry, keeps its own gamma
         model, grid = DETERMINISTIC[case]
         other = constant_model(model.T, 1.0, 0.3, mu=0.9)
-        market = simulate_path(other, grid, 4, range(3))
+        foreign = simulate_path(other, grid, 4, range(3))
+        market = MarketPath(model, grid, foreign.w, foreign.gamma)
         strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
         dev = deviation_path(model, market, strat, 0.4)
         ref = ref_deviation(model, grid, market.gamma, market.alpha, strat,

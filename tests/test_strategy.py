@@ -70,6 +70,15 @@ class TestOptimalPlanClosedForm:
             optimal_plan(model, solve_y_deterministic(other, grid), market,
                          0.0, 1.0, 0.0)
 
+    def test_a_market_of_another_model_is_refused(self):
+        # a market drawn with gamma0 = 2 once gave a first position of
+        # 0.643 against the plan's 0.429, with no error
+        _, model, grid, _, vs = ow_plan(n=100)
+        other = constant_model(10.0, 2.0, 0.5)
+        market = simulate_path(other, grid, 0, 0)
+        with pytest.raises(ValueError, match="drawn under another model"):
+            optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
+
     @pytest.mark.parametrize("field", ["x", "d"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      pytest.param(10**400, id="huge")])
@@ -280,6 +289,19 @@ class TestCounterexamples:
         assert diff == pytest.approx(expected, rel=1e-12)
         assert diff > 0.0
 
+    @pytest.mark.parametrize("name, build", [
+        ("x", lambda m, v: immediate_close(m.grid, 0.5, v)),
+        ("nu", lambda m, v: counterexample_brownian(v, m)),
+        ("nu", lambda m, v: counterexample_gbm(v, 1.0, m)),
+        ("x", lambda m, v: counterexample_gbm(-1.0, v, m)),
+    ], ids=["close_x", "brownian_nu", "gbm_nu", "gbm_x"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf,
+                                     pytest.param(10**400, id="huge")])
+    def test_non_finite_inputs_are_refused_by_name(self, name, build, bad):
+        # a NaN x once gave a close of NaN positions and a NaN cost
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build(self.market, bad)
+
     def test_geometric_round_trip_exact_stepping(self):
         model = constant_model(1.0, 0.5, 0.5, sigma=0.8)
         market = simulate_path(model, self.grid, 2, 0)
@@ -351,9 +373,11 @@ class TestHoistedTerms:
         model, solve, grid, _ = setting
         other = constant_model(grid.T, 1.0, 0.9, mu=0.1, sigma=0.3)
         other_vs = lambda: solve_y_ode(other, grid)  # noqa: E731
-        market = simulate_path(model, grid, 3, range(4))
-        # each model's first call finds the memo holding the other's terms
+        drawn = simulate_path(model, grid, 3, range(4))
+        # each model's first call finds the memo holding the other's terms;
+        # both price the one gamma drawn under ``model``
         for m, solve_m in ((other, other_vs), (model, solve)):
+            market = MarketPath(m, grid, drawn.w, drawn.gamma)
             plan = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
             devs = [dev(m, market, plan.x_star, 0.5)
                     for dev in (deviation_path, naive_deviation_path)]
@@ -497,7 +521,7 @@ class TestDynamicConsistency:
         rest = constant_model(model.T - u, 1.0, 0.5, sigma=0.8)
         sub = TimeGrid(0.0, rest.T, grid.n_steps - k)
         own = optimal_plan(rest, solve_y_deterministic(rest, sub),
-                           MarketPath(sub, market.w[:, k:],
+                           MarketPath(rest, sub, market.w[:, k:],
                                       market.gamma[:, k:]), 0.0, 100.0, 0.5)
         for a, b in ((replan.x_star.values, own.x_star.values),
                      (replan.d_star.values, own.d_star.values)):
