@@ -342,10 +342,10 @@ def reproduce_figure(name: str, out_dir=None, seed: int = 0,
 
 
 # --- verification battery ----------------------------------------------------
-# A check takes the path and Monte Carlo step counts (fixed-size checks ignore
-# both) and returns a _check; SHOWCASE is the stochastic-impact regime.  A
-# Monte Carlo check runs its part, what it prices and the verdict it draws
-# from its samples, through _monte_carlo, which selftest runs on all four.
+# A fixed-size check takes no argument and returns a _check; SHOWCASE is the
+# stochastic-impact regime.  A Monte Carlo check takes the grid and returns
+# what it prices and the verdict it draws from its samples; it runs only
+# through _monte_carlo, which selftest runs on all four at once.
 
 SELFTEST_SEED = 20240811
 SHOWCASE = constant_model(10.0, 1.0, 0.5, sigma=0.8)
@@ -374,21 +374,21 @@ def _mc_check(experiment: _Experiment, grid: TimeGrid,
     return r.pop("pass"), dict(r, mean=est["mean"], std_error=est["std_error"])
 
 
-def _monte_carlo(n_paths: int, mc_steps: int, *parts) -> list[dict]:
-    """The checks whose Monte Carlo ``parts`` are given, priced on one pass
-    over the selftest's paths.
+def _monte_carlo(n_paths: int, mc_steps: int, *checks) -> list[dict]:
+    """The Monte Carlo ``checks``, priced on one pass over the selftest's
+    paths.
 
-    A part takes the grid and returns what its check prices, a
+    A Monte Carlo check takes the grid and returns what it prices, a
     :class:`Pricing`, and the verdict that makes the check from its samples.
     """
     grid = TimeGrid(0.0, 10.0, mc_steps)
-    built = [part(grid) for part in parts]
+    built = [check(grid) for check in checks]
     samples = sample_paths(grid, n_paths, SELFTEST_SEED,
                            [pricing for pricing, _ in built])
     return [verdict(s) for (_, verdict), s in zip(built, samples)]
 
 
-def constant_impact_value_convergence(n_paths: int, mc_steps: int) -> dict:
+def constant_impact_value_convergence() -> dict:
     """Grid cost of the optimal plan converges to the value 1/7 at first order."""
     *_, ratios = _plan_cost_convergence(constant_model(10.0, 1.0, 0.5), 1.0,
                                         0.0, SELFTEST_SEED,
@@ -397,7 +397,7 @@ def constant_impact_value_convergence(n_paths: int, mc_steps: int) -> dict:
                   all(1.7 <= r <= 2.3 for r in ratios), ratios=ratios)
 
 
-def lambertw_solution_residual(n_paths: int, mc_steps: int) -> dict:
+def lambertw_solution_residual() -> dict:
     """Exact solution in the Lambert-W regime: residual and RK4 gap."""
     grid = TimeGrid(0.0, 10.0, 10000)   # h = 1e-3
     vs = solve_y_deterministic(SHOWCASE, grid)
@@ -408,7 +408,8 @@ def lambertw_solution_residual(n_paths: int, mc_steps: int) -> dict:
                   residual=residual, integrator_gap=gap)
 
 
-def _value_match(grid: TimeGrid):
+def stochastic_value_match(grid: TimeGrid):
+    """Monte Carlo cost of the optimal plan against the value formula."""
     experiment = _lambertw_value(SHOWCASE, grid, 100.0, 0.0)
 
     def verdict(samples):
@@ -417,12 +418,13 @@ def _value_match(grid: TimeGrid):
     return experiment.pricing, verdict
 
 
-def stochastic_value_match(n_paths: int, mc_steps: int) -> dict:
-    """Monte Carlo cost of the optimal plan against the value formula."""
-    return _monte_carlo(n_paths, mc_steps, _value_match)[0]
+def brownian_roundtrip_cost(grid: TimeGrid):
+    """Scaled-Brownian round trip: a negative naive cost, quadratic in nu.
 
-
-def _brownian_roundtrip(grid: TimeGrid):
+    The naive cost and its closed form are exactly quadratic in nu, so one
+    estimate at nu = 2 is held against the closed form, and on one chunk
+    the costs at nu = 1 and 4 must be (nu/2)^2 times the nu = 2 cost.
+    """
     model = constant_model(10.0, 1.0, 0.05)
     experiment = _naive_brownian(model, 2.0)
 
@@ -446,17 +448,8 @@ def _brownian_roundtrip(grid: TimeGrid):
     return experiment.pricing, verdict
 
 
-def brownian_roundtrip_cost(n_paths: int, mc_steps: int) -> dict:
-    """Scaled-Brownian round trip: a negative naive cost, quadratic in nu.
-
-    The naive cost and its closed form are exactly quadratic in nu, so one
-    estimate at nu = 2 is held against the closed form, and on one chunk
-    the costs at nu = 1 and 4 must be (nu/2)^2 times the nu = 2 cost.
-    """
-    return _monte_carlo(n_paths, mc_steps, _brownian_roundtrip)[0]
-
-
-def _geometric_roundtrip(grid: TimeGrid):
+def geometric_roundtrip_cost(grid: TimeGrid):
+    """Geometric round trip under uncorrected dynamics, and its divergence."""
     experiment = _naive_gbm(SHOWCASE, 1.0, -1.0)
 
     def verdict(samples):
@@ -469,12 +462,7 @@ def _geometric_roundtrip(grid: TimeGrid):
     return experiment.pricing, verdict
 
 
-def geometric_roundtrip_cost(n_paths: int, mc_steps: int) -> dict:
-    """Geometric round trip under uncorrected dynamics, and its divergence."""
-    return _monte_carlo(n_paths, mc_steps, _geometric_roundtrip)[0]
-
-
-def discrete_recursion_convergence(n_paths: int, mc_steps: int) -> dict:
+def discrete_recursion_convergence() -> dict:
     """Discrete backward recursion converges to the continuous value: first
     order with stochastic impact, second with constant impact (closed form)."""
     lambert_y0 = solve_y_deterministic(SHOWCASE, TimeGrid(0.0, 10.0, 10)).y[0]
@@ -505,7 +493,10 @@ def _pathwise_representation_gap() -> float:
                - quadratic_representation_rhs(vs, dev))
 
 
-def _quadratic_representation(grid: TimeGrid):
+def quadratic_representation(grid: TimeGrid):
+    """Quadratic cost representation of a hold-then-close strategy: pathwise
+    with deterministic impact; with stochastic impact, in the mean (paired SE)
+    and against the closed cost E[gamma_T] x^2 / 2 = gamma_0 exp(mu T) / 2."""
     det_gap = _pathwise_representation_gap()
     vs = solve_y_deterministic(SHOWCASE, grid)
     hold = immediate_close(grid, 10.0, 1.0)
@@ -527,14 +518,7 @@ def _quadratic_representation(grid: TimeGrid):
     return pricing, verdict
 
 
-def quadratic_representation(n_paths: int, mc_steps: int) -> dict:
-    """Quadratic cost representation of a hold-then-close strategy: pathwise
-    with deterministic impact; with stochastic impact, in the mean (paired SE)
-    and against the closed cost E[gamma_T] x^2 / 2 = gamma_0 exp(mu T) / 2."""
-    return _monte_carlo(n_paths, mc_steps, _quadratic_representation)[0]
-
-
-def structural_invariants(n_paths: int, mc_steps: int) -> dict:
+def structural_invariants() -> dict:
     """Plan invariants in four regimes, and exact zero-resilience closing.
 
     y stays in [0, 1/2] and ends at exactly 1/2; the impact state is the
@@ -576,7 +560,7 @@ def structural_invariants(n_paths: int, mc_steps: int) -> dict:
                   zero_rho_exact=zero_rho_exact, **worst)
 
 
-def interior_block_trade(n_paths: int, mc_steps: int) -> dict:
+def interior_block_trade() -> dict:
     """Drift switching on at t0 = 4: ratio jump size and block trade times."""
     model = jump_example_model(0.3, 4.0, 5.0)
     jump_gaps, nonzero_trades, expected = [], [], []
@@ -597,7 +581,7 @@ def interior_block_trade(n_paths: int, mc_steps: int) -> dict:
                   jump_gap=max(jump_gaps), nonzero_trades=nonzero_trades)
 
 
-def reproducible_artifacts(n_paths: int, mc_steps: int, out_dir: Path) -> dict:
+def reproducible_artifacts(out_dir: Path) -> dict:
     """Figure CSVs written twice under out_dir are byte-identical."""
     blobs = []
     for dd in (out_dir / "rep1", out_dir / "rep2"):
@@ -616,27 +600,23 @@ CHECKS = (constant_impact_value_convergence, lambertw_solution_residual,
           quadratic_representation, structural_invariants,
           interior_block_trade, reproducible_artifacts)
 
-
-# what each Monte Carlo check prices: selftest prices them on one pass
-_MC_PARTS = {stochastic_value_match: _value_match,
-             brownian_roundtrip_cost: _brownian_roundtrip,
-             geometric_roundtrip_cost: _geometric_roundtrip,
-             quadratic_representation: _quadratic_representation}
+# the Monte Carlo checks, which selftest prices on one pass
+_MONTE_CARLO = (stochastic_value_match, brownian_roundtrip_cost,
+                geometric_roundtrip_cost, quadratic_representation)
 
 
 def selftest(out_dir=None, n_paths: int = 20000, mc_steps: int = 5000) -> int:
     """Run every check at reduced size; 0 exit iff every check passes.
 
-    The Monte Carlo checks draw each chunk of paths once and are all priced
-    on it, by the parts their own functions run."""
+    The Monte Carlo checks, at ``n_paths`` paths of ``mc_steps`` steps,
+    draw each chunk of paths once and are all priced on it.  They run
+    first, then the artifacts check, then the fixed-size checks."""
     out = Path(out_dir if out_dir is not None else default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
-    done = dict(zip(_MC_PARTS, _monte_carlo(n_paths, mc_steps,
-                                            *_MC_PARTS.values())))
-    done[reproducible_artifacts] = reproducible_artifacts(n_paths, mc_steps,
-                                                          out)
-    checks = [done[fn] if fn in done else fn(n_paths, mc_steps)
-              for fn in CHECKS]
+    done = dict(zip(_MONTE_CARLO, _monte_carlo(n_paths, mc_steps,
+                                               *_MONTE_CARLO)))
+    done[reproducible_artifacts] = reproducible_artifacts(out)
+    checks = [done[fn] if fn in done else fn() for fn in CHECKS]
     summary = {"schema_version": SCHEMA_VERSION, "seed": SELFTEST_SEED,
                "checks": checks, "pass": all(c["pass"] for c in checks)}
     write_summary(out / "selftest_summary.json", summary)

@@ -519,6 +519,13 @@ def _increments(grid: TimeGrid, master_seed: int,
     them.  Every row is drawn by one shared generator, put into the row's
     state first; the states are computed a block of ids at a time.
     """
+    # the ids of a range are integers: its lowest stands for all of them
+    for name, value in (("seed", master_seed),
+                        ("path id", min(ids[0], ids[-1]) if ids else 0)):
+        if (not isinstance(value, (int, np.integer))
+                or isinstance(value, bool) or value < 0):
+            raise ValueError(f"{name} must be a non-negative integer: "
+                             f"{value!r}")
     dw = _empty((len(ids), grid.n_steps))
     seed = int(master_seed)
     with _DRAW_LOCK:
@@ -568,6 +575,8 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     stream, numpy's ``default_rng(SeedSequence((master_seed, path_id)))``,
     so a row equals the single-path call bit for bit.  The market holds
     the model, the grid, ``w`` and ``gamma``, but not the seed or ids.
+    The seed and the path ids are non-negative integers, as for
+    ``SeedSequence``; any other seed or id raises ValueError naming it.
 
     ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
     the grid, ``gamma`` is a view of the one impact path of

@@ -43,6 +43,7 @@ class Strategy:
     is_block: np.ndarray
 
     def __post_init__(self):
+        _require_finite(x_pre=self.x_pre)
         n_points = self.grid.n_steps + 1
         values = np.asarray(self.values)
         if values.shape[-1:] != (n_points,):
@@ -75,10 +76,10 @@ class Strategy:
 class DeviationPath:
     """Deviation along a strategy: values after and before each grid trade.
 
-    It lives on ``strategy.grid``.  The arrays carry the leading path axis
-    of the market or strategy, if any.  Only ``pre_trade`` is built with the
-    path: a cost needs nothing else.  Its first entry is the deviation
-    before the first trade.
+    It lives on ``strategy.grid``, which must be the market's grid.  The
+    arrays carry the leading path axis of the market or strategy, if any.
+    Only ``pre_trade`` is built with the path: a cost needs nothing else.
+    Its first entry is the deviation before the first trade.
     ``values`` and ``impact_state`` are computed on first access from the
     strategy, the market and the impact level ``gamma_eff`` each trade was
     charged at, unless :meth:`explicit` gave the values.
@@ -89,11 +90,13 @@ class DeviationPath:
     market: MarketPath
     gamma_eff: np.ndarray     # impact level each trade is charged at
 
+    def __post_init__(self):
+        _check_market(self.market, self.market.model, self.strategy.grid)
+
     @classmethod
     def explicit(cls, pre_trade: np.ndarray, values: np.ndarray,
                  strategy: Strategy, market: MarketPath) -> "DeviationPath":
         """A deviation whose values are given, such as a closed form."""
-        _check_market(market, market.model, strategy.grid)
         dev = cls(pre_trade=pre_trade, strategy=strategy, market=market,
                   gamma_eff=market.gamma)
         dev.__dict__["values"] = values  # pre-fills the cached property

@@ -1,11 +1,12 @@
 """End-to-end acceptance battery.
 
-Each criterion runs one check of the registry in ``execlab.cli`` at full
-size; ``exec-lab selftest`` runs the same checks at reduced size.  Each test
+Each criterion runs one check of the registry in ``execlab.cli``;
+``exec-lab selftest`` runs the same checks at reduced size.  Each test
 prints one PASS/FAIL line on the terminal (bypassing capture) and asserts
 the check's verdict.  Criteria 1 and 2 also gate their wall-clock time.
-The Monte Carlo criteria run 2e4-1e5 paths and take a few minutes each;
-criteria 3 and 7 share one pass over their paths (``showcase``).
+A fixed-size check runs at its own size.  A Monte Carlo check runs through
+``_monte_carlo`` at full size, 2e4-1e5 paths of 1e4 steps; criteria 3 and
+7 share one pass over their paths (``showcase``).
 """
 
 import json
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from execlab.cli import (_MC_PARTS, _monte_carlo, brownian_roundtrip_cost,
+from execlab.cli import (_monte_carlo, brownian_roundtrip_cost,
                          constant_impact_value_convergence,
                          discrete_recursion_convergence,
                          geometric_roundtrip_cost, interior_block_trade,
@@ -40,8 +41,7 @@ def showcase():
     """Criteria 3 and 7 price the same 1e5 SHOWCASE paths on one grid and
     seed: one pass prices both, keyed by the check it makes."""
     checks = (stochastic_value_match, quadratic_representation)
-    return dict(zip(checks, _monte_carlo(
-        N_PATHS_LARGE, MC_STEPS, *(_MC_PARTS[fn] for fn in checks))))
+    return dict(zip(checks, _monte_carlo(N_PATHS_LARGE, MC_STEPS, *checks)))
 
 
 def verdict(check: dict, elapsed: float | None = None) -> tuple[bool, str]:
@@ -54,13 +54,13 @@ def verdict(check: dict, elapsed: float | None = None) -> tuple[bool, str]:
 
 def test_criterion_01_deterministic_value_convergence(report):
     start = time.perf_counter()
-    c = constant_impact_value_convergence(N_PATHS_MEDIUM, MC_STEPS)
+    c = constant_impact_value_convergence()
     report(1, *verdict(c, time.perf_counter() - start))
 
 
 def test_criterion_02_lambertw_solution_residual(report):
     start = time.perf_counter()
-    c = lambertw_solution_residual(N_PATHS_MEDIUM, MC_STEPS)
+    c = lambertw_solution_residual()
     report(2, *verdict(c, time.perf_counter() - start))
 
 
@@ -69,15 +69,17 @@ def test_criterion_03_stochastic_value_match(report, showcase):
 
 
 def test_criterion_04_brownian_roundtrip_ill_posedness(report):
-    report(4, *verdict(brownian_roundtrip_cost(N_PATHS_MEDIUM, MC_STEPS)))
+    c, = _monte_carlo(N_PATHS_MEDIUM, MC_STEPS, brownian_roundtrip_cost)
+    report(4, *verdict(c))
 
 
 def test_criterion_05_gbm_roundtrip_ill_posedness(report):
-    report(5, *verdict(geometric_roundtrip_cost(N_PATHS_MEDIUM, MC_STEPS)))
+    c, = _monte_carlo(N_PATHS_MEDIUM, MC_STEPS, geometric_roundtrip_cost)
+    report(5, *verdict(c))
 
 
 def test_criterion_06_discrete_recursion_convergence(report):
-    report(6, *verdict(discrete_recursion_convergence(N_PATHS_MEDIUM, MC_STEPS)))
+    report(6, *verdict(discrete_recursion_convergence()))
 
 
 def test_criterion_07_quadratic_representation(report, showcase):
@@ -85,11 +87,11 @@ def test_criterion_07_quadratic_representation(report, showcase):
 
 
 def test_criterion_08_structural_invariants(report):
-    report(8, *verdict(structural_invariants(N_PATHS_MEDIUM, MC_STEPS)))
+    report(8, *verdict(structural_invariants()))
 
 
 def test_criterion_09_interior_block_trade(report):
-    report(9, *verdict(interior_block_trade(N_PATHS_MEDIUM, MC_STEPS)))
+    report(9, *verdict(interior_block_trade()))
 
 
 def test_criterion_10_selftest_reproducibility(report, tmp_path):

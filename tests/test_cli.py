@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from execlab.cli import (CHECKS, EXPERIMENTS, ExperimentConfig,
-                         default_out_dir, figure_plan, main,
+from execlab.cli import (_MONTE_CARLO, CHECKS, EXPERIMENTS, ExperimentConfig,
+                         _monte_carlo, default_out_dir, figure_plan, main,
                          quadratic_representation, reproduce_figure,
                          reproducible_artifacts, run, selftest, write_csv,
                          OUTPUT_DIR_ENV)
@@ -365,8 +365,12 @@ class TestVerificationBattery:
         summary = json.loads(
             (tmp_path / "battery" / "selftest_summary.json").read_text())
         for fn, written in zip(CHECKS, summary["checks"], strict=True):
-            alone = (fn(200, 100, tmp_path / "alone")
-                     if fn is reproducible_artifacts else fn(200, 100))
+            if fn in _MONTE_CARLO:
+                alone, = _monte_carlo(200, 100, fn)
+            elif fn is reproducible_artifacts:
+                alone = fn(tmp_path / "alone")
+            else:
+                alone = fn()
             assert written == json.loads(json.dumps(alone)), fn.__name__
 
     def test_every_check_has_one_acceptance_test(self):
@@ -389,10 +393,10 @@ class TestVerificationBattery:
         # builds the integrand in one array: the peak stays under 22 arrays
         # of 10^5 doubles (23.5 with the solve after the draw and the
         # integrand built from temporaries)
-        quadratic_representation(100, 200)  # the memos of the MC part
+        _monte_carlo(100, 200, quadratic_representation)  # the memos
         tracemalloc.start()
         try:
-            quadratic_representation(100, 200)
+            _monte_carlo(100, 200, quadratic_representation)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,6 +442,19 @@ class TestMain:
         out = capsys.readouterr().out.strip()
         assert out.endswith("figure_jump.csv")
         assert (tmp_path / "figure_jump.csv").exists()
+
+    def test_negative_seed_is_refused_by_name(self, tmp_path):
+        # both once failed inside the seed hash with numpy's bare message
+        with pytest.raises(ValueError, match="^seed must be a non-negative"):
+            main(["figure", "jump", "--out", str(tmp_path), "--seed", "-1"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "tag": "ow_value", "seed": -3,
+            "model": {"T": 10.0, "gamma0": 1.0, "pieces": [
+                {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0}]},
+            "n_steps": 100, "x": 1.0, "out_dir": str(tmp_path)}))
+        with pytest.raises(ValueError, match="^seed must be a non-negative"):
+            main(["run", "--config", str(cfg_path)])
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

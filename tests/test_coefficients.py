@@ -475,6 +475,18 @@ class TestPathStreams:
         with pytest.raises(ValueError):
             simulate_path(self.MODEL, self.GRID, seed, ids)
 
+    @pytest.mark.parametrize("seed, ids, name", [
+        (1.9, 0, "seed"), (True, 0, "seed"), (-3, range(2), "seed"),
+        (1, 2.5, "path id"), (1, True, "path id"), (1, -1, "path id"),
+        (1, range(-2, 2), "path id")])
+    def test_seed_and_path_id_are_non_negative_integers(self, seed, ids,
+                                                        name):
+        # seed 1.9 once drew seed 1's path bit for bit, id 2.5 path 2's, and
+        # a negative seed failed inside the seed hash without naming it
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a non-negative integer"):
+            simulate_path(self.MODEL, self.GRID, seed, ids)
+
     def test_threads_draw_their_own_streams(self):
         # the shared generator is set and drawn under one lock: a row drawn
         # after another thread reset the state would not be its stream

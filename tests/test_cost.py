@@ -153,6 +153,15 @@ class TestEstimateCost:
             estimate_cost(model, grid, 1, 0,
                           lambda m: immediate_close(grid, 0.0, 1.0))
 
+    @pytest.mark.parametrize("seed", [1.9, True, -3])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # seed = 1.9 once returned seed 1's estimate, recorded as seed 1.9
+        model = constant_model(1.0, 1.0, 0.5, sigma=0.4)
+        grid = TimeGrid(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^seed must be a non-negative"):
+            estimate_cost(model, grid, 4, seed,
+                          lambda m: immediate_close(grid, 0.0, 1.0))
+
     def test_value_function_is_a_lower_bound(self):
         model = constant_model(1.0, 1.0, 0.5, sigma=0.5)
         grid = TimeGrid(0.0, 1.0, 100)

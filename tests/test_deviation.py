@@ -65,6 +65,15 @@ class TestStrategyType:
                      values=np.array([1.0, 0.5, 0.25, 0.1, 0.0]),
                      is_block=np.array([1, 0, 0, 0, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 10**400],
+                             ids=["nan", "inf", "huge"])
+    def test_non_finite_x_pre_is_refused_by_name(self, bad):
+        # x_pre = nan once made pathwise_cost return nan with a warning only
+        g = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="^x_pre must be finite"):
+            Strategy(grid=g, x_pre=bad, values=np.zeros(5),
+                     is_block=all_blocks(g))
+
     def test_length_checked(self):
         g = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(GridMismatch):
@@ -140,6 +149,16 @@ class TestDeviationPath:
         close = immediate_close(long, 1.0, 1.0)
         with pytest.raises(GridMismatch):
             DeviationPath.explicit(np.zeros(11), np.zeros(11), close, market)
+
+    def test_bare_constructor_checks_the_pairing(self):
+        # the costs trust a deviation's pairing: a hold-then-close on a
+        # 10-step grid of [0, 2] with a market on one of [0, 1] once cost
+        # 0.5 through pathwise_cost, with no error
+        model, grid, market = make_setup(n=10)
+        close = immediate_close(TimeGrid(0.0, 2.0, 10), 1.0, 1.0)
+        with pytest.raises(GridMismatch):
+            DeviationPath(pre_trade=np.zeros(11), strategy=close,
+                          market=market, gamma_eff=market.gamma)
 
     @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
     def test_a_market_of_another_model_is_refused(self, fn):
