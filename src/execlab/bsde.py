@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import (CoefficientModel, TimeGrid, constant_model,
-                           step_coefficients, step_terms)
+                           step_coefficients)
 
 
 def _beta_ds_integrals(y: np.ndarray, rho: np.ndarray, mu: np.ndarray,
@@ -78,7 +78,7 @@ class ValueSolution:
         this solution, a plan from an interior time included.  They hold
         views of its arrays but never the solution itself, so no reference
         cycle keeps it alive."""
-        rho, mu, sig, *_ = step_terms(self.model, self.grid)
+        rho, mu, sig = step_coefficients(self.model, self.grid)
         h, beta = self.grid.h, self.beta_tilde
         int_beta = _beta_ds_integrals(self.y, rho, mu, h)
         blocks = beta != self.beta_pre

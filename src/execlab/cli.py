@@ -639,14 +639,18 @@ def main(argv=None) -> int:
     sub.add_parser("selftest", help="run the built-in verification battery")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        summary = run(ExperimentConfig.from_file(args.config))
-        print(json.dumps(summary, sort_keys=True, indent=2))
-        return 0 if summary["pass"] else 1
-    if args.command == "figure":
-        path = reproduce_figure(args.name, args.out, seed=args.seed)
-        print(path)
-        return 0
+    # a refused input (ModelError and GridMismatch are ValueErrors) ends as
+    # argparse ends its own refusals: one error line and exit status 2
+    try:
+        if args.command == "run":
+            summary = run(ExperimentConfig.from_file(args.config))
+            print(json.dumps(summary, sort_keys=True, indent=2))
+            return 0 if summary["pass"] else 1
+        if args.command == "figure":
+            print(reproduce_figure(args.name, args.out, seed=args.seed))
+            return 0
+    except ValueError as err:
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
     return selftest()
 
 

@@ -226,8 +226,13 @@ def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
 
     Step k takes its piece by grid index: runs of piece values change at
     the indices of :meth:`TimeGrid.validate_model`, and no grid time is
-    compared with a breakpoint.  Every grid computation reads it."""
+    compared with a breakpoint.  Every grid computation reads it.  For a
+    one-piece model the table is a read-only broadcast of its three values,
+    filling no 3 x n_steps array; otherwise it is a new writeable array."""
     ks = grid.validate_model(model)
+    if not ks:
+        return np.broadcast_to(np.array([model.rho, model.mu, model.sigma],
+                                        dtype=float), (3, grid.n_steps))
     table = np.empty((3, grid.n_steps))
     for i, (ka, kb) in enumerate(zip([0, *ks], [*ks, grid.n_steps])):
         table[:, ka:kb] = [[model.rho[i]], [model.mu[i]], [model.sigma[i]]]
@@ -246,8 +251,9 @@ class StepTerms(NamedTuple):
     When sigma is 0 on every step, the impact factor is the same on every
     path: ``gamma`` is that one impact path, as :func:`simulate_path`
     computes it, and ``gamma_growth`` its product with ``growth``.  Every
-    path and chunk shares them, so nothing may write into a market's
-    ``gamma``.  Both are None when sigma > 0 on any step.
+    path of a call, and every chunk of a pass, shares them, so nothing may
+    write into a market's ``gamma``.  Both are None when sigma > 0 on any
+    step.
     """
 
     rho: np.ndarray
@@ -260,19 +266,27 @@ class StepTerms(NamedTuple):
     gamma_growth: np.ndarray | None
 
 
-@lru_cache(maxsize=2)
 def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
     """The :class:`StepTerms` of ``model`` on ``grid``.
 
-    Memoized on the last two pairs, so a Monte Carlo pass computes them
-    once: every chunk asks for the same pairs, and a pass that prices two
-    models on one grid (:func:`execlab.cost.sample_paths`) keeps both.
-    Another model or grid is another key, never a stale entry.  The pair
-    is validated with :meth:`TimeGrid.validate_model` on every miss; a pair
-    that fails is never cached.  The solvers read
-    :func:`step_coefficients` instead: ``exp(r)`` overflows once r passes
-    about 709.
+    Inside a Monte Carlo pass (:func:`execlab.cost.sample_paths`) they are
+    memoized on the last two pairs, so the pass computes them once: every
+    chunk asks for the same pairs, and a pass that prices two models on one
+    grid keeps both.  Another model or grid is another key, never a stale
+    entry.  Outside a pass they are built for the one call and nothing
+    keeps them, so a single-path market or deviation frees its grid-length
+    arrays when it is dropped.  The pair is validated with
+    :meth:`TimeGrid.validate_model` on every build; a pair that fails is
+    never cached.  The solvers read :func:`step_coefficients` instead:
+    ``exp(r)`` overflows once r passes about 709.
     """
+    build = _step_terms if _POOL.get() is not None else _step_terms.__wrapped__
+    return build(model, grid)
+
+
+@lru_cache(maxsize=2)
+def _step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
+    """The builder of :func:`step_terms`, and the memo of a pass."""
     rho, mu, sigma = step_coefficients(model, grid)
     # exact per-step resilience integrals (rho is constant on each step)
     r_cum = _cumsum0(rho * grid.h)
@@ -361,7 +375,7 @@ def _stream_block(master_seed: int, block: int) -> np.ndarray:
     """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
     the ids i of one block, one row per id, from one vectorized pass.
 
-    Memoized like :func:`step_terms`: the paths of a chunk ask for the same
+    Memoized on the last block: the paths of a chunk ask for the same
     block.  The entropy is the seed's words, then the id's; only the id's
     low word differs within a block.
     """
@@ -580,9 +594,10 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
 
     ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
     the grid, ``gamma`` is a view of the one impact path of
-    :func:`step_terms`, shared by every row and every call: the same bits
-    the lognormal stepping gives, since sigma * dW is +-0 there.  Write
-    into a copy, never into a market's arrays.
+    :func:`step_terms`, shared by every row, and inside a Monte Carlo pass
+    by every chunk: the same bits the lognormal stepping gives, since
+    sigma * dW is +-0 there.  Write into a copy, never into a market's
+    arrays.
     """
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)

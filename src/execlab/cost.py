@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _chunk_pool, _empty, _increments, _market,
-                           _require_finite, step_terms)
+                           _require_finite, step_coefficients)
 from .deviation import (DeviationPath, Strategy, _check_market,
                         deviation_path, naive_deviation_path)
 
@@ -249,7 +249,7 @@ def quadratic_representation_rhs(value_solution,
     """
     strategy, market = deviation.strategy, deviation.market
     _check_market(market, value_solution.model, value_solution.grid)
-    rho, mu, sig, *_ = step_terms(value_solution.model, market.grid)
+    rho, mu, sig = step_coefficients(value_solution.model, market.grid)
     h = strategy.grid.h
     y = value_solution.y[:-1]
     dv = deviation.values[..., :-1]

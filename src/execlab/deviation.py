@@ -131,7 +131,8 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
     gamma on trades that are not block trades.  The resilience factors do
     not depend on the path: they come from :func:`step_terms`, and so does
-    gamma * exp(r) when the impact is deterministic (sigma = 0 on the grid).
+    gamma * exp(r) inside a Monte Carlo pass when the impact is
+    deterministic (sigma = 0 on the grid).
     """
     _check_market(market, model, strategy.grid)
     _require_finite(d_pre=d_pre)
@@ -144,8 +145,10 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
     terms = step_terms(model, strategy.grid)
     # the shape of the chunk, also when the strategy is one shared row
     cum = _empty(gamma_eff.shape)
-    # the memo holds gamma * exp(r) only for the impact path that
-    # simulate_path shares on this model and grid, not for other gammas
+    # a pass's memo holds gamma * exp(r) for the impact path that its
+    # markets share on this model and grid.  Any other gamma, and every
+    # gamma outside a pass, where the terms are built afresh per call, is
+    # multiplied here in the same order, (gamma * exp(r)) * xi: same bits
     if terms.gamma is None or gamma_eff.base is not terms.gamma:
         np.multiply(gamma_eff, terms.growth, out=cum)
         cum *= strategy.trades

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from execlab import TimeGrid, constant_model, simulate_path
 from execlab.cli import (_MONTE_CARLO, CHECKS, EXPERIMENTS, ExperimentConfig,
-                         _monte_carlo, default_out_dir, figure_plan, main,
+                         _monte_carlo, _pathwise_representation_gap,
+                         default_out_dir, figure_plan, main,
                          quadratic_representation, reproduce_figure,
                          reproducible_artifacts, run, selftest, write_csv,
                          OUTPUT_DIR_ENV)
@@ -402,6 +404,21 @@ class TestVerificationBattery:
             tracemalloc.stop()
         assert peak < 22 * 8 * 100_001
 
+    def test_pathwise_representation_gap_memory(self):
+        # its 10^5-step path keeps no step terms once its market and
+        # deviation are built: the peak stays under 16 arrays of 10^5
+        # doubles (21 while a memo kept the terms of every call)
+        simulate_path(constant_model(1.0, 1.0, 0.5), TimeGrid(0.0, 1.0, 4),
+                      0, 0)   # the shared generator, built on first draw
+        tracemalloc.start()
+        try:
+            det_gap = _pathwise_representation_gap()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert det_gap == 2.2499974583478632e-07
+        assert peak < 16 * 8 * 100_001
+
 
 class TestFigures:
     def test_jump_figure_deviation_levels(self, tmp_path):
@@ -443,18 +460,26 @@ class TestMain:
         assert out.endswith("figure_jump.csv")
         assert (tmp_path / "figure_jump.csv").exists()
 
-    def test_negative_seed_is_refused_by_name(self, tmp_path):
-        # both once failed inside the seed hash with numpy's bare message
-        with pytest.raises(ValueError, match="^seed must be a non-negative"):
-            main(["figure", "jump", "--out", str(tmp_path), "--seed", "-1"])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys):
+        # both once failed inside the seed hash with numpy's bare message,
+        # then ended in a traceback; now as argparse's own refusals do
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "tag": "ow_value", "seed": -3,
             "model": {"T": 10.0, "gamma0": 1.0, "pieces": [
                 {"t_from": 0.0, "rho": 0.5, "mu": 0.0, "sigma": 0.0}]},
             "n_steps": 100, "x": 1.0, "out_dir": str(tmp_path)}))
-        with pytest.raises(ValueError, match="^seed must be a non-negative"):
-            main(["run", "--config", str(cfg_path)])
+        for argv, seed in (
+                (["figure", "jump", "--out", str(tmp_path), "--seed", "-1"],
+                 -1),
+                (["run", "--config", str(cfg_path)], -3)):
+            with pytest.raises(SystemExit) as refused:
+                main(argv)
+            assert refused.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("exec-lab: error: seed must be a non-negative "
+                           f"integer: {seed}\n")
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 import execlab
 from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
-                     constant_model, jump_example_model, model_from_config,
-                     simulate_path, solve_y_deterministic, solve_y_ode,
-                     step_coefficients, step_terms)
+                     constant_model, deviation_path, immediate_close,
+                     jump_example_model, model_from_config,
+                     naive_deviation_path, optimal_plan,
+                     quadratic_representation_rhs, simulate_path,
+                     solve_y_deterministic, solve_y_ode, step_coefficients,
+                     step_terms)
 from execlab.bsde import _value_at
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _stream_block
+from execlab.coefficients import _chunk_pool, _step_terms, _stream_block
 from piece_lookup import integral, value_at
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -44,6 +47,18 @@ class TestPiecewiseConstant:
         assert np.all(step_coefficients(m, TimeGrid(0.0, 20.0, 7))[0] == 2.5)
         assert _value_at(m.starts, m.rho, 0.0) == 2.5
         assert _value_at(m.starts, m.rho, 17.3) == 2.5
+
+    def test_one_piece_table_is_a_read_only_broadcast(self):
+        # one piece fills no 3 x n table: every step reads the same values
+        m = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.3)
+        table = step_coefficients(m, TimeGrid(0.0, 2.0, 5))
+        filled = np.empty((3, 5))
+        filled[:] = [[0.5], [0.1], [0.3]]
+        assert table.dtype == filled.dtype and table.shape == filled.shape
+        assert np.array_equal(table, filled)
+        assert table.strides[1] == 0
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
     def test_right_continuity_at_breaks(self):
         m = build_model(2.0, 1.0, [piece(0.0, rho=3.0), piece(1.0, rho=7.0)])
@@ -369,8 +384,10 @@ class TestStepTerms:
             {"t_from": 4.0, "rho": 0.7, "mu": 1.0, "sigma": 0.5},
         ])
         grid = TimeGrid(0.0, 5.0, 500)
-        step_terms.cache_clear()
-        terms = step_terms(model, grid)
+        _step_terms.cache_clear()
+        with _chunk_pool(grid.n_steps):   # a pass reads the memo
+            terms = step_terms(model, grid)
+            assert step_terms(model, grid) is terms
         t = grid.h * np.arange(grid.n_steps)
         rho = np.where(t >= 4.0, 0.7, 0.3)
         mu = np.where(t >= 4.0, 1.0, 0.0)
@@ -384,7 +401,50 @@ class TestStepTerms:
         # r is the integral of rho from 0
         exact = [integral(model, "rho", 0.0, s) for s in grid.times]
         assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
-        assert step_terms(model, grid) is terms
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
+    @pytest.mark.parametrize("call", ["simulate_path", "deviation_path",
+                                      "optimal_plan",
+                                      "quadratic_representation_rhs"])
+    def test_no_memo_entry_outside_a_pass(self, call, sigma):
+        model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
+        grid = TimeGrid(0.0, 1.0, 50)
+        vs = solve_y_deterministic(model, grid)
+        market = simulate_path(model, grid, 3, range(2))
+        close = immediate_close(grid, 0.5, 1.0)
+        dev = deviation_path(model, market, close)
+        calls = {
+            "simulate_path": lambda: simulate_path(model, grid, 3, 0),
+            "deviation_path": lambda: deviation_path(model, market, close),
+            "optimal_plan": lambda: optimal_plan(model, vs, market, 0.0,
+                                                 1.0, 0.5),
+            "quadratic_representation_rhs":
+                lambda: quadratic_representation_rhs(vs, dev),
+        }
+        _step_terms.cache_clear()
+        calls[call]()
+        info = _step_terms.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_built_once_per_pair_inside_a_pass(self):
+        grid = TimeGrid(0.0, 1.0, 50)
+        models = [constant_model(1.0, 1.0, 0.5),
+                  constant_model(1.0, 1.0, 0.5, sigma=0.4)]
+        close = immediate_close(grid, 0.5, 1.0)
+        _step_terms.cache_clear()
+        with _chunk_pool(grid.n_steps):
+            for ids in (range(0, 2), range(2, 4)):   # two chunks
+                for model in models:
+                    market = simulate_path(model, grid, 3, ids)
+                    deviation_path(model, market, close)
+                    naive_deviation_path(model, market, close)
+            terms = [step_terms(model, grid) for model in models]
+            again = [step_terms(model, grid) for model in models]
+        assert all(a is b for a, b in zip(terms, again, strict=True))
+        assert _step_terms.cache_info().misses == 2
+        # outside the pass every call builds its own
+        assert step_terms(models[0], grid) is not step_terms(models[0], grid)
+        assert _step_terms.cache_info().misses == 2
 
 
 class TestSimulatePath:

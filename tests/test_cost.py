@@ -16,8 +16,8 @@ from execlab import (GridMismatch, Strategy, TimeGrid, closed_form_cost_gbm,
                      naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
                      simulate_path, solve_y_deterministic, value_function)
-from execlab import step_terms
 from execlab.cli import SHOWCASE
+from execlab.coefficients import _step_terms
 from execlab.cost import CHUNK_ELEMENTS, path_chunks
 
 
@@ -251,10 +251,10 @@ class TestChunkedEstimate:
                                               0.5).x_star,
             "gbm": lambda m: counterexample_gbm(-1.0, 1.0, m)}[kind]
         for naive_dynamics in (False, True):
-            step_terms.cache_clear()
+            _step_terms.cache_clear()
             estimate_cost(self.MODEL, grid, n_paths, 17, factory, d_pre=0.5,
                           naive_dynamics=naive_dynamics)
-            assert step_terms.cache_info().misses == 1
+            assert _step_terms.cache_info().misses == 1
 
     def test_priced_chunk_is_released_before_the_next_is_drawn(self):
         # the peak holds the six arrays of the chunk being priced, and none

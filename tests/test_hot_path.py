@@ -6,6 +6,7 @@ below keeps the earlier out-of-place formulas, operation by operation, so
 each comparison is bit for bit.
 """
 
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -203,9 +204,11 @@ class TestInputsUnchanged:
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_market_strategy_and_shared_terms(self, naive):
-        # sigma > 0, and sigma = 0 with its shared impact path
+        # sigma > 0, and sigma = 0 with its shared impact path; in a pass,
+        # where every call reads the one memo entry
         for model in (MODEL, constant_model(2.0, 1.5, 0.5, mu=0.1)):
-            self.check_model(model, naive)
+            with coefficients._chunk_pool(40):
+                self.check_model(model, naive)
 
     def check_model(self, model, naive):
         grid = TimeGrid(0.0, 2.0, 40)
@@ -256,9 +259,9 @@ DETERMINISTIC = {
 
 @pytest.mark.parametrize("case", DETERMINISTIC)
 class TestDeterministicImpact:
-    """With sigma = 0 every path shares one read-only impact path, and the
-    corrected deviation reads gamma * exp(r) from step_terms: the same bits
-    as the lognormal stepping and the per-chunk product."""
+    """With sigma = 0 every path shares one read-only impact path, and in a
+    pass the corrected deviation reads gamma * exp(r) from step_terms: the
+    same bits as the lognormal stepping and the per-call product."""
 
     @pytest.mark.parametrize("ids", [range(3, 7), 5], ids=["chunk", "path"])
     def test_gamma_is_the_lognormal_stepping(self, case, ids):
@@ -281,7 +284,6 @@ class TestDeterministicImpact:
                              ids=["rows", "shared_close"])
     def test_deviations_and_costs(self, case, fn, naive, shared_row):
         model, grid = DETERMINISTIC[case]
-        market = simulate_path(model, grid, 4, range(3))
         if shared_row:
             strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
         else:
@@ -290,27 +292,35 @@ class TestDeterministicImpact:
             values[:, -1] = 0.0
             strat = Strategy(grid, 0.7, values,
                              rng.random(grid.n_steps + 1) < 0.5)
-        dev = fn(model, market, strat, 0.4)
         _, gamma, alpha = ref_market(model, grid, 4, range(3))
         ref = ref_deviation(model, grid, gamma, alpha, strat, 0.4, naive)
-        assert dev.pre_trade.shape == gamma.shape
-        for got, want in zip((dev.pre_trade, dev.values, dev.impact_state),
-                             ref, strict=True):
-            assert np.array_equal(got, want)
-        for cost_fn, cost_naive in ((pathwise_cost, False),
-                                    (pathwise_cost_naive, True)):
-            assert np.array_equal(cost_fn(strat, dev, market),
-                                  ref_cost(strat, ref[0], gamma, cost_naive))
+        # per call, and in a pass, where the memo's product is read
+        for scope in (contextlib.nullcontext(),
+                      coefficients._chunk_pool(grid.n_steps)):
+            with scope:
+                market = simulate_path(model, grid, 4, range(3))
+                dev = fn(model, market, strat, 0.4)
+                assert dev.pre_trade.shape == gamma.shape
+                for got, want in zip((dev.pre_trade, dev.values,
+                                      dev.impact_state), ref, strict=True):
+                    assert np.array_equal(got, want)
+                for cost_fn, cost_naive in ((pathwise_cost, False),
+                                            (pathwise_cost_naive, True)):
+                    assert np.array_equal(
+                        cost_fn(strat, dev, market),
+                        ref_cost(strat, ref[0], gamma, cost_naive))
 
     def test_other_gamma_is_not_read_from_the_memo(self, case):
-        # a market of this model that carries another sigma = 0 model's
-        # gamma, a view of that model's memo entry, keeps its own gamma
+        # in a pass, a market of this model that carries another sigma = 0
+        # model's gamma, a view of that model's memo entry, keeps its own
         model, grid = DETERMINISTIC[case]
         other = constant_model(model.T, 1.0, 0.3, mu=0.9)
-        foreign = simulate_path(other, grid, 4, range(3))
-        market = MarketPath(model, grid, foreign.w, foreign.gamma)
         strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
-        dev = deviation_path(model, market, strat, 0.4)
+        with coefficients._chunk_pool(grid.n_steps):
+            foreign = simulate_path(other, grid, 4, range(3))
+            market = MarketPath(model, grid, foreign.w, foreign.gamma)
+            step_terms(model, grid)   # this model's entry is in the memo
+            dev = deviation_path(model, market, strat, 0.4)
         ref = ref_deviation(model, grid, market.gamma, market.alpha, strat,
                             0.4, False)
         assert np.array_equal(dev.pre_trade, ref[0])
@@ -438,9 +448,9 @@ class TestSharedPass:
         pricings = [Pricing(model, FACTORIES["gbm"], pathwise_cost,
                             naive_dynamics=True)
                     for model in (MODEL, SIGMA_ZERO, MODEL)]
-        step_terms.cache_clear()
+        coefficients._step_terms.cache_clear()
         sample_paths(grid, n_paths, 5, pricings)
-        assert step_terms.cache_info().misses == 2
+        assert coefficients._step_terms.cache_info().misses == 2
 
 
 def chunk_rows(grid):

@@ -14,8 +14,9 @@ from execlab import (JumpExample, MarketPath, ModelError, TimeGrid,
                      immediate_close, jump_example_model,
                      naive_deviation_path, ode_residual, optimal_plan,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
-                     solve_y_deterministic, solve_y_ode, step_terms)
+                     solve_y_deterministic, solve_y_ode)
 from execlab.cli import SHOWCASE
+from execlab.coefficients import _chunk_pool, _step_terms
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -374,21 +375,23 @@ class TestHoistedTerms:
         other = constant_model(grid.T, 1.0, 0.9, mu=0.1, sigma=0.3)
         other_vs = lambda: solve_y_ode(other, grid)  # noqa: E731
         drawn = simulate_path(model, grid, 3, range(4))
-        # each model's first call finds the memo holding the other's terms;
-        # both price the one gamma drawn under ``model``
-        for m, solve_m in ((other, other_vs), (model, solve)):
-            market = MarketPath(m, grid, drawn.w, drawn.gamma)
-            plan = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
-            devs = [dev(m, market, plan.x_star, 0.5)
-                    for dev in (deviation_path, naive_deviation_path)]
-            step_terms.cache_clear()
-            ref = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
-            assert_same_plan(plan, ref)
-            for dev, got in zip((deviation_path, naive_deviation_path), devs):
-                step_terms.cache_clear()
-                want = dev(m, market, ref.x_star, 0.5)
-                assert np.array_equal(got.values, want.values)
-                assert np.array_equal(got.pre_trade, want.pre_trade)
+        # in a pass, each model's first call finds the memo holding the
+        # other's terms; both price the one gamma drawn under ``model``
+        with _chunk_pool(grid.n_steps):
+            for m, solve_m in ((other, other_vs), (model, solve)):
+                market = MarketPath(m, grid, drawn.w, drawn.gamma)
+                plan = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
+                devs = [dev(m, market, plan.x_star, 0.5)
+                        for dev in (deviation_path, naive_deviation_path)]
+                _step_terms.cache_clear()
+                ref = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
+                assert_same_plan(plan, ref)
+                for dev, got in zip((deviation_path, naive_deviation_path),
+                                    devs):
+                    _step_terms.cache_clear()
+                    want = dev(m, market, ref.x_star, 0.5)
+                    assert np.array_equal(got.values, want.values)
+                    assert np.array_equal(got.pre_trade, want.pre_trade)
 
     def test_value_solution_is_freed_without_the_collector(self, setting):
         model, solve, grid, u = setting
@@ -444,12 +447,13 @@ class TestHoistedTerms:
         model, solve, grid, u = setting
         market = simulate_path(model, grid, 3, range(2))
         vs = solve()
-        plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
-        terms = vars(vs)["_plan_terms"]
-        misses = step_terms.cache_info().misses
-        replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
-        replan.d_star.values  # noqa: B018
-        assert step_terms.cache_info().misses == misses
+        with _chunk_pool(grid.n_steps):   # a pass, where the memo is read
+            plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
+            terms = vars(vs)["_plan_terms"]
+            misses = _step_terms.cache_info().misses
+            replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
+            replan.d_star.values  # noqa: B018
+            assert _step_terms.cache_info().misses == misses
         assert replan.market is plan.market
         assert replan.value_solution is plan.value_solution
         assert replan.x_star.grid is grid and replan.start == grid.index_of(u)
