@@ -270,6 +270,7 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
     :func:`step_coefficients`.  Taking each step's piece by index is several
     times faster, but the benchmark's ``value_solvers`` workload keeps the
     outputs of every pass, so more passes would read as a memory regression.
+    A step whose stages overflow raises ValueError naming its t and h.
     """
     coeffs = step_coefficients(model, grid)
     eps, t, h, n = model.epsilon, grid.times, grid.h, grid.n_steps
@@ -288,19 +289,28 @@ def solve_y_ode(model: CoefficientModel, grid: TimeGrid) -> ValueSolution:
         num = (rho + mu) * yv
         return num * (num / denom) - mu * yv   # dY/ds with z == 0
 
-    for k in range(n - 1, -1, -1):
-        tm = t[k] + 0.5 * h  # coefficients are constant on [t_k, t_{k+1})
-        yk1 = y[k + 1]
-        k1 = rhs(tm, yk1)
-        k2 = rhs(tm, yk1 - 0.5 * h * k1)
-        k3 = rhs(tm, yk1 - 0.5 * h * k2)
-        k4 = rhs(tm, yk1 - h * k3)
-        yk = yk1 - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if -1e-12 <= yk < 0.0:
-            yk = 0.0
-        elif 0.5 < yk <= 0.5 + 1e-12:
-            yk = 0.5
-        y[k] = yk
+    # one errstate for the loop: at 10^4 steps a step took 3.6 us, entering
+    # and leaving an errstate 1.2 us
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n - 1, -1, -1):
+                # coefficients are constant on [t_k, t_{k+1})
+                tm = t[k] + 0.5 * h
+                yk1 = y[k + 1]
+                k1 = rhs(tm, yk1)
+                k2 = rhs(tm, yk1 - 0.5 * h * k1)
+                k3 = rhs(tm, yk1 - 0.5 * h * k2)
+                k4 = rhs(tm, yk1 - h * k3)
+                yk = yk1 - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if -1e-12 <= yk < 0.0:
+                    yk = 0.0
+                elif 0.5 < yk <= 0.5 + 1e-12:
+                    yk = 0.5
+                y[k] = yk
+    except FloatingPointError as err:
+        raise ValueError(f"RK4 step from t = {t[k + 1]} back to t = {t[k]} "
+                         f"is not finite ({err}): the step h = {h} is too "
+                         "coarse for the model's rates") from None
     return _solution(model, grid, coeffs, y)
 
 

@@ -242,11 +242,11 @@ def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
 class StepTerms(NamedTuple):
     """Arrays of a model on a grid that are the same for every path.
 
-    The coefficients of each step (:func:`step_coefficients`), the
-    deterministic part ``(mu - sigma^2/2) h`` of each log-impact increment,
-    and the resilience factors ``exp(-r)`` and ``exp(r)``, r being the
-    integral of rho from 0 to each grid point.  Built only by
-    :func:`step_terms`; the arrays are read-only.
+    The sigma of each step (:func:`step_coefficients`), the deterministic
+    part ``(mu - sigma^2/2) h`` of each log-impact increment, and the
+    resilience factors ``exp(-r)`` and ``exp(r)``, r being the integral of
+    rho from 0 to each grid point.  Built only by :func:`step_terms`; the
+    arrays are read-only.
 
     When sigma is 0 on every step, the impact factor is the same on every
     path: ``gamma`` is that one impact path, as :func:`simulate_path`
@@ -256,8 +256,6 @@ class StepTerms(NamedTuple):
     step.
     """
 
-    rho: np.ndarray
-    mu: np.ndarray
     sigma: np.ndarray
     log_drift: np.ndarray
     decay: np.ndarray
@@ -267,26 +265,15 @@ class StepTerms(NamedTuple):
 
 
 def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
-    """The :class:`StepTerms` of ``model`` on ``grid``.
+    """The :class:`StepTerms` of ``model`` on ``grid``, built afresh.
 
-    Inside a Monte Carlo pass (:func:`execlab.cost.sample_paths`) they are
-    memoized on the last two pairs, so the pass computes them once: every
-    chunk asks for the same pairs, and a pass that prices two models on one
-    grid keeps both.  Another model or grid is another key, never a stale
-    entry.  Outside a pass they are built for the one call and nothing
-    keeps them, so a single-path market or deviation frees its grid-length
-    arrays when it is dropped.  The pair is validated with
-    :meth:`TimeGrid.validate_model` on every build; a pair that fails is
-    never cached.  The solvers read :func:`step_coefficients` instead:
-    ``exp(r)`` overflows once r passes about 709.
+    Nothing keeps them: a Monte Carlo pass (:func:`execlab.cost.sample_paths`)
+    builds each model's terms once and hands them to every chunk, and a
+    single-path market or deviation builds its own, which go with it.  The
+    pair is validated with :meth:`TimeGrid.validate_model`.  The solvers
+    read :func:`step_coefficients` instead: ``exp(r)`` overflows once r
+    passes about 709.
     """
-    build = _step_terms if _POOL.get() is not None else _step_terms.__wrapped__
-    return build(model, grid)
-
-
-@lru_cache(maxsize=2)
-def _step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
-    """The builder of :func:`step_terms`, and the memo of a pass."""
     rho, mu, sigma = step_coefficients(model, grid)
     # exact per-step resilience integrals (rho is constant on each step)
     r_cum = _cumsum0(rho * grid.h)
@@ -299,9 +286,8 @@ def _step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
         np.exp(gamma, out=gamma)
         gamma *= model.gamma0
         gamma_growth = gamma * growth
-    terms = StepTerms(rho=rho, mu=mu, sigma=sigma, log_drift=log_drift,
-                      decay=np.exp(-r_cum), growth=growth, gamma=gamma,
-                      gamma_growth=gamma_growth)
+    terms = StepTerms(sigma=sigma, log_drift=log_drift, decay=np.exp(-r_cum),
+                      growth=growth, gamma=gamma, gamma_growth=gamma_growth)
     for a in terms:
         if a is not None:
             a.flags.writeable = False
@@ -345,10 +331,8 @@ _STREAM_BLOCK = 1024
 
 
 def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words of n, least significant first, as SeedSequence
-    splits an integer; a negative n raises ValueError as it does."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
+    """The 32-bit words of a non-negative n, least significant first, as
+    SeedSequence splits an integer."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -447,11 +431,12 @@ class _ChunkPool:
 
     :meth:`take` hands out a buffer again only once nothing but the pool
     holds it, so a buffer is reused exactly where it would otherwise have
-    been freed.  An array that a factory, a price, a memo or a live view
-    still holds is never handed out twice.  Reusing the memory of the chunk
-    before spares the page faults of freeing large arrays and allocating
-    them afresh for every chunk.  The shorter last chunk of a pass takes
-    the leading rows of full-size buffers, so it allocates nothing.
+    been freed.  An array that a factory, a price, the pass's step terms or
+    a live view still holds is never handed out twice.  Reusing the memory
+    of the chunk before spares the page faults of freeing large arrays and
+    allocating them afresh for every chunk.  The shorter last chunk of a
+    pass takes the leading rows of full-size buffers, so it allocates
+    nothing.
     """
 
     def __init__(self):
@@ -552,15 +537,15 @@ def _increments(grid: TimeGrid, master_seed: int,
     return dw
 
 
-def _market(model: CoefficientModel, grid: TimeGrid,
-            dw: np.ndarray) -> MarketPath:
-    """The market of ``model`` on the Brownian increments ``dw``.
+def _market(model: CoefficientModel, grid: TimeGrid, dw: np.ndarray,
+            terms: StepTerms) -> MarketPath:
+    """The market of ``model`` on the Brownian increments ``dw``, given the
+    model's ``terms`` on ``grid``.
 
     ``gamma`` is built by exact lognormal stepping and made read-only, or
-    is a view of the one impact path of :func:`step_terms` when sigma is 0
-    on every step of the grid.
+    is a view of the one impact path of ``terms`` when sigma is 0 on every
+    step of the grid.
     """
-    terms = step_terms(model, grid)
     if terms.gamma is not None:
         # np.broadcast_to's view, built directly: it costs a fifth as much,
         # and a view of a read-only buffer is read-only
@@ -594,10 +579,9 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
 
     ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
     the grid, ``gamma`` is a view of the one impact path of
-    :func:`step_terms`, shared by every row, and inside a Monte Carlo pass
-    by every chunk: the same bits the lognormal stepping gives, since
-    sigma * dW is +-0 there.  Write into a copy, never into a market's
-    arrays.
+    :func:`step_terms`, built for the call and shared by every row: the
+    same bits the lognormal stepping gives, since sigma * dW is +-0 there.
+    Write into a copy, never into a market's arrays.
     """
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)
@@ -605,5 +589,5 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
         dw = _increments(grid, master_seed, path_id)
     else:
         dw = _increments(grid, master_seed, (path_id,))[0]
-    return _market(model, grid, dw)
+    return _market(model, grid, dw, step_terms(model, grid))
 

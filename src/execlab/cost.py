@@ -16,9 +16,8 @@ import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _chunk_pool, _empty, _increments, _market,
-                           _require_finite, step_coefficients)
-from .deviation import (DeviationPath, Strategy, _check_market,
-                        deviation_path, naive_deviation_path)
+                           _require_finite, step_coefficients, step_terms)
+from .deviation import DeviationPath, Strategy, _check_market, _deviation
 
 # Bound on the path x grid-point values of one array in a chunk of
 # sample_paths.  2^15 doubles are 256 KiB: 3 paths at 10^4 steps, 16 at
@@ -122,7 +121,8 @@ class Pricing(NamedTuple):
     ``strategy_factory`` follows the contract of :func:`estimate_cost`.
     ``price(strategy, deviation, market)`` returns one value per path of
     the chunk, or a tuple of such values.  The deviation starts from
-    ``d_pre``; ``naive_dynamics`` selects :func:`naive_deviation_path`.
+    ``d_pre``; ``naive_dynamics`` selects the dynamics of
+    :func:`naive_deviation_path`.
     """
 
     model: CoefficientModel
@@ -138,6 +138,8 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     for each entry, one row per value its ``price`` returns and one column
     per path.
 
+    Builds the :func:`step_terms` of each distinct model once and drops
+    them on return; every market and deviation of the model reads them.
     Walks the chunks of :func:`path_chunks` one at a time.  A chunk's
     Brownian increments are drawn once and shared, read-only, by every
     entry; one market is built from them per distinct model, and the
@@ -162,16 +164,17 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     # every chunk-shaped array of the pass comes from one pool (see
     # coefficients._ChunkPool): a chunk reuses the memory of the one before
     with _chunk_pool(grid.n_steps):
+        terms = [step_terms(model, grid) for model in models]
         for ids in path_chunks(n_paths, grid):
             dw = _increments(grid, seed, ids)
-            markets = [_market(model, grid, dw) for model in models]
+            markets = [_market(model, grid, dw, model_terms)
+                       for model, model_terms in zip(models, terms)]
             for k, p in enumerate(pricings):
                 market = markets[slots[k]]
-                dev_fn = (naive_deviation_path if p.naive_dynamics
-                          else deviation_path)
                 strat = p.strategy_factory(market)
-                rows = np.atleast_2d(p.price(
-                    strat, dev_fn(p.model, market, strat, p.d_pre), market))
+                rows = np.atleast_2d(p.price(strat, _deviation(
+                    p.model, market, strat, p.d_pre, p.naive_dynamics,
+                    terms[slots[k]]), market))
                 del strat  # priced: its arrays are free for the next entry
                 if samples[k] is None:
                     samples[k] = np.empty((len(rows), n_paths))

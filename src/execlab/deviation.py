@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, MarketPath, TimeGrid, _empty,
-                           _require_finite, step_terms)
+from .coefficients import (CoefficientModel, MarketPath, StepTerms,
+                           TimeGrid, _empty, _require_finite, step_terms)
 
 
 class GridMismatch(ValueError):
@@ -123,32 +123,33 @@ def _check_market(market: MarketPath, model: CoefficientModel,
 
 
 def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
-               d_pre: float, naive: bool) -> DeviationPath:
+               d_pre: float, naive: bool,
+               terms: StepTerms | None = None) -> DeviationPath:
     """Deviation when the trade at grid point k is charged at gamma_eff_k.
 
     Between grid points the deviation decays by the exact factor
     exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
     gamma on trades that are not block trades.  The resilience factors do
-    not depend on the path: they come from :func:`step_terms`, and so does
-    gamma * exp(r) inside a Monte Carlo pass when the impact is
-    deterministic (sigma = 0 on the grid).
+    not depend on the path: they come from ``terms``, the model's
+    :func:`step_terms` on the grid, built here unless a pass hands them
+    down, and so does gamma * exp(r) when gamma is their impact path.
     """
     _check_market(market, model, strategy.grid)
     _require_finite(d_pre=d_pre)
+    if terms is None:
+        terms = step_terms(model, strategy.grid)
     gamma_eff = market.gamma
     if naive:
         gamma_eff = _empty(market.gamma.shape)
         np.copyto(gamma_eff, market.gamma)
         np.copyto(gamma_eff[..., 1:], market.gamma[..., :-1],
                   where=~strategy.is_block[1:])
-    terms = step_terms(model, strategy.grid)
     # the shape of the chunk, also when the strategy is one shared row
     cum = _empty(gamma_eff.shape)
-    # a pass's memo holds gamma * exp(r) for the impact path that its
-    # markets share on this model and grid.  Any other gamma, and every
-    # gamma outside a pass, where the terms are built afresh per call, is
-    # multiplied here in the same order, (gamma * exp(r)) * xi: same bits
+    # the terms hold gamma * exp(r) for the impact path that the markets
+    # built from them share.  Any other gamma is multiplied here in the
+    # same order, (gamma * exp(r)) * xi: same bits
     if terms.gamma is None or gamma_eff.base is not terms.gamma:
         np.multiply(gamma_eff, terms.growth, out=cum)
         cum *= strategy.trades

@@ -384,6 +384,20 @@ class TestRk4Solver:
         assert np.all(vs.beta_tilde > 1.0)
         assert ode_residual(vs, model) <= 1e-5
 
+    def test_too_coarse_a_step_is_refused_by_its_time_and_h(self):
+        # mu = 50 on h = 0.2: the stages of the step back from t = 0.4
+        # overflow.  The solve once warned twice and then refused y for
+        # leaving [0, 1/2], naming neither the step nor its size
+        model = constant_model(1.0, 1.0, 0.5, mu=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"to t = 0\.2 .*h = 0\.2 is too coarse"):
+                solve_y_ode(model, TimeGrid(0.0, 1.0, 5))
+        # refined enough, the same model solves
+        assert np.all(np.isfinite(solve_y_ode(model,
+                                              TimeGrid(0.0, 1.0, 500)).y))
+
 
 def pointwise_driver_and_ratio(model, t, y):
     """Reference: the generator and the ratio at one point, in floats."""

@@ -1,5 +1,6 @@
 """Market model and path simulation tests."""
 
+import gc
 import math
 import os
 import subprocess
@@ -15,15 +16,16 @@ from hypothesis import strategies as st
 import execlab
 from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
                      constant_model, deviation_path, immediate_close,
-                     jump_example_model, model_from_config,
-                     naive_deviation_path, optimal_plan,
+                     jump_example_model, model_from_config, optimal_plan,
                      quadratic_representation_rhs, simulate_path,
                      solve_y_deterministic, solve_y_ode, step_coefficients,
                      step_terms)
 from execlab.bsde import _value_at
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _chunk_pool, _step_terms, _stream_block
+from execlab.coefficients import _stream_block
+from execlab.cost import Pricing, path_chunks, pathwise_cost, sample_paths
 from piece_lookup import integral, value_at
+from term_builds import alive, spy_builds
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -279,8 +281,10 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("t0, T, n, field", [
         (0.0, 1.0, True, "n_steps"), (0.0, True, 4, "T"),
-        (0.0, "1", 4, "T"), ("0", 1.0, 4, "t0"), (0.0, 10**400, 4, "T")],
-        ids=["bool_steps", "bool_end", "str_end", "str_start", "huge_end"])
+        (0.0, "1", 4, "T"), ("0", 1.0, 4, "t0"), (0.0, 10**400, 4, "T"),
+        (0.0, 1.0, 0, "n_steps"), (0.0, 1.0, -3, "n_steps")],
+        ids=["bool_steps", "bool_end", "str_end", "str_start", "huge_end",
+             "no_steps", "negative_steps"])
     def test_refuses_bools_and_strings_by_name(self, t0, T, n, field):
         # a bool was a one-step grid or an end at 1; a string ended in
         # TypeError from np.isfinite, an integer beyond the float range in
@@ -372,7 +376,7 @@ class TestStepTerms:
     def test_arrays_are_read_only(self):
         # sigma = 0: the shared impact path and its product are built too
         terms = step_terms(self.MODEL, TimeGrid(0.0, 5.0, 50))
-        assert len(terms) == 8
+        assert len(terms) == 6
         for a in terms:
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -384,29 +388,28 @@ class TestStepTerms:
             {"t_from": 4.0, "rho": 0.7, "mu": 1.0, "sigma": 0.5},
         ])
         grid = TimeGrid(0.0, 5.0, 500)
-        _step_terms.cache_clear()
-        with _chunk_pool(grid.n_steps):   # a pass reads the memo
-            terms = step_terms(model, grid)
-            assert step_terms(model, grid) is terms
+        terms = step_terms(model, grid)
         t = grid.h * np.arange(grid.n_steps)
         rho = np.where(t >= 4.0, 0.7, 0.3)
         mu = np.where(t >= 4.0, 1.0, 0.0)
         sigma = np.where(t >= 4.0, 0.5, 0.2)
         r = np.concatenate(([0.0], np.cumsum(rho * grid.h)))
-        direct = dict(rho=rho, mu=mu, sigma=sigma,
-                      log_drift=(mu - 0.5 * sigma**2) * grid.h,
+        direct = dict(sigma=sigma, log_drift=(mu - 0.5 * sigma**2) * grid.h,
                       decay=np.exp(-r), growth=np.exp(r))
         for name, want in direct.items():
             assert np.array_equal(getattr(terms, name), want), name
+        got_rho, got_mu, _ = step_coefficients(model, grid)
+        assert np.array_equal(got_rho, rho) and np.array_equal(got_mu, mu)
         # r is the integral of rho from 0
         exact = [integral(model, "rho", 0.0, s) for s in grid.times]
         assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
-    @pytest.mark.parametrize("call", ["simulate_path", "deviation_path",
-                                      "optimal_plan",
-                                      "quadratic_representation_rhs"])
-    def test_no_memo_entry_outside_a_pass(self, call, sigma):
+    @pytest.mark.parametrize("call, n_builds", [
+        ("simulate_path", 1), ("deviation_path", 1), ("optimal_plan", 0),
+        ("quadratic_representation_rhs", 0)])
+    def test_no_terms_outlive_a_call_outside_a_pass(self, call, n_builds,
+                                                    sigma, monkeypatch):
         model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
         grid = TimeGrid(0.0, 1.0, 50)
         vs = solve_y_deterministic(model, grid)
@@ -421,30 +424,42 @@ class TestStepTerms:
             "quadratic_representation_rhs":
                 lambda: quadratic_representation_rhs(vs, dev),
         }
-        _step_terms.cache_clear()
-        calls[call]()
-        info = _step_terms.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        builds = spy_builds(monkeypatch)
+        # without the collector: the result's references alone hold them
+        gc.disable()
+        try:
+            result = calls[call]()
+            assert len(builds) == n_builds
+            del result
+            assert alive(builds) == 0
+        finally:
+            gc.enable()
 
-    def test_built_once_per_pair_inside_a_pass(self):
+    # the third model has a sigma = 0 piece table of its own
+    @pytest.mark.parametrize("n_models", [2, 3])
+    def test_built_once_per_model_inside_a_pass(self, n_models, monkeypatch):
         grid = TimeGrid(0.0, 1.0, 50)
         models = [constant_model(1.0, 1.0, 0.5),
-                  constant_model(1.0, 1.0, 0.5, sigma=0.4)]
+                  constant_model(1.0, 1.0, 0.5, sigma=0.4),
+                  constant_model(1.0, 1.0, 0.7, mu=0.2)][:n_models]
         close = immediate_close(grid, 0.5, 1.0)
-        _step_terms.cache_clear()
-        with _chunk_pool(grid.n_steps):
-            for ids in (range(0, 2), range(2, 4)):   # two chunks
-                for model in models:
-                    market = simulate_path(model, grid, 3, ids)
-                    deviation_path(model, market, close)
-                    naive_deviation_path(model, market, close)
-            terms = [step_terms(model, grid) for model in models]
-            again = [step_terms(model, grid) for model in models]
-        assert all(a is b for a, b in zip(terms, again, strict=True))
-        assert _step_terms.cache_info().misses == 2
-        # outside the pass every call builds its own
-        assert step_terms(models[0], grid) is not step_terms(models[0], grid)
-        assert _step_terms.cache_info().misses == 2
+        pricings = [Pricing(model, lambda m: close, pathwise_cost,
+                            naive_dynamics=naive)
+                    for naive in (False, True) for model in models]
+        n_paths = len(next(path_chunks(1 << 20, grid))) + 2   # two chunks
+        builds = spy_builds(monkeypatch)
+        gc.disable()
+        try:
+            sample_paths(grid, n_paths, 3, pricings)
+            assert [model for model, _ in builds] == models
+            # the pass drops its terms when it returns
+            assert alive(builds) == 0
+        finally:
+            gc.enable()
+        # outside a pass every call builds its own
+        simulate_path(models[0], grid, 3, 0)
+        simulate_path(models[0], grid, 3, 0)
+        assert len(builds) == n_models + 2
 
 
 class TestSimulatePath:

@@ -15,10 +15,11 @@ from execlab import (GridMismatch, Strategy, TimeGrid, closed_form_cost_gbm,
                      deviation_path, estimate_cost, immediate_close,
                      naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
-                     simulate_path, solve_y_deterministic, value_function)
+                     simulate_path, solve_y_deterministic, step_terms,
+                     value_function)
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _step_terms
 from execlab.cost import CHUNK_ELEMENTS, path_chunks
+from term_builds import spy_builds
 
 
 def make_setup(n=50, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
@@ -243,22 +244,24 @@ class TestChunkedEstimate:
                    naive=True)
 
     @pytest.mark.parametrize("kind", ["optimal", "gbm"])
-    def test_one_step_terms_per_call(self, sized_grid, kind):
+    def test_one_step_terms_per_call(self, sized_grid, kind, monkeypatch):
         grid, n_paths = sized_grid
         vs = solve_y_deterministic(self.MODEL, grid)
         factory = {
             "optimal": lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
                                               0.5).x_star,
             "gbm": lambda m: counterexample_gbm(-1.0, 1.0, m)}[kind]
+        builds = spy_builds(monkeypatch)
         for naive_dynamics in (False, True):
-            _step_terms.cache_clear()
+            builds.clear()
             estimate_cost(self.MODEL, grid, n_paths, 17, factory, d_pre=0.5,
                           naive_dynamics=naive_dynamics)
-            assert _step_terms.cache_info().misses == 1
+            assert len(builds) == 1
 
     def test_priced_chunk_is_released_before_the_next_is_drawn(self):
-        # the peak holds the six arrays of the chunk being priced, and none
-        # of the chunk before: the next chunk reuses their memory
+        # the peak holds the pass's step terms and the six arrays of the
+        # chunk being priced, and none of the chunk before: the next chunk
+        # reuses their memory
         grid = TimeGrid(0.0, 10.0, 10_000)
         vs = solve_y_deterministic(SHOWCASE, grid)
         chunks = list(path_chunks(6, grid))
@@ -268,14 +271,18 @@ class TestChunkedEstimate:
             return estimate_cost(SHOWCASE, grid, 6, 1, lambda m: optimal_plan(
                 SHOWCASE, vs, m, 0.0, 100.0, 0.0).x_star)
 
-        estimate()  # the memos of the step terms and the streams
+        estimate()  # the memos of the streams
         tracemalloc.start()
         try:
+            terms = step_terms(SHOWCASE, grid)
+            terms_bytes = tracemalloc.get_traced_memory()[0]
+            del terms
+            tracemalloc.reset_peak()
             estimate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 8 * len(chunks[0]) * (grid.n_steps + 1)
+        assert peak < 7 * 8 * len(chunks[0]) * (grid.n_steps + 1) + terms_bytes
 
 
 class TestValueFunction:
@@ -385,6 +392,9 @@ class TestClosedFormGbm:
             closed_form_cost_gbm(1.0, 1.0, 0.8, 0.5, 1.0, -1.6)
         with pytest.raises(ValueError):
             closed_form_cost_gbm(1.0, 1.0, 1.0, 0.5, 1.0, 1.0)  # 2rho = sigma^2
+        # nu^2 + 2 sigma nu + rho = 1 - 3 + 2 = 0 exactly
+        with pytest.raises(ValueError, match=r"2 sigma nu \+ rho = 0"):
+            closed_form_cost_gbm(1.0, 1.0, 1.5, 2.0, 1.0, -1.0)
 
     def test_continuous_through_nu_zero(self):
         lo = closed_form_cost_gbm(2.0, 3.0, 0.8, 0.5, 1.0, -1e-6)

@@ -34,7 +34,7 @@ class TestRoundedBreakpoint:
     def test_table_changes_drift_at_the_grid_index(self):
         assert GRID.times[K] < 0.5
         assert changes(step_coefficients(MODEL, GRID)[1]) == [K]
-        assert changes(step_terms(MODEL, GRID).mu) == [K]
+        assert changes(step_terms(MODEL, GRID).log_drift) == [K]
 
     @SOLVERS
     def test_ratio_jumps_at_the_grid_index(self, solve):
@@ -76,7 +76,8 @@ def test_table_changes_piece_at_the_validated_indices(T, n, data):
     assert indices == sorted(ks)
     table = step_coefficients(model, grid)
     assert changes(table) == indices
-    assert changes(np.stack(step_terms(model, grid)[:3])) == indices
+    terms = step_terms(model, grid)
+    assert changes(np.stack([terms.sigma, terms.log_drift])) == indices
     # each run holds the values of its piece
     for i, k in enumerate([0, *indices]):
         assert table[:, k].tolist() == [1.0, 0.1 * i, 0.01 * i]

@@ -6,7 +6,6 @@ below keeps the earlier out-of-place formulas, operation by operation, so
 each comparison is bit for bit.
 """
 
-import contextlib
 import math
 import sys
 import tracemalloc
@@ -22,11 +21,12 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
                      counterexample_gbm, deviation_path, estimate_cost,
                      immediate_close, naive_deviation_path, optimal_plan,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
-                     solve_y_deterministic, step_terms)
-from execlab import coefficients
+                     solve_y_deterministic, step_coefficients, step_terms)
+from execlab import coefficients, deviation
 from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.bsde import _beta_ds_integrals
+from term_builds import spy_builds
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
 X, D = 10.0, 0.5
@@ -50,7 +50,7 @@ def ref_market(model, grid, seed, ids):
 
 
 def ref_plan_terms(model, vs, grid):
-    rho, mu, sig, *_ = step_terms(model, grid)
+    rho, mu, sig = step_coefficients(model, grid)
     beta = vs.beta_tilde
     int_beta = _beta_ds_integrals(vs.y, rho, mu, grid.h)
     return (beta, -beta[:-1] * sig, int_beta * (mu + rho - sig**2),
@@ -204,15 +204,17 @@ class TestInputsUnchanged:
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_market_strategy_and_shared_terms(self, naive):
-        # sigma > 0, and sigma = 0 with its shared impact path; in a pass,
-        # where every call reads the one memo entry
+        # sigma > 0, and sigma = 0 with its shared impact path; as in a
+        # pass, the market and every deviation read one set of step terms
         for model in (MODEL, constant_model(2.0, 1.5, 0.5, mu=0.1)):
             with coefficients._chunk_pool(40):
                 self.check_model(model, naive)
 
     def check_model(self, model, naive):
         grid = TimeGrid(0.0, 2.0, 40)
-        market = simulate_path(model, grid, 4, range(3))
+        step = step_terms(model, grid)
+        market = coefficients._market(
+            model, grid, simulate_path(model, grid, 4, range(3)).w, step)
         vs = solve_y_deterministic(model, grid)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((3, 41))
@@ -220,14 +222,13 @@ class TestInputsUnchanged:
         caller = Strategy(grid, 0.7, values, rng.random(41) < 0.5)
         plan = optimal_plan(model, vs, market, 0.0, X, D)
         # the impact path and its product are None when sigma > 0
-        shared = [a for a in step_terms(model, grid) if a is not None]
+        shared = [a for a in step if a is not None]
         terms = vars(vs)["_plan_terms"]
         kept = [a.copy() for a in (market.w, market.gamma, values, *shared,
                                    *terms, vs.beta_tilde, vs.beta_pre)]
-        dev_fn = naive_deviation_path if naive else deviation_path
         cost_fn = pathwise_cost_naive if naive else pathwise_cost
         for strat in (plan.x_star, caller):
-            dev = dev_fn(model, market, strat, D)
+            dev = deviation._deviation(model, market, strat, D, naive, step)
             cost_fn(strat, dev, market)
             dev.values, dev.impact_state  # noqa: B018
         plan.d_star.impact_state  # noqa: B018
@@ -260,8 +261,9 @@ DETERMINISTIC = {
 @pytest.mark.parametrize("case", DETERMINISTIC)
 class TestDeterministicImpact:
     """With sigma = 0 every path shares one read-only impact path, and in a
-    pass the corrected deviation reads gamma * exp(r) from step_terms: the
-    same bits as the lognormal stepping and the per-call product."""
+    pass the corrected deviation reads gamma * exp(r) from the pass's step
+    terms: the same bits as the lognormal stepping and the per-call
+    product."""
 
     @pytest.mark.parametrize("ids", [range(3, 7), 5], ids=["chunk", "path"])
     def test_gamma_is_the_lognormal_stepping(self, case, ids):
@@ -283,6 +285,8 @@ class TestDeterministicImpact:
     @pytest.mark.parametrize("shared_row", [False, True],
                              ids=["rows", "shared_close"])
     def test_deviations_and_costs(self, case, fn, naive, shared_row):
+        # a naive deviation charges the gamma of the grid point before, so
+        # it takes the general formula in a pass too
         model, grid = DETERMINISTIC[case]
         if shared_row:
             strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
@@ -294,33 +298,42 @@ class TestDeterministicImpact:
                              rng.random(grid.n_steps + 1) < 0.5)
         _, gamma, alpha = ref_market(model, grid, 4, range(3))
         ref = ref_deviation(model, grid, gamma, alpha, strat, 0.4, naive)
-        # per call, and in a pass, where the memo's product is read
-        for scope in (contextlib.nullcontext(),
-                      coefficients._chunk_pool(grid.n_steps)):
-            with scope:
-                market = simulate_path(model, grid, 4, range(3))
-                dev = fn(model, market, strat, 0.4)
-                assert dev.pre_trade.shape == gamma.shape
-                for got, want in zip((dev.pre_trade, dev.values,
-                                      dev.impact_state), ref, strict=True):
-                    assert np.array_equal(got, want)
-                for cost_fn, cost_naive in ((pathwise_cost, False),
-                                            (pathwise_cost_naive, True)):
-                    assert np.array_equal(
-                        cost_fn(strat, dev, market),
-                        ref_cost(strat, ref[0], gamma, cost_naive))
+        single = simulate_path(model, grid, 4, range(3))
+        passed = []
 
-    def test_other_gamma_is_not_read_from_the_memo(self, case):
-        # in a pass, a market of this model that carries another sigma = 0
-        # model's gamma, a view of that model's memo entry, keeps its own
+        def price(strat, dev, market):
+            passed.append((dev, market))
+            return pathwise_cost(strat, dev, market)
+
+        # per call, and in a pass, where the terms' product is read
+        sample_paths(grid, 3, 4, [Pricing(model, lambda m: strat, price,
+                                          0.4, naive)])
+        # the pass's paths share its one impact path
+        assert passed[0][1].gamma.strides[0] == 0
+        for dev, market in [(fn(model, single, strat, 0.4), single),
+                            *passed]:
+            assert dev.pre_trade.shape == gamma.shape
+            for got, want in zip((dev.pre_trade, dev.values,
+                                  dev.impact_state), ref, strict=True):
+                assert np.array_equal(got, want)
+            for cost_fn, cost_naive in ((pathwise_cost, False),
+                                        (pathwise_cost_naive, True)):
+                assert np.array_equal(
+                    cost_fn(strat, dev, market),
+                    ref_cost(strat, ref[0], gamma, cost_naive))
+
+    def test_other_gamma_is_not_read_from_the_terms(self, case):
+        # a market of this model that carries another sigma = 0 model's
+        # gamma, a view of that model's step terms, keeps its own gamma
+        # when its deviation is handed this model's terms
         model, grid = DETERMINISTIC[case]
         other = constant_model(model.T, 1.0, 0.3, mu=0.9)
         strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
         with coefficients._chunk_pool(grid.n_steps):
             foreign = simulate_path(other, grid, 4, range(3))
             market = MarketPath(model, grid, foreign.w, foreign.gamma)
-            step_terms(model, grid)   # this model's entry is in the memo
-            dev = deviation_path(model, market, strat, 0.4)
+            dev = deviation._deviation(model, market, strat, 0.4, False,
+                                       step_terms(model, grid))
         ref = ref_deviation(model, grid, market.gamma, market.alpha, strat,
                             0.4, False)
         assert np.array_equal(dev.pre_trade, ref[0])
@@ -441,16 +454,16 @@ class TestSharedPass:
         with pytest.raises(ValueError, match=match):
             sample_paths(TimeGrid(0.0, 2.0, 40), n_paths, 1, pricings)
 
-    def test_two_models_miss_step_terms_once_each(self):
+    def test_two_models_build_step_terms_once_each(self, monkeypatch):
         grid = TimeGrid(0.0, 2.0, 50)
         n_paths = 3 * (CHUNK_ELEMENTS // 51) + 1  # four chunks
         assert len(list(path_chunks(n_paths, grid))) >= 3
         pricings = [Pricing(model, FACTORIES["gbm"], pathwise_cost,
                             naive_dynamics=True)
                     for model in (MODEL, SIGMA_ZERO, MODEL)]
-        coefficients._step_terms.cache_clear()
+        builds = spy_builds(monkeypatch)
         sample_paths(grid, n_paths, 5, pricings)
-        assert coefficients._step_terms.cache_info().misses == 2
+        assert [model for model, _ in builds] == [MODEL, SIGMA_ZERO]
 
 
 def chunk_rows(grid):
@@ -560,7 +573,8 @@ class TestChunkPool:
                     naive_dynamics=True)]
 
         def peak(n_paths):
-            sample_paths(grid, n_paths, 3, pricings)  # the memos
+            # the memos of the streams
+            sample_paths(grid, n_paths, 3, pricings)
             tracemalloc.start()
             try:
                 sample_paths(grid, n_paths, 3, pricings)
@@ -583,7 +597,7 @@ class TestChunkPool:
             def estimate():
                 estimate_cost(SHOWCASE, grid, n_paths, 1, lambda m: (
                     optimal_plan(SHOWCASE, vs, m, 0.0, 100.0, 0.0).x_star))
-            estimate()  # the memos
+            estimate()  # the memos of the streams
             tracemalloc.start()
             try:
                 estimate()

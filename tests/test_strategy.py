@@ -16,7 +16,8 @@ from execlab import (JumpExample, MarketPath, ModelError, TimeGrid,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
                      solve_y_deterministic, solve_y_ode)
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _chunk_pool, _step_terms
+from execlab.cost import Pricing, sample_paths
+from term_builds import spy_builds
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -371,27 +372,38 @@ class TestHoistedTerms:
                 optimal_plan(model, solve(), one, 0.0, 100.0, 0.5), u)
 
     def test_other_models_terms_are_not_used(self, setting):
+        # a pass over two models, each entry of the other model first: every
+        # plan and deviation equals the one of its own model's single calls
         model, solve, grid, _ = setting
         other = constant_model(grid.T, 1.0, 0.9, mu=0.1, sigma=0.3)
-        other_vs = lambda: solve_y_ode(other, grid)  # noqa: E731
-        drawn = simulate_path(model, grid, 3, range(4))
-        # in a pass, each model's first call finds the memo holding the
-        # other's terms; both price the one gamma drawn under ``model``
-        with _chunk_pool(grid.n_steps):
-            for m, solve_m in ((other, other_vs), (model, solve)):
-                market = MarketPath(m, grid, drawn.w, drawn.gamma)
-                plan = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
-                devs = [dev(m, market, plan.x_star, 0.5)
-                        for dev in (deviation_path, naive_deviation_path)]
-                _step_terms.cache_clear()
-                ref = optimal_plan(m, solve_m(), market, 0.0, 100.0, 0.5)
-                assert_same_plan(plan, ref)
-                for dev, got in zip((deviation_path, naive_deviation_path),
-                                    devs):
-                    _step_terms.cache_clear()
-                    want = dev(m, market, ref.x_star, 0.5)
-                    assert np.array_equal(got.values, want.values)
-                    assert np.array_equal(got.pre_trade, want.pre_trade)
+        solvers = {other: lambda: solve_y_ode(other, grid), model: solve}
+        entries = [(m, naive) for naive in (False, True)
+                   for m in (other, model)]
+        got = []
+
+        def pricing(m, naive):
+            vs = solvers[m]()
+
+            def factory(market):
+                got.append(optimal_plan(m, vs, market, 0.0, 100.0, 0.5))
+                return got[-1].x_star
+
+            def price(strat, dev, market):
+                got.append(dev)
+                return pathwise_cost(strat, dev, market)
+
+            return Pricing(m, factory, price, 0.5, naive)
+
+        sample_paths(grid, 4, 3, [pricing(*e) for e in entries])
+        for (m, naive), plan, got_dev in zip(entries, got[::2], got[1::2],
+                                              strict=True):
+            market = simulate_path(m, grid, 3, range(4))
+            ref = optimal_plan(m, solvers[m](), market, 0.0, 100.0, 0.5)
+            assert_same_plan(plan, ref)
+            dev = naive_deviation_path if naive else deviation_path
+            want = dev(m, market, ref.x_star, 0.5)
+            assert np.array_equal(got_dev.values, want.values)
+            assert np.array_equal(got_dev.pre_trade, want.pre_trade)
 
     def test_value_solution_is_freed_without_the_collector(self, setting):
         model, solve, grid, u = setting
@@ -441,19 +453,18 @@ class TestHoistedTerms:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_replan_reads_the_parent_grid_terms(self, setting):
+    def test_replan_reads_the_parent_grid_terms(self, setting, monkeypatch):
         # a replan lives on its parent's grid, market and value solution,
-        # and reads the step terms and plan terms of the plan from 0
+        # reads the plan terms of the plan from 0, and builds no step terms
         model, solve, grid, u = setting
         market = simulate_path(model, grid, 3, range(2))
         vs = solve()
-        with _chunk_pool(grid.n_steps):   # a pass, where the memo is read
-            plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
-            terms = vars(vs)["_plan_terms"]
-            misses = _step_terms.cache_info().misses
-            replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
-            replan.d_star.values  # noqa: B018
-            assert _step_terms.cache_info().misses == misses
+        plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
+        terms = vars(vs)["_plan_terms"]
+        builds = spy_builds(monkeypatch)
+        replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
+        replan.d_star.values  # noqa: B018
+        assert builds == []
         assert replan.market is plan.market
         assert replan.value_solution is plan.value_solution
         assert replan.x_star.grid is grid and replan.start == grid.index_of(u)
