@@ -229,14 +229,21 @@ def step_coefficients(model: CoefficientModel, grid: TimeGrid) -> np.ndarray:
     compared with a breakpoint.  Every grid computation reads it.  For a
     one-piece model the table is a read-only broadcast of its three values,
     filling no 3 x n_steps array; otherwise it is a new writeable array."""
-    ks = grid.validate_model(model)
-    if not ks:
+    pieces = _piece_steps(model, grid)
+    if len(pieces) == 1:
         return np.broadcast_to(np.array([model.rho, model.mu, model.sigma],
                                         dtype=float), (3, grid.n_steps))
     table = np.empty((3, grid.n_steps))
-    for i, (ka, kb) in enumerate(zip([0, *ks], [*ks, grid.n_steps])):
-        table[:, ka:kb] = [[model.rho[i]], [model.mu[i]], [model.sigma[i]]]
+    for i, steps in enumerate(pieces):
+        table[:, steps] = [[model.rho[i]], [model.mu[i]], [model.sigma[i]]]
     return table
+
+
+def _piece_steps(model: CoefficientModel, grid: TimeGrid) -> list[slice]:
+    """The grid steps of each piece of ``model``, in piece order: the runs
+    between the indices of :meth:`TimeGrid.validate_model`."""
+    ks = grid.validate_model(model)
+    return [slice(ka, kb) for ka, kb in zip([0, *ks], [*ks, grid.n_steps])]
 
 
 class StepTerms(NamedTuple):
@@ -245,15 +252,14 @@ class StepTerms(NamedTuple):
     The sigma of each step (:func:`step_coefficients`), the deterministic
     part ``(mu - sigma^2/2) h`` of each log-impact increment, and the
     resilience factors ``exp(-r)`` and ``exp(r)``, r being the integral of
-    rho from 0 to each grid point.  Built only by :func:`step_terms`; the
-    arrays are read-only.
+    rho from 0 to each grid point.  Built only by :func:`step_terms`, for a
+    Monte Carlo pass; the arrays are read-only.
 
     When sigma is 0 on every step, the impact factor is the same on every
     path: ``gamma`` is that one impact path, as :func:`simulate_path`
     computes it, and ``gamma_growth`` its product with ``growth``.  Every
-    path of a call, and every chunk of a pass, shares them, so nothing may
-    write into a market's ``gamma``.  Both are None when sigma > 0 on any
-    step.
+    chunk of a pass shares them, so nothing may write into a market's
+    ``gamma``.  Both are None when sigma > 0 on any step.
     """
 
     sigma: np.ndarray
@@ -264,30 +270,58 @@ class StepTerms(NamedTuple):
     gamma_growth: np.ndarray | None
 
 
+class _ImpactTerms(NamedTuple):
+    """The :class:`StepTerms` fields that a market is built from."""
+
+    sigma: np.ndarray
+    log_drift: np.ndarray
+    gamma: np.ndarray | None
+
+
+def _impact_terms(model: CoefficientModel, grid: TimeGrid) -> _ImpactTerms:
+    """sigma and the log-drift of each step, and the one impact path when
+    sigma is 0 on every step (else None)."""
+    _, mu, sigma = step_coefficients(model, grid)
+    log_drift = (mu - 0.5 * sigma**2) * grid.h
+    if sigma.any():
+        return _ImpactTerms(sigma, log_drift, None)
+    # sigma * dW is +-0 on every step: it adds nothing to log_drift
+    gamma = _cumsum0(log_drift)
+    np.exp(gamma, out=gamma)
+    gamma *= model.gamma0
+    gamma.flags.writeable = False   # every row of a market shares it
+    return _ImpactTerms(sigma, log_drift, gamma)
+
+
+def _resilience(model: CoefficientModel,
+                grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(r)`` and ``exp(-r)`` at each grid point, r the integral of rho
+    from 0; the second is formed in the buffer of r."""
+    rho = step_coefficients(model, grid)[0]
+    # exact per-step resilience integrals (rho is constant on each step)
+    r_cum = _cumsum0(rho * grid.h)
+    growth = np.exp(r_cum)
+    np.negative(r_cum, out=r_cum)
+    return growth, np.exp(r_cum, out=r_cum)
+
+
 def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
     """The :class:`StepTerms` of ``model`` on ``grid``, built afresh.
 
     Nothing keeps them: a Monte Carlo pass (:func:`execlab.cost.sample_paths`)
-    builds each model's terms once and hands them to every chunk, and a
-    single-path market or deviation builds its own, which go with it.  The
-    pair is validated with :meth:`TimeGrid.validate_model`.  The solvers
-    read :func:`step_coefficients` instead: ``exp(r)`` overflows once r
-    passes about 709.
+    builds each model's terms once and hands them to every chunk.  A
+    single-path market or deviation builds only the terms it reads, from
+    the same two builders.  The pair is validated with
+    :meth:`TimeGrid.validate_model`.  The solvers read
+    :func:`step_coefficients` instead: ``exp(r)`` overflows once r passes
+    about 709.
     """
-    rho, mu, sigma = step_coefficients(model, grid)
-    # exact per-step resilience integrals (rho is constant on each step)
-    r_cum = _cumsum0(rho * grid.h)
-    log_drift = (mu - 0.5 * sigma**2) * grid.h
-    growth = np.exp(r_cum)
-    gamma = gamma_growth = None
-    if not sigma.any():
-        # sigma * dW is +-0 on every step: it adds nothing to log_drift
-        gamma = _cumsum0(log_drift)
-        np.exp(gamma, out=gamma)
-        gamma *= model.gamma0
-        gamma_growth = gamma * growth
-    terms = StepTerms(sigma=sigma, log_drift=log_drift, decay=np.exp(-r_cum),
-                      growth=growth, gamma=gamma, gamma_growth=gamma_growth)
+    impact = _impact_terms(model, grid)
+    growth, decay = _resilience(model, grid)
+    gamma_growth = None if impact.gamma is None else impact.gamma * growth
+    terms = StepTerms(sigma=impact.sigma, log_drift=impact.log_drift,
+                      decay=decay, growth=growth, gamma=impact.gamma,
+                      gamma_growth=gamma_growth)
     for a in terms:
         if a is not None:
             a.flags.writeable = False
@@ -538,9 +572,9 @@ def _increments(grid: TimeGrid, master_seed: int,
 
 
 def _market(model: CoefficientModel, grid: TimeGrid, dw: np.ndarray,
-            terms: StepTerms) -> MarketPath:
+            terms: StepTerms | _ImpactTerms) -> MarketPath:
     """The market of ``model`` on the Brownian increments ``dw``, given the
-    model's ``terms`` on ``grid``.
+    model's ``terms`` on ``grid``: its sigma, log-drift and impact path.
 
     ``gamma`` is built by exact lognormal stepping and made read-only, or
     is a view of the one impact path of ``terms`` when sigma is 0 on every
@@ -577,11 +611,13 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     The seed and the path ids are non-negative integers, as for
     ``SeedSequence``; any other seed or id raises ValueError naming it.
 
-    ``w`` and ``gamma`` are read-only.  When sigma is 0 on every step of
-    the grid, ``gamma`` is a view of the one impact path of
-    :func:`step_terms`, built for the call and shared by every row: the
-    same bits the lognormal stepping gives, since sigma * dW is +-0 there.
-    Write into a copy, never into a market's arrays.
+    ``w`` and ``gamma`` are read-only.  Only the step terms the market
+    reads are built, and they go with the market: sigma and the log-drift
+    when sigma > 0 on some step of the grid.  When sigma is 0 on every
+    step, ``gamma`` is a view of the one impact path, built for the call
+    and shared by every row: the same bits the lognormal stepping gives,
+    since sigma * dW is +-0 there.  Write into a copy, never into a
+    market's arrays.
     """
     # the Brownian driver is always drawn: strategies may use it even when
     # the impact factor itself is deterministic (sigma == 0)
@@ -589,5 +625,5 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
         dw = _increments(grid, master_seed, path_id)
     else:
         dw = _increments(grid, master_seed, (path_id,))[0]
-    return _market(model, grid, dw, step_terms(model, grid))
+    return _market(model, grid, dw, _impact_terms(model, grid))
 

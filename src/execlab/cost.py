@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
                            _chunk_pool, _empty, _increments, _market,
-                           _require_finite, step_coefficients, step_terms)
+                           _piece_steps, _require_finite, step_terms)
 from .deviation import DeviationPath, Strategy, _check_market, _deviation
 
 # Bound on the path x grid-point values of one array in a chunk of
@@ -161,10 +161,11 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     models = list(dict.fromkeys(p.model for p in pricings))
     slots = [models.index(p.model) for p in pricings]
     samples = [None] * len(pricings)
+    # built before the pool: it would keep their one-row temporaries
+    terms = [step_terms(model, grid) for model in models]
     # every chunk-shaped array of the pass comes from one pool (see
     # coefficients._ChunkPool): a chunk reuses the memory of the one before
     with _chunk_pool(grid.n_steps):
-        terms = [step_terms(model, grid) for model in models]
         for ids in path_chunks(n_paths, grid):
             dw = _increments(grid, seed, ids)
             markets = [_market(model, grid, dw, model_terms)
@@ -248,12 +249,14 @@ def quadratic_representation_rhs(value_solution,
     the value solution's model on its grid (else GridMismatch or ValueError
     is raised).  Averaged over paths this reproduces the expected cost of
     the strategy.  Works over the last axis like :func:`pathwise_cost`: a
-    float for one path, one value per row for a chunk.
+    float for one path, one value per row for a chunk.  Besides the
+    integrand it allocates one scratch array of the market's shape, for
+    1/gamma and then the last factor, which it forms from each piece's own
+    coefficients: it reads no ``market.alpha`` and no per-step table.
     """
     strategy, market = deviation.strategy, deviation.market
     _check_market(market, value_solution.model, value_solution.grid)
-    rho, mu, sig = step_coefficients(value_solution.model, market.grid)
-    h = strategy.grid.h
+    model, h = value_solution.model, strategy.grid.h
     y = value_solution.y[:-1]
     dv = deviation.values[..., :-1]
     # built in place, one full-size array: gamma X, then the formula's steps
@@ -264,8 +267,18 @@ def quadratic_representation_rhs(value_solution,
     integrand *= value_solution.beta_tilde[:-1]
     integrand += dv
     integrand **= 2
-    integrand *= market.alpha[..., :-1]
-    integrand *= sig**2 * y + 0.5 * (2.0 * rho + mu - sig**2)
+    # one scratch array: 1/gamma, then in its first row the last factor,
+    # formed from each piece's own values in the per-step formula's order
+    scratch = _empty(gamma.shape)
+    np.divide(1.0, gamma, out=scratch)
+    integrand *= scratch
+    factor = scratch.reshape(-1, scratch.shape[-1])[0]
+    for steps, rho, mu, sig in zip(_piece_steps(model, market.grid),
+                                   model.rho, model.mu, model.sigma):
+        sig2 = sig * sig   # what sig**2 computes for an array
+        np.multiply(sig2, y[steps], out=factor[steps])
+        factor[steps] += 0.5 * (2.0 * rho + mu - sig2)
+    integrand *= factor
     head = _value(value_solution.y[0], market.gamma[..., 0], strategy.x_pre,
                   deviation.pre_trade[..., 0])
     return _per_path(head + np.add.reduce(integrand, axis=-1) * h)

@@ -443,9 +443,11 @@ class TestVerificationBattery:
         assert peak < 22 * 8 * 100_001
 
     def test_pathwise_representation_gap_memory(self):
-        # its 10^5-step path keeps no step terms once its market and
-        # deviation are built: the peak stays under 16 arrays of 10^5
-        # doubles (21 while a memo kept the terms of every call)
+        # its 10^5-step path builds only the step terms each call reads,
+        # and the representation forms 1/gamma and its last factor in one
+        # scratch array: the peak stays under 12 arrays of 10^5 doubles
+        # (14.2 while each call built all its terms and the market kept
+        # 1/gamma, 21 while a memo kept the terms of every call)
         simulate_path(constant_model(1.0, 1.0, 0.5), TimeGrid(0.0, 1.0, 4),
                       0, 0)   # the shared generator, built on first draw
         tracemalloc.start()
@@ -455,7 +457,7 @@ class TestVerificationBattery:
         finally:
             tracemalloc.stop()
         assert det_gap == 2.2499974583478632e-07
-        assert peak < 16 * 8 * 100_001
+        assert peak < 12 * 8 * 100_001
 
 
 class TestFigures:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import execlab
 from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
                      constant_model, deviation_path, immediate_close,
-                     jump_example_model, model_from_config, optimal_plan,
+                     jump_example_model, model_from_config,
+                     naive_deviation_path, optimal_plan,
                      quadratic_representation_rhs, simulate_path,
                      solve_y_deterministic, solve_y_ode, step_coefficients,
                      step_terms)
@@ -25,7 +27,7 @@ from execlab.cli import SHOWCASE
 from execlab.coefficients import _stream_block
 from execlab.cost import Pricing, path_chunks, pathwise_cost, sample_paths
 from piece_lookup import integral, value_at
-from term_builds import alive, spy_builds
+from term_builds import alive, spy_builders, spy_builds
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -406,10 +408,12 @@ class TestStepTerms:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
     @pytest.mark.parametrize("call, n_builds", [
-        ("simulate_path", 1), ("deviation_path", 1), ("optimal_plan", 0),
+        ("simulate_path", 1), ("deviation_path", 1),
+        ("naive_deviation_path", 1), ("optimal_plan", 0),
         ("quadratic_representation_rhs", 0)])
     def test_no_terms_outlive_a_call_outside_a_pass(self, call, n_builds,
                                                     sigma, monkeypatch):
+        # a call builds no StepTerms, and n_builds arrays of the builders
         model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
         grid = TimeGrid(0.0, 1.0, 50)
         vs = solve_y_deterministic(model, grid)
@@ -419,21 +423,71 @@ class TestStepTerms:
         calls = {
             "simulate_path": lambda: simulate_path(model, grid, 3, 0),
             "deviation_path": lambda: deviation_path(model, market, close),
+            "naive_deviation_path":
+                lambda: naive_deviation_path(model, market, close),
             "optimal_plan": lambda: optimal_plan(model, vs, market, 0.0,
                                                  1.0, 0.5),
             "quadratic_representation_rhs":
                 lambda: quadratic_representation_rhs(vs, dev),
         }
         builds = spy_builds(monkeypatch)
+        parts = spy_builders(monkeypatch)
         # without the collector: the result's references alone hold them
         gc.disable()
         try:
             result = calls[call]()
-            assert len(builds) == n_builds
+            assert builds == [] and len(parts) == n_builds
             del result
-            assert alive(builds) == 0
+            assert alive(parts) == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
+    def test_a_market_computes_no_resilience_factor(self, sigma,
+                                                    monkeypatch):
+        # sigma and the log-drift, and the impact path only when sigma = 0
+        model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
+        grid = TimeGrid(0.0, 1.0, 50)
+        parts = spy_builders(monkeypatch)
+        for path_id in (0, range(3)):
+            simulate_path(model, grid, 3, path_id)
+        assert [name for name, _ in parts] == ["_impact_terms"] * 2
+        assert [len(refs) for _, refs in parts] == [3 - (sigma > 0)] * 2
+
+    @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
+    def test_a_deviation_computes_no_impact_path(self, sigma, fn,
+                                                 monkeypatch):
+        # exp(r) and exp(-r) only: the market brings its own gamma
+        model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
+        grid = TimeGrid(0.0, 1.0, 50)
+        close = immediate_close(grid, 0.5, 1.0)
+        markets = [simulate_path(model, grid, 3, ids) for ids in (0, range(3))]
+        parts = spy_builders(monkeypatch)
+        for market in markets:
+            fn(model, market, close)
+        assert [name for name, _ in parts] == ["_resilience"] * 2
+        assert [len(refs) for _, refs in parts] == [2, 2]
+
+    @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
+    def test_a_deviation_drops_growth_before_its_pre_trade(self, sigma, fn):
+        # exp(r) goes once the running sum is formed: besides what the
+        # result keeps, the peak holds exp(-r) and the running sum, two
+        # grid arrays (three while exp(r) lived on)
+        model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
+        grid = TimeGrid(0.0, 1.0, 20_000)
+        market = simulate_path(model, grid, 3, 0)
+        close = immediate_close(grid, 0.5, 1.0)
+        close.trades   # cached on the strategy, not built by the call
+        tracemalloc.start()
+        try:
+            dev = fn(model, market, close)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dev.pre_trade.nbytes == 8 * 20_001
+        assert peak - kept < 2.5 * 8 * 20_001
 
     # the third model has a sigma = 0 piece table of its own
     @pytest.mark.parametrize("n_models", [2, 3])
@@ -448,18 +502,23 @@ class TestStepTerms:
                     for naive in (False, True) for model in models]
         n_paths = len(next(path_chunks(1 << 20, grid))) + 2   # two chunks
         builds = spy_builds(monkeypatch)
+        parts = spy_builders(monkeypatch)
         gc.disable()
         try:
             sample_paths(grid, n_paths, 3, pricings)
             assert [model for model, _ in builds] == models
+            # the builders run only for step_terms: no chunk builds terms
+            assert ([name for name, _ in parts]
+                    == ["_impact_terms", "_resilience"] * n_models)
             # the pass drops its terms when it returns
-            assert alive(builds) == 0
+            assert alive(builds) == alive(parts) == 0
         finally:
             gc.enable()
-        # outside a pass every call builds its own
+        # outside a pass a call builds no StepTerms
         simulate_path(models[0], grid, 3, 0)
-        simulate_path(models[0], grid, 3, 0)
-        assert len(builds) == n_models + 2
+        deviation_path(models[0], simulate_path(models[0], grid, 3, 0),
+                       close)
+        assert len(builds) == n_models
 
 
 class TestSimulatePath:

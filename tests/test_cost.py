@@ -261,7 +261,9 @@ class TestChunkedEstimate:
     def test_priced_chunk_is_released_before_the_next_is_drawn(self):
         # the peak holds the pass's step terms and the six arrays of the
         # chunk being priced, and none of the chunk before: the next chunk
-        # reuses their memory
+        # reuses their memory.  The terms are built before the pool, so it
+        # keeps none of their temporaries: the peak exceeds the one without
+        # the terms by what they hold
         grid = TimeGrid(0.0, 10.0, 10_000)
         vs = solve_y_deterministic(SHOWCASE, grid)
         chunks = list(path_chunks(6, grid))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from execlab import (DeviationPath, GridMismatch, Strategy, TimeGrid,
                      constant_model, deviation_path, immediate_close,
-                     naive_deviation_path, simulate_path)
+                     jump_example_model, naive_deviation_path, optimal_plan,
+                     simulate_path, solve_y_deterministic)
 
 
 def all_blocks(grid):
@@ -266,4 +267,30 @@ class TestNaiveDeviation:
         dev = naive_deviation_path(model, market, s)
         # the trade at k=1 is charged at gamma_0, not gamma_1
         assert dev.values[1] == pytest.approx(market.gamma[0] * 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("ids", [0, range(3)], ids=["path", "rows"])
+    @pytest.mark.parametrize("kind", ["jump_plan", "random_blocks"])
+    def test_block_trades_keep_the_current_impact(self, kind, ids):
+        # interior block trades: the jump plan's where its ratio jumps
+        # (sigma = 0, its rows share one impact path), or random flags
+        # under sigma > 0; every other trade takes the previous point's
+        if kind == "jump_plan":
+            model = jump_example_model(0.3, 4.0, 5.0)
+            grid = TimeGrid(0.0, 5.0, 500)
+            market = simulate_path(model, grid, 3, ids)
+            strat = optimal_plan(model, solve_y_deterministic(model, grid),
+                                 market, 0.0, 1.0, 0.5).x_star
+        else:
+            model, grid, market = make_setup(n=40, sigma=0.6, seed=5)
+            market = simulate_path(model, grid, 5, ids)
+            rng = np.random.default_rng(7)
+            values = rng.standard_normal(market.gamma.shape)
+            values[..., -1] = 0.0
+            strat = Strategy(grid, 0.5, values, rng.random(41) < 0.3)
+        blocks = strat.is_block
+        assert blocks[1:-1].any() and not blocks[1:-1].all()
+        gamma = market.gamma
+        left = np.concatenate((gamma[..., :1], gamma[..., :-1]), axis=-1)
+        dev = naive_deviation_path(model, market, strat)
+        assert np.array_equal(dev.gamma_eff, np.where(blocks, gamma, left))
 

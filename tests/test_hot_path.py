@@ -512,6 +512,23 @@ class TestChunkPool:
         for a, b in zip(got, plain, strict=True):
             assert np.array_equal(a, b)
 
+    def test_the_pass_terms_take_nothing_from_the_pool(self):
+        # the terms are built before the pool is set: a one-row temporary
+        # taken from it would stay in it, keyed (), for the whole pass
+        grid = TimeGrid(0.0, 2.0, 40)
+        keys = []
+
+        def price(strat, dev, market):
+            keys.append(set(coefficients._POOL.get()._buffers))
+            return pathwise_cost(strat, dev, market)
+
+        # every array of these entries has the chunk's rows
+        sample_paths(grid, 2 * chunk_rows(grid), 1, [
+            Pricing(model, FACTORIES["gbm"], price, naive_dynamics=naive)
+            for model in (MODEL, SIGMA_ZERO) for naive in (False, True)])
+        assert len(keys) == 8
+        assert all(() not in k for k in keys)
+
     def test_pool_is_set_only_inside_a_pass(self):
         grid = TimeGrid(0.0, 2.0, 40)
         inside = []
