@@ -14,9 +14,9 @@ cli          : experiment runner, figure data, selftest
 from .bsde import (DiscreteValue, ValueSolution, discrete_value_recursion,
                    driver, ode_residual, solve_y_deterministic, solve_y_ode)
 from .coefficients import (CoefficientModel, MarketPath, ModelError,
-                           StepTerms, TimeGrid, build_model, constant_model,
+                           TimeGrid, build_model, constant_model,
                            model_from_config, simulate_path,
-                           step_coefficients, step_terms)
+                           step_coefficients)
 from .cost import (CostEstimate, ValueQuote, closed_form_cost_gbm,
                    closed_form_naive_brownian, estimate_cost, pathwise_cost,
                    pathwise_cost_naive, quadratic_representation_rhs,

@@ -246,86 +246,51 @@ def _piece_steps(model: CoefficientModel, grid: TimeGrid) -> list[slice]:
     return [slice(ka, kb) for ka, kb in zip([0, *ks], [*ks, grid.n_steps])]
 
 
-class StepTerms(NamedTuple):
-    """Arrays of a model on a grid that are the same for every path.
-
-    The sigma of each step (:func:`step_coefficients`), the deterministic
-    part ``(mu - sigma^2/2) h`` of each log-impact increment, and the
-    resilience factors ``exp(-r)`` and ``exp(r)``, r being the integral of
-    rho from 0 to each grid point.  Built only by :func:`step_terms`, for a
-    Monte Carlo pass; the arrays are read-only.
-
-    When sigma is 0 on every step, the impact factor is the same on every
-    path: ``gamma`` is that one impact path, as :func:`simulate_path`
-    computes it, and ``gamma_growth`` its product with ``growth``.  Every
-    chunk of a pass shares them, so nothing may write into a market's
-    ``gamma``.  Both are None when sigma > 0 on any step.
-    """
-
-    sigma: np.ndarray
-    log_drift: np.ndarray
-    decay: np.ndarray
-    growth: np.ndarray
-    gamma: np.ndarray | None
-    gamma_growth: np.ndarray | None
-
-
 class _ImpactTerms(NamedTuple):
-    """The :class:`StepTerms` fields that a market is built from."""
+    """sigma and the log-drift ``(mu - sigma^2/2) h`` of each step, and the
+    one impact path when sigma is 0 on every step (else None)."""
 
     sigma: np.ndarray
     log_drift: np.ndarray
     gamma: np.ndarray | None
+
+
+_EXP_MAX = math.log(sys.float_info.max)   # the largest finite exp's argument
 
 
 def _impact_terms(model: CoefficientModel, grid: TimeGrid) -> _ImpactTerms:
-    """sigma and the log-drift of each step, and the one impact path when
-    sigma is 0 on every step (else None)."""
+    """The :class:`_ImpactTerms` of ``model`` on ``grid``, read-only: a Monte
+    Carlo pass hands them to the market of every chunk."""
     _, mu, sigma = step_coefficients(model, grid)
     log_drift = (mu - 0.5 * sigma**2) * grid.h
+    sigma.flags.writeable = log_drift.flags.writeable = False
     if sigma.any():
         return _ImpactTerms(sigma, log_drift, None)
     # sigma * dW is +-0 on every step: it adds nothing to log_drift
     gamma = _cumsum0(log_drift)
     np.exp(gamma, out=gamma)
     gamma *= model.gamma0
-    gamma.flags.writeable = False   # every row of a market shares it
+    gamma.flags.writeable = False
     return _ImpactTerms(sigma, log_drift, gamma)
 
 
 def _resilience(model: CoefficientModel,
                 grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """``exp(r)`` and ``exp(-r)`` at each grid point, r the integral of rho
-    from 0; the second is formed in the buffer of r."""
+    from 0, read-only; the second is formed in the buffer of r.  An r
+    beyond the range of exp raises ValueError before any exp runs."""
     rho = step_coefficients(model, grid)[0]
     # exact per-step resilience integrals (rho is constant on each step)
     r_cum = _cumsum0(rho * grid.h)
+    extreme = max(r_cum.max(), r_cum.min(), key=abs)
+    if not abs(extreme) <= _EXP_MAX:
+        raise ValueError(f"the integral of rho reaches {extreme:.6g} on the "
+                         f"grid, beyond +-{_EXP_MAX:.2f}: exp of it overflows")
     growth = np.exp(r_cum)
     np.negative(r_cum, out=r_cum)
-    return growth, np.exp(r_cum, out=r_cum)
-
-
-def step_terms(model: CoefficientModel, grid: TimeGrid) -> StepTerms:
-    """The :class:`StepTerms` of ``model`` on ``grid``, built afresh.
-
-    Nothing keeps them: a Monte Carlo pass (:func:`execlab.cost.sample_paths`)
-    builds each model's terms once and hands them to every chunk.  A
-    single-path market or deviation builds only the terms it reads, from
-    the same two builders.  The pair is validated with
-    :meth:`TimeGrid.validate_model`.  The solvers read
-    :func:`step_coefficients` instead: ``exp(r)`` overflows once r passes
-    about 709.
-    """
-    impact = _impact_terms(model, grid)
-    growth, decay = _resilience(model, grid)
-    gamma_growth = None if impact.gamma is None else impact.gamma * growth
-    terms = StepTerms(sigma=impact.sigma, log_drift=impact.log_drift,
-                      decay=decay, growth=growth, gamma=impact.gamma,
-                      gamma_growth=gamma_growth)
-    for a in terms:
-        if a is not None:
-            a.flags.writeable = False
-    return terms
+    decay = np.exp(r_cum, out=r_cum)
+    growth.flags.writeable = decay.flags.writeable = False
+    return growth, decay
 
 
 @dataclass(frozen=True)
@@ -465,12 +430,12 @@ class _ChunkPool:
 
     :meth:`take` hands out a buffer again only once nothing but the pool
     holds it, so a buffer is reused exactly where it would otherwise have
-    been freed.  An array that a factory, a price, the pass's step terms or
-    a live view still holds is never handed out twice.  Reusing the memory
-    of the chunk before spares the page faults of freeing large arrays and
-    allocating them afresh for every chunk.  The shorter last chunk of a
-    pass takes the leading rows of full-size buffers, so it allocates
-    nothing.
+    been freed.  An array that a factory, a price, the pass's impact terms
+    or resilience factors, or a live view still holds is never handed out
+    twice.  Reusing the memory of the chunk before spares the page faults
+    of freeing large arrays and allocating them afresh for every chunk.
+    The shorter last chunk of a pass takes the leading rows of full-size
+    buffers, so it allocates nothing.
     """
 
     def __init__(self):
@@ -572,9 +537,10 @@ def _increments(grid: TimeGrid, master_seed: int,
 
 
 def _market(model: CoefficientModel, grid: TimeGrid, dw: np.ndarray,
-            terms: StepTerms | _ImpactTerms) -> MarketPath:
+            terms: _ImpactTerms) -> MarketPath:
     """The market of ``model`` on the Brownian increments ``dw``, given the
-    model's ``terms`` on ``grid``: its sigma, log-drift and impact path.
+    model's :func:`_impact_terms` on ``grid``: one call's own, or a Monte
+    Carlo pass's, shared by the market of every chunk.
 
     ``gamma`` is built by exact lognormal stepping and made read-only, or
     is a view of the one impact path of ``terms`` when sigma is 0 on every
@@ -611,12 +577,11 @@ def simulate_path(model: CoefficientModel, grid: TimeGrid, master_seed: int,
     The seed and the path ids are non-negative integers, as for
     ``SeedSequence``; any other seed or id raises ValueError naming it.
 
-    ``w`` and ``gamma`` are read-only.  Only the step terms the market
-    reads are built, and they go with the market: sigma and the log-drift
-    when sigma > 0 on some step of the grid.  When sigma is 0 on every
-    step, ``gamma`` is a view of the one impact path, built for the call
-    and shared by every row: the same bits the lognormal stepping gives,
-    since sigma * dW is +-0 there.  Write into a copy, never into a
+    ``w`` and ``gamma`` are read-only.  The call builds the model's
+    :func:`_impact_terms` and no resilience factor; they go with the
+    market.  When sigma is 0 on every step, ``gamma`` is a view of the one
+    impact path, shared by every row: the same bits the lognormal stepping
+    gives, since sigma * dW is +-0 there.  Write into a copy, never into a
     market's arrays.
     """
     # the Brownian driver is always drawn: strategies may use it even when

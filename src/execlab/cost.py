@@ -15,8 +15,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
-                           _chunk_pool, _empty, _increments, _market,
-                           _piece_steps, _require_finite, step_terms)
+                           _chunk_pool, _empty, _impact_terms, _increments,
+                           _market, _piece_steps, _require_finite,
+                           _resilience)
 from .deviation import DeviationPath, Strategy, _check_market, _deviation
 
 # Bound on the path x grid-point values of one array in a chunk of
@@ -138,8 +139,9 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     for each entry, one row per value its ``price`` returns and one column
     per path.
 
-    Builds the :func:`step_terms` of each distinct model once and drops
-    them on return; every market and deviation of the model reads them.
+    Builds the impact terms and the resilience factors of each distinct
+    model once and drops them on return: every market of the model reads
+    the first, every deviation of it the second.
     Walks the chunks of :func:`path_chunks` one at a time.  A chunk's
     Brownian increments are drawn once and shared, read-only, by every
     entry; one market is built from them per distinct model, and the
@@ -161,21 +163,23 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int,
     models = list(dict.fromkeys(p.model for p in pricings))
     slots = [models.index(p.model) for p in pricings]
     samples = [None] * len(pricings)
-    # built before the pool: it would keep their one-row temporaries
-    terms = [step_terms(model, grid) for model in models]
+    # built before the pool, which would keep their one-row temporaries;
+    # the resilience first, so that a model it refuses runs no exp at all
+    resilience = [_resilience(model, grid) for model in models]
+    impact = [_impact_terms(model, grid) for model in models]
     # every chunk-shaped array of the pass comes from one pool (see
     # coefficients._ChunkPool): a chunk reuses the memory of the one before
     with _chunk_pool(grid.n_steps):
         for ids in path_chunks(n_paths, grid):
             dw = _increments(grid, seed, ids)
-            markets = [_market(model, grid, dw, model_terms)
-                       for model, model_terms in zip(models, terms)]
+            markets = [_market(model, grid, dw, terms)
+                       for model, terms in zip(models, impact)]
             for k, p in enumerate(pricings):
                 market = markets[slots[k]]
                 strat = p.strategy_factory(market)
                 rows = np.atleast_2d(p.price(strat, _deviation(
                     p.model, market, strat, p.d_pre, p.naive_dynamics,
-                    terms[slots[k]]), market))
+                    resilience[slots[k]]), market))
                 del strat  # priced: its arrays are free for the next entry
                 if samples[k] is None:
                     samples[k] = np.empty((len(rows), n_paths))

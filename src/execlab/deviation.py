@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, MarketPath, StepTerms,
-                           TimeGrid, _empty, _require_finite, _resilience)
+from .coefficients import (CoefficientModel, MarketPath, TimeGrid,
+                           _empty, _require_finite, _resilience)
 
 
 class GridMismatch(ValueError):
@@ -124,24 +124,21 @@ def _check_market(market: MarketPath, model: CoefficientModel,
 
 def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
                d_pre: float, naive: bool,
-               terms: StepTerms | None = None) -> DeviationPath:
+               resilience: tuple | None = None) -> DeviationPath:
     """Deviation when the trade at grid point k is charged at gamma_eff_k.
 
     Between grid points the deviation decays by the exact factor
     exp(-integral of rho); at grid point k it jumps by gamma_eff_k * xi_k.
     gamma_eff is gamma itself, or with ``naive`` the previous grid point's
-    gamma on trades that are not block trades.  The resilience factors do
-    not depend on the path: a pass hands them down in ``terms``, the
-    model's :func:`step_terms` on the grid, and so does gamma * exp(r) when
-    gamma is their impact path.  Without ``terms`` only the two resilience
-    factors are built, and exp(r) is dropped once the running sum is formed.
+    gamma on trades that are not block trades.  The resilience factors
+    exp(r) and exp(-r) do not depend on the path: a pass hands down the
+    model's pair on the grid in ``resilience``.  Without it the pair is
+    built here, and exp(r) is dropped once the running sum is formed.
     """
     _check_market(market, model, strategy.grid)
     _require_finite(d_pre=d_pre)
-    if terms is None:
-        growth, decay = _resilience(model, strategy.grid)
-    else:
-        growth, decay = terms.growth, terms.decay
+    growth, decay = (_resilience(model, strategy.grid) if resilience is None
+                     else resilience)
     gamma = gamma_eff = market.gamma
     if naive:
         # the previous point's gamma, then the current one in the block
@@ -154,15 +151,8 @@ def _deviation(model: CoefficientModel, market: MarketPath, strategy: Strategy,
         gamma_eff[..., blocks] = gamma[..., blocks]
     # the shape of the chunk, also when the strategy is one shared row
     cum = _empty(gamma_eff.shape)
-    # a pass's terms hold gamma * exp(r) for the impact path that its
-    # markets share.  Any other gamma is multiplied here in the same order,
-    # (gamma * exp(r)) * xi: same bits
-    if (terms is not None and terms.gamma is not None
-            and gamma_eff.base is terms.gamma):
-        np.multiply(terms.gamma_growth, strategy.trades, out=cum)
-    else:
-        np.multiply(gamma_eff, growth, out=cum)
-        cum *= strategy.trades
+    np.multiply(gamma_eff, growth, out=cum)
+    cum *= strategy.trades
     del growth   # exp(r) is read no more: one built here goes now
     np.add.accumulate(cum, axis=-1, out=cum)
     cum += d_pre

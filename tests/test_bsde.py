@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from execlab import (JumpExample, ModelError, TimeGrid, build_model,
                      constant_model, discrete_value_recursion, driver,
-                     example_beta_path, jump_example_model, ode_residual,
-                     optimal_plan, simulate_path, solve_y_deterministic,
-                     solve_y_ode, step_terms)
+                     estimate_cost, example_beta_path, immediate_close,
+                     jump_example_model, ode_residual, optimal_plan,
+                     simulate_path, solve_y_deterministic, solve_y_ode)
 from execlab import bsde
 from execlab.bsde import solve_y_lambert
 from execlab.cli import SHOWCASE
@@ -328,7 +328,8 @@ ON_GRID = {
     "deterministic": lambda g: solve_y_deterministic(HORIZON_10, g),
     "ode": lambda g: solve_y_ode(HORIZON_10, g),
     "simulate_path": lambda g: simulate_path(HORIZON_10, g, 0, 0),
-    "step_terms": lambda g: step_terms(HORIZON_10, g),
+    "estimate_cost": lambda g: estimate_cost(
+        HORIZON_10, g, 2, 0, lambda m: immediate_close(g, 0.0, 1.0)),
     "example_beta_path": lambda g: example_beta_path(JumpExample(0.3, 4.0),
                                                      10.0, g),
 }

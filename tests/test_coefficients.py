@@ -16,18 +16,17 @@ from hypothesis import strategies as st
 
 import execlab
 from execlab import (CoefficientModel, ModelError, TimeGrid, build_model,
-                     constant_model, deviation_path, immediate_close,
-                     jump_example_model, model_from_config,
+                     constant_model, deviation_path, estimate_cost,
+                     immediate_close, jump_example_model, model_from_config,
                      naive_deviation_path, optimal_plan,
                      quadratic_representation_rhs, simulate_path,
-                     solve_y_deterministic, solve_y_ode, step_coefficients,
-                     step_terms)
+                     solve_y_deterministic, solve_y_ode, step_coefficients)
 from execlab.bsde import _value_at
 from execlab.cli import SHOWCASE
-from execlab.coefficients import _stream_block
+from execlab.coefficients import _impact_terms, _resilience, _stream_block
 from execlab.cost import Pricing, path_chunks, pathwise_cost, sample_paths
 from piece_lookup import integral, value_at
-from term_builds import alive, spy_builders, spy_builds
+from term_builds import alive, spy_builders
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -92,7 +91,7 @@ class TestPiecewiseConstant:
         # exactly where the sums of mu h are exact in binary
         m = build_model(5.0, 1.5, [piece(0.0, mu=1.0), piece(2.0, mu=10.0)])
         grid = TimeGrid(0.0, 5.0, 10)
-        gamma = step_terms(m, grid).gamma
+        gamma = _impact_terms(m, grid).gamma
         for t, drift in ((0.0, 0.0), (1.5, 1.5), (2.0, 2.0), (3.0, 12.0)):
             assert gamma[grid.index_of(t)] == 1.5 * np.exp(drift)
 
@@ -349,39 +348,49 @@ DETERMINISTIC = {
 
 
 class TestStepTerms:
+    """The two builders of the step terms: the impact terms a market is
+    built from, and the resilience factors a deviation reads."""
+
     MODEL = jump_example_model(0.3, 4.0, 5.0)
 
     @pytest.mark.parametrize("case", DETERMINISTIC)
     def test_deterministic_impact_path(self, case):
         model, grid = DETERMINISTIC[case]
-        terms = step_terms(model, grid)
+        terms = _impact_terms(model, grid)
         want = model.gamma0 * np.exp(np.concatenate(([0.0],
                                               np.cumsum(terms.log_drift))))
         assert np.array_equal(terms.gamma, want)
-        assert np.array_equal(terms.gamma_growth, want * terms.growth)
         # the level at time s is gamma0 exp(int_0^s mu)
         exact = [model.gamma0 * np.exp(integral(model, "mu", 0.0, s))
                  for s in grid.times]
         assert np.allclose(terms.gamma, exact, rtol=1e-13)
-        for a in (terms.gamma, terms.gamma_growth):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        with pytest.raises(ValueError):
+            terms.gamma[0] = 0.0
 
     @pytest.mark.parametrize("piece", range(3))
     def test_stochastic_impact_on_one_piece_has_no_impact_path(self, piece):
         pieces = [dict(p) for p in THREE_PIECES]
         pieces[piece]["sigma"] = 0.3
-        terms = step_terms(build_model(3.0, 0.8, pieces),
-                           TimeGrid(0.0, 3.0, 60))
-        assert terms.gamma is None and terms.gamma_growth is None
+        terms = _impact_terms(build_model(3.0, 0.8, pieces),
+                              TimeGrid(0.0, 3.0, 60))
+        assert terms.gamma is None
 
     def test_arrays_are_read_only(self):
-        # sigma = 0: the shared impact path and its product are built too
-        terms = step_terms(self.MODEL, TimeGrid(0.0, 5.0, 50))
-        assert len(terms) == 6
-        for a in terms:
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        # every array either builder returns, for sigma = 0 (with the impact
+        # path) and sigma > 0, on one piece (a broadcast table) and two
+        grid = TimeGrid(0.0, 5.0, 50)
+        for model, n_arrays in ((self.MODEL, 5),
+                                (constant_model(5.0, 1.0, 0.5), 5),
+                                (constant_model(5.0, 1.0, 0.5, sigma=0.4), 4),
+                                (build_model(5.0, 1.0, [
+                                    piece(0.0, sigma=0.4),
+                                    piece(2.0, rho=0.7, sigma=0.1)]), 4)):
+            arrays = [a for a in (*_impact_terms(model, grid),
+                                  *_resilience(model, grid)) if a is not None]
+            assert len(arrays) == n_arrays
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     def test_tail_grid_equals_a_direct_computation(self):
         # a grid with a breakpoint in its interior, far from its start
@@ -390,21 +399,25 @@ class TestStepTerms:
             {"t_from": 4.0, "rho": 0.7, "mu": 1.0, "sigma": 0.5},
         ])
         grid = TimeGrid(0.0, 5.0, 500)
-        terms = step_terms(model, grid)
+        impact = _impact_terms(model, grid)
+        growth, decay = _resilience(model, grid)
         t = grid.h * np.arange(grid.n_steps)
         rho = np.where(t >= 4.0, 0.7, 0.3)
         mu = np.where(t >= 4.0, 1.0, 0.0)
         sigma = np.where(t >= 4.0, 0.5, 0.2)
         r = np.concatenate(([0.0], np.cumsum(rho * grid.h)))
-        direct = dict(sigma=sigma, log_drift=(mu - 0.5 * sigma**2) * grid.h,
-                      decay=np.exp(-r), growth=np.exp(r))
-        for name, want in direct.items():
-            assert np.array_equal(getattr(terms, name), want), name
+        assert impact.gamma is None
+        for name, got, want in (
+                ("sigma", impact.sigma, sigma),
+                ("log_drift", impact.log_drift,
+                 (mu - 0.5 * sigma**2) * grid.h),
+                ("decay", decay, np.exp(-r)), ("growth", growth, np.exp(r))):
+            assert np.array_equal(got, want), name
         got_rho, got_mu, _ = step_coefficients(model, grid)
         assert np.array_equal(got_rho, rho) and np.array_equal(got_mu, mu)
         # r is the integral of rho from 0
         exact = [integral(model, "rho", 0.0, s) for s in grid.times]
-        assert np.allclose(terms.decay, np.exp(-np.array(exact)), rtol=1e-13)
+        assert np.allclose(decay, np.exp(-np.array(exact)), rtol=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
     @pytest.mark.parametrize("call, n_builds", [
@@ -413,7 +426,7 @@ class TestStepTerms:
         ("quadratic_representation_rhs", 0)])
     def test_no_terms_outlive_a_call_outside_a_pass(self, call, n_builds,
                                                     sigma, monkeypatch):
-        # a call builds no StepTerms, and n_builds arrays of the builders
+        # a call makes n_builds builder calls, all dead with its result
         model = constant_model(1.0, 1.0, 0.5, mu=0.2, sigma=sigma)
         grid = TimeGrid(0.0, 1.0, 50)
         vs = solve_y_deterministic(model, grid)
@@ -430,13 +443,12 @@ class TestStepTerms:
             "quadratic_representation_rhs":
                 lambda: quadratic_representation_rhs(vs, dev),
         }
-        builds = spy_builds(monkeypatch)
         parts = spy_builders(monkeypatch)
         # without the collector: the result's references alone hold them
         gc.disable()
         try:
             result = calls[call]()
-            assert builds == [] and len(parts) == n_builds
+            assert len(parts) == n_builds
             del result
             assert alive(parts) == 0
         finally:
@@ -451,8 +463,8 @@ class TestStepTerms:
         parts = spy_builders(monkeypatch)
         for path_id in (0, range(3)):
             simulate_path(model, grid, 3, path_id)
-        assert [name for name, _ in parts] == ["_impact_terms"] * 2
-        assert [len(refs) for _, refs in parts] == [3 - (sigma > 0)] * 2
+        assert [b.name for b in parts] == ["_impact_terms"] * 2
+        assert [len(b.refs) for b in parts] == [3 - (sigma > 0)] * 2
 
     @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
     @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
@@ -466,8 +478,8 @@ class TestStepTerms:
         parts = spy_builders(monkeypatch)
         for market in markets:
             fn(model, market, close)
-        assert [name for name, _ in parts] == ["_resilience"] * 2
-        assert [len(refs) for _, refs in parts] == [2, 2]
+        assert [b.name for b in parts] == ["_resilience"] * 2
+        assert [len(b.refs) for b in parts] == [2, 2]
 
     @pytest.mark.parametrize("fn", [deviation_path, naive_deviation_path])
     @pytest.mark.parametrize("sigma", [0.0, 0.4], ids=["sigma0", "sigma"])
@@ -501,24 +513,71 @@ class TestStepTerms:
                             naive_dynamics=naive)
                     for naive in (False, True) for model in models]
         n_paths = len(next(path_chunks(1 << 20, grid))) + 2   # two chunks
-        builds = spy_builds(monkeypatch)
         parts = spy_builders(monkeypatch)
         gc.disable()
         try:
             sample_paths(grid, n_paths, 3, pricings)
-            assert [model for model, _ in builds] == models
-            # the builders run only for step_terms: no chunk builds terms
-            assert ([name for name, _ in parts]
-                    == ["_impact_terms", "_resilience"] * n_models)
+            # each builder once per model, before the first chunk: no
+            # chunk, market or deviation of the pass builds terms
+            assert ([(b.name, b.model) for b in parts]
+                    == [("_resilience", m) for m in models]
+                    + [("_impact_terms", m) for m in models])
             # the pass drops its terms when it returns
-            assert alive(builds) == alive(parts) == 0
+            assert alive(parts) == 0
         finally:
             gc.enable()
-        # outside a pass a call builds no StepTerms
-        simulate_path(models[0], grid, 3, 0)
-        deviation_path(models[0], simulate_path(models[0], grid, 3, 0),
-                       close)
-        assert len(builds) == n_models
+
+
+# one piece, sigma = 0.3, 2 000 steps of T = 100, the optimal plan from
+# x = 1: the integral of rho reaches rho T at T, and exp overflows beyond
+# log(float max) = 709.78
+def beyond_exp_setting(rho):
+    model = constant_model(100.0, 1.0, rho, sigma=0.3)
+    grid = TimeGrid(0.0, 100.0, 2000)
+    vs = solve_y_deterministic(model, grid)
+    return model, grid, lambda m: optimal_plan(model, vs, m, 0.0, 1.0,
+                                               0.0).x_star
+
+
+class TestResilienceBeyondExp:
+    """An integral of rho beyond the range of exp is refused by name, where
+    it gave a NaN deviation and cost, or an ArithmeticError naming no
+    cause; just inside the range, a model still prices."""
+
+    @pytest.mark.parametrize("call", ["deviation_path", "naive_deviation_path",
+                                      "estimate_cost"])
+    def test_refused_by_every_caller(self, call):
+        model, grid, plan = beyond_exp_setting(8.0)
+        market = simulate_path(model, grid, 1, 0)
+        calls = {
+            "deviation_path":
+                lambda: deviation_path(model, market, plan(market)),
+            "naive_deviation_path":
+                lambda: naive_deviation_path(model, market, plan(market)),
+            # through sample_paths, before the first chunk is drawn
+            "estimate_cost": lambda: estimate_cost(model, grid, 4, 1, plan),
+        }
+        with pytest.raises(ValueError, match=r"integral of rho reaches 800 on "
+                           r"the grid, beyond \+-709\.78"):
+            calls[call]()
+
+    def test_negative_integral_is_refused(self):
+        # exp(-r) overflows where r falls below -709.78; the impact then
+        # grows faster still, so only the builder is asked
+        model = constant_model(100.0, 1.0, -8.0, mu=17.0)
+        with pytest.raises(ValueError, match=r"reaches -800 on the grid"):
+            _resilience(model, TimeGrid(0.0, 100.0, 2000))
+
+    def test_just_inside_the_range_prices(self):
+        # rho T = 707: exp(r) is finite on every grid point, and so is the
+        # cost, per path and in a pass
+        model, grid, plan = beyond_exp_setting(7.07)
+        market = simulate_path(model, grid, 1, 0)
+        strategy = plan(market)
+        cost = pathwise_cost(strategy, deviation_path(model, market, strategy),
+                             market)
+        assert math.isfinite(cost)
+        assert math.isfinite(estimate_cost(model, grid, 8, 1, plan).mean)
 
 
 class TestSimulatePath:

@@ -15,11 +15,11 @@ from execlab import (GridMismatch, Strategy, TimeGrid, closed_form_cost_gbm,
                      deviation_path, estimate_cost, immediate_close,
                      naive_deviation_path, optimal_plan, pathwise_cost,
                      pathwise_cost_naive, quadratic_representation_rhs,
-                     simulate_path, solve_y_deterministic, step_terms,
-                     value_function)
+                     simulate_path, solve_y_deterministic, value_function)
 from execlab.cli import SHOWCASE
+from execlab.coefficients import _impact_terms, _resilience
 from execlab.cost import CHUNK_ELEMENTS, path_chunks
-from term_builds import spy_builds
+from term_builds import spy_builders
 
 
 def make_setup(n=50, T=1.0, rho=0.5, mu=0.0, sigma=0.0, gamma0=1.0, seed=0):
@@ -251,19 +251,20 @@ class TestChunkedEstimate:
             "optimal": lambda m: optimal_plan(self.MODEL, vs, m, 0.0, 10.0,
                                               0.5).x_star,
             "gbm": lambda m: counterexample_gbm(-1.0, 1.0, m)}[kind]
-        builds = spy_builds(monkeypatch)
+        builds = spy_builders(monkeypatch)
         for naive_dynamics in (False, True):
             builds.clear()
             estimate_cost(self.MODEL, grid, n_paths, 17, factory, d_pre=0.5,
                           naive_dynamics=naive_dynamics)
-            assert len(builds) == 1
+            assert [b.name for b in builds] == ["_resilience",
+                                                "_impact_terms"]
 
     def test_priced_chunk_is_released_before_the_next_is_drawn(self):
-        # the peak holds the pass's step terms and the six arrays of the
-        # chunk being priced, and none of the chunk before: the next chunk
-        # reuses their memory.  The terms are built before the pool, so it
-        # keeps none of their temporaries: the peak exceeds the one without
-        # the terms by what they hold
+        # the peak holds the pass's impact terms and resilience factors,
+        # and the six arrays of the chunk being priced, and none of the
+        # chunk before: the next chunk reuses their memory.  The terms are
+        # built before the pool, so it keeps none of their temporaries: the
+        # peak exceeds the one without the terms by what they hold
         grid = TimeGrid(0.0, 10.0, 10_000)
         vs = solve_y_deterministic(SHOWCASE, grid)
         chunks = list(path_chunks(6, grid))
@@ -276,7 +277,7 @@ class TestChunkedEstimate:
         estimate()  # the memos of the streams
         tracemalloc.start()
         try:
-            terms = step_terms(SHOWCASE, grid)
+            terms = (_resilience(SHOWCASE, grid), _impact_terms(SHOWCASE, grid))
             terms_bytes = tracemalloc.get_traced_memory()[0]
             del terms
             tracemalloc.reset_peak()

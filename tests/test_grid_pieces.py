@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from execlab import (JumpExample, TimeGrid, build_model, constant_model,
                      example_beta_path, immediate_close, jump_example_model,
                      optimal_plan, simulate_path, solve_y_deterministic,
-                     solve_y_ode, step_coefficients, step_terms)
+                     solve_y_ode, step_coefficients)
+from execlab.coefficients import _impact_terms
 
 GRID = TimeGrid(0.0, 1.0, 206)
 MODEL = jump_example_model(0.3, 0.5, 1.0)
@@ -34,7 +35,7 @@ class TestRoundedBreakpoint:
     def test_table_changes_drift_at_the_grid_index(self):
         assert GRID.times[K] < 0.5
         assert changes(step_coefficients(MODEL, GRID)[1]) == [K]
-        assert changes(step_terms(MODEL, GRID).log_drift) == [K]
+        assert changes(_impact_terms(MODEL, GRID).log_drift) == [K]
 
     @SOLVERS
     def test_ratio_jumps_at_the_grid_index(self, solve):
@@ -76,7 +77,7 @@ def test_table_changes_piece_at_the_validated_indices(T, n, data):
     assert indices == sorted(ks)
     table = step_coefficients(model, grid)
     assert changes(table) == indices
-    terms = step_terms(model, grid)
+    terms = _impact_terms(model, grid)
     assert changes(np.stack([terms.sigma, terms.log_drift])) == indices
     # each run holds the values of its piece
     for i, k in enumerate([0, *indices]):

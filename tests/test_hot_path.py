@@ -21,12 +21,12 @@ from execlab import (MarketPath, Strategy, TimeGrid, build_model,
                      counterexample_gbm, deviation_path, estimate_cost,
                      immediate_close, naive_deviation_path, optimal_plan,
                      pathwise_cost, pathwise_cost_naive, simulate_path,
-                     solve_y_deterministic, step_coefficients, step_terms)
+                     solve_y_deterministic, step_coefficients)
 from execlab import coefficients, deviation
 from execlab.cli import SHOWCASE
 from execlab.cost import CHUNK_ELEMENTS, Pricing, path_chunks, sample_paths
 from execlab.bsde import _beta_ds_integrals
-from term_builds import spy_builds
+from term_builds import spy_builders
 
 MODEL = constant_model(2.0, 1.0, 0.5, mu=0.1, sigma=0.8)
 X, D = 10.0, 0.5
@@ -41,11 +41,12 @@ def ref_cumsum0(x):
 
 def ref_market(model, grid, seed, ids):
     """Brownian increments, impact and its inverse of the paths ``ids``."""
-    terms = step_terms(model, grid)
+    _, mu, sigma = step_coefficients(model, grid)
     z = np.stack([np.random.default_rng(np.random.SeedSequence((seed, i)))
                   .standard_normal(grid.n_steps) for i in ids])
     dw = z * np.sqrt(grid.h)
-    gamma = model.gamma0 * np.exp(ref_cumsum0(terms.log_drift + terms.sigma * dw))
+    log_drift = (mu - 0.5 * sigma**2) * grid.h
+    gamma = model.gamma0 * np.exp(ref_cumsum0(log_drift + sigma * dw))
     return dw, gamma, 1.0 / gamma
 
 
@@ -75,12 +76,12 @@ def ref_deviation(model, grid, gamma, alpha, strategy, d_pre, naive):
         gamma_left = np.concatenate((gamma[..., :1], gamma[..., :-1]),
                                     axis=-1)
         gamma_eff = np.where(strategy.is_block, gamma, gamma_left)
-    terms = step_terms(model, grid)
+    r = ref_cumsum0(step_coefficients(model, grid)[0] * grid.h)
     xi = np.diff(strategy.values, prepend=strategy.x_pre)
-    cum = d_pre + np.cumsum(gamma_eff * terms.growth * xi, axis=-1)
+    cum = d_pre + np.cumsum(gamma_eff * np.exp(r) * xi, axis=-1)
     pre_trade = np.empty_like(cum)
     pre_trade[..., 0] = d_pre
-    pre_trade[..., 1:] = terms.decay[1:] * cum[..., :-1]
+    pre_trade[..., 1:] = np.exp(-r)[1:] * cum[..., :-1]
     values = pre_trade + gamma_eff * xi
     return pre_trade, values, strategy.values - alpha * values
 
@@ -205,30 +206,33 @@ class TestInputsUnchanged:
     @pytest.mark.parametrize("naive", [False, True])
     def test_market_strategy_and_shared_terms(self, naive):
         # sigma > 0, and sigma = 0 with its shared impact path; as in a
-        # pass, the market and every deviation read one set of step terms
+        # pass, the market reads one set of impact terms and every
+        # deviation one resilience pair
         for model in (MODEL, constant_model(2.0, 1.5, 0.5, mu=0.1)):
             with coefficients._chunk_pool(40):
                 self.check_model(model, naive)
 
     def check_model(self, model, naive):
         grid = TimeGrid(0.0, 2.0, 40)
-        step = step_terms(model, grid)
+        impact = coefficients._impact_terms(model, grid)
+        resilience = coefficients._resilience(model, grid)
         market = coefficients._market(
-            model, grid, simulate_path(model, grid, 4, range(3)).w, step)
+            model, grid, simulate_path(model, grid, 4, range(3)).w, impact)
         vs = solve_y_deterministic(model, grid)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((3, 41))
         values[:, -1] = 0.0
         caller = Strategy(grid, 0.7, values, rng.random(41) < 0.5)
         plan = optimal_plan(model, vs, market, 0.0, X, D)
-        # the impact path and its product are None when sigma > 0
-        shared = [a for a in step if a is not None]
+        # the impact path is None when sigma > 0
+        shared = [a for a in (*impact, *resilience) if a is not None]
         terms = vars(vs)["_plan_terms"]
         kept = [a.copy() for a in (market.w, market.gamma, values, *shared,
                                    *terms, vs.beta_tilde, vs.beta_pre)]
         cost_fn = pathwise_cost_naive if naive else pathwise_cost
         for strat in (plan.x_star, caller):
-            dev = deviation._deviation(model, market, strat, D, naive, step)
+            dev = deviation._deviation(model, market, strat, D, naive,
+                                       resilience)
             cost_fn(strat, dev, market)
             dev.values, dev.impact_state  # noqa: B018
         plan.d_star.impact_state  # noqa: B018
@@ -305,7 +309,7 @@ class TestDeterministicImpact:
             passed.append((dev, market))
             return pathwise_cost(strat, dev, market)
 
-        # per call, and in a pass, where the terms' product is read
+        # per call, and in a pass, which hands down its resilience pair
         sample_paths(grid, 3, 4, [Pricing(model, lambda m: strat, price,
                                           0.4, naive)])
         # the pass's paths share its one impact path
@@ -324,8 +328,8 @@ class TestDeterministicImpact:
 
     def test_other_gamma_is_not_read_from_the_terms(self, case):
         # a market of this model that carries another sigma = 0 model's
-        # gamma, a view of that model's step terms, keeps its own gamma
-        # when its deviation is handed this model's terms
+        # gamma, a view of that model's impact path, keeps its own gamma
+        # when its deviation is handed this model's resilience pair
         model, grid = DETERMINISTIC[case]
         other = constant_model(model.T, 1.0, 0.3, mu=0.9)
         strat = immediate_close(grid, grid.times[grid.n_steps // 2], 2.0)
@@ -333,7 +337,7 @@ class TestDeterministicImpact:
             foreign = simulate_path(other, grid, 4, range(3))
             market = MarketPath(model, grid, foreign.w, foreign.gamma)
             dev = deviation._deviation(model, market, strat, 0.4, False,
-                                       step_terms(model, grid))
+                                       coefficients._resilience(model, grid))
         ref = ref_deviation(model, grid, market.gamma, market.alpha, strat,
                             0.4, False)
         assert np.array_equal(dev.pre_trade, ref[0])
@@ -352,7 +356,9 @@ class TestTrades:
 class TestNonFiniteRefused:
     """An impact that overflows gives non-finite costs; they are refused."""
 
-    MODEL = constant_model(100.0, 1.0, 50.0, 0.0, 9.0)
+    # log gamma grows by about 9.5 t: it overflows before t = 75 on every
+    # path, while the integral of rho stays in the range of exp
+    MODEL = constant_model(100.0, 1.0, 1.0, 10.0, 1.0)
     GRID = TimeGrid(0.0, 100.0, 200)
 
     def factory(self, _market):
@@ -461,9 +467,11 @@ class TestSharedPass:
         pricings = [Pricing(model, FACTORIES["gbm"], pathwise_cost,
                             naive_dynamics=True)
                     for model in (MODEL, SIGMA_ZERO, MODEL)]
-        builds = spy_builds(monkeypatch)
+        builds = spy_builders(monkeypatch)
         sample_paths(grid, n_paths, 5, pricings)
-        assert [model for model, _ in builds] == [MODEL, SIGMA_ZERO]
+        assert [(b.name, b.model) for b in builds] == [
+            (name, model) for name in ("_resilience", "_impact_terms")
+            for model in (MODEL, SIGMA_ZERO)]
 
 
 def chunk_rows(grid):

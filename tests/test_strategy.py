@@ -17,7 +17,7 @@ from execlab import (JumpExample, MarketPath, ModelError, TimeGrid,
                      solve_y_deterministic, solve_y_ode)
 from execlab.cli import SHOWCASE
 from execlab.cost import Pricing, sample_paths
-from term_builds import spy_builds
+from term_builds import spy_builders
 
 # negative resilience offset by a positive drift
 NEGRES = constant_model(5.0, 1.0, -0.1, mu=0.5)
@@ -461,7 +461,7 @@ class TestHoistedTerms:
         vs = solve()
         plan = optimal_plan(model, vs, market, 0.0, 1.0, 0.5)
         terms = vars(vs)["_plan_terms"]
-        builds = spy_builds(monkeypatch)
+        builds = spy_builders(monkeypatch)
         replan = optimal_plan(model, vs, market, u, 1.0, 0.5)
         replan.d_star.values  # noqa: B018
         assert builds == []
